@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distribution import CATALOG, PfaffianPair, PolyVectorField, frame, lie_bracket
+from .distribution import PfaffianPair, PolyVectorField, frame, lie_bracket
 from .poly import SparsePoly
 
 PRINTED = "printed"
@@ -266,7 +266,3 @@ def vanishes_on_sigma(field: PolyVectorField) -> bool:
     return all(
         comp.subs("z", 0).subs("w", 0).is_zero() for comp in field.components()
     )
-
-
-def catalog_char_field(model: str, variant: str = ORACLE) -> PolyVectorField:
-    return char_field(CATALOG[model], variant)

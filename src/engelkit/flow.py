@@ -63,7 +63,8 @@ _ERR = _B5 - _B4
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_H_FLOOR = 1e-15
+# Smallest step, relative to max(1, |t|), before the integrator gives up.
+H_FLOOR = 1e-15
 
 
 def adaptive_rk45(
@@ -75,18 +76,29 @@ def adaptive_rk45(
     h0: float | None = None,
     stop_when: Callable[[float, np.ndarray], bool] | None = None,
     max_steps: int = 1_000_000,
+    stops: Sequence[float] = (),
 ) -> tuple[list[float], list[np.ndarray], float, bool]:
     """Integrate rhs over t_span, recording every accepted step.
 
-    Returns (times, states, last_step_size, stopped_early).  ``stop_when``
-    is checked at accepted steps only.  Raises StepSizeUnderflowError or
-    NonFiniteStateError on failure.
+    Returns (times, states, last_step_size, stopped_early).  Steps are
+    clipped to land exactly on t1 and on each time in ``stops`` (which
+    must lie in t_span), so those times appear in ``times`` as given.
+    The last stage of an accepted step is reused as the first stage of
+    the next (first-same-as-last).  A trial step with a non-finite stage
+    or result is rejected and retried with a smaller step.  ``stop_when``
+    is checked at accepted steps only.  Raises StepSizeUnderflowError, or
+    NonFiniteStateError when the step underflowed while non-finite trial
+    states were being rejected.
     """
     t0, t1 = t_span
     if t1 <= t0:
         raise ValueError("t_span must be increasing; reverse the field instead")
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
+    targets = sorted(float(s) for s in stops)
+    if targets and (targets[0] < t0 or targets[-1] > t1):
+        raise ValueError("stops must lie in t_span")
+    targets = [s for s in targets if t0 < s < t1] + [t1]
     y = np.asarray(y0, dtype=float).copy()
     t = t0
     times = [t0]
@@ -97,28 +109,45 @@ def adaptive_rk45(
     k[0] = rhs(t, y)
     steps = 0
     stopped = False
+    non_finite = False
+    next_target = 0
     while t < t1:
         steps += 1
         if steps > max_steps:
             raise IntegrationError("maximum step count exceeded", t)
-        h = min(h, t1 - t)
-        if h < _H_FLOOR * max(1.0, abs(t)):
+        target = targets[next_target]
+        proposal = h
+        # Stretch a step that would stop just short of the target
+        # (Hairer-Norsett-Wanner's 1.01 rule), so no sliver step is left.
+        clipped = t + 1.01 * h >= target
+        if clipped:
+            h = target - t
+        if h < H_FLOOR * max(1.0, abs(t)):
+            if non_finite:
+                raise NonFiniteStateError(
+                    "step size underflow while rejecting non-finite trial states", t
+                )
             raise StepSizeUnderflowError("step size underflow", t)
+        t_new = target if clipped else t + h
         for i in range(1, 7):
             yi = y + h * (k[:i].T @ _A[i])
-            k[i] = rhs(t + _C[i] * h, yi)
-        y_new = y + h * (k.T @ _B5)
-        if not np.all(np.isfinite(y_new)):
-            raise NonFiniteStateError("non-finite state", t)
-        err_vec = h * (k.T @ _ERR)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+            k[i] = rhs(t_new if i == 6 else t + _C[i] * h, yi)
+        # The last stage is evaluated at the propagated solution itself.
+        y_new = yi
+        non_finite = not (np.isfinite(k).all() and np.isfinite(y_new).all())
+        err = math.inf
+        if not non_finite:
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            ratio = h * (k.T @ _ERR) / scale
+            err = math.sqrt(float(ratio @ ratio) / ratio.size)
         if err <= 1.0:
-            t = t + h
+            t = t_new
             y = y_new
-            k[0] = rhs(t, y)  # first-same-as-last would save this; keep it simple
+            k[0] = k[6]
             times.append(t)
             states.append(y.copy())
+            if clipped:
+                next_target += 1
             if stop_when is not None and stop_when(t, y):
                 stopped = True
                 break
@@ -126,6 +155,10 @@ def adaptive_rk45(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             )
             h *= factor
+            if clipped:
+                # The clip was set by the target, not by the error: carry
+                # on from the step the controller had proposed.
+                h = max(h, proposal)
         else:
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
     return times, states, h, stopped

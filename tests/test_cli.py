@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
+
 from engelkit.cli import main
 from engelkit.distribution import CATALOG
+from engelkit.endpoint import ControlPath, horizontal_integrate
 
 
 def test_analyze_single_point(capsys):
@@ -105,6 +108,24 @@ def test_endpoint_controls_file(tmp_path, capsys):
     code = main(["endpoint", "--model", "engel_std", "--controls", str(ctrl_file)])
     assert code == 0
     assert "SINGULAR" in capsys.readouterr().out
+
+
+def test_endpoint_controls_output_is_deterministic(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    ctrls = [ControlPath(rng.uniform(-1, 1, size=(n, 2))) for n in (3, 5, 16)]
+    ctrl_file = tmp_path / "ctrl.json"
+    ctrl_file.write_text(json.dumps([c.to_json_dict() for c in ctrls]))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    q0 = (0.1, 0.0, -0.2, 0.3)
+    for out in outs:
+        argv = ["endpoint", "--model", "d2334a", "--controls", str(ctrl_file),
+                "--q0=0.1,0,-0.2,0.3", "--out", str(out)]
+        assert main(argv) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    rows = json.loads(outs[0].read_text())["results"]
+    for ctrl, row in zip(ctrls, rows):
+        endp = horizontal_integrate(CATALOG["d2334a"], q0, ctrl).endpoint
+        assert np.max(np.abs(np.array(row["endpoint"]) - endp)) <= 1e-12
 
 
 def test_endpoint_needs_a_mode(capsys):

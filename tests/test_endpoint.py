@@ -17,9 +17,11 @@ from engelkit.endpoint import (
     sard_sample,
     singular_score,
     _ControlSystem,
+    _sample_times,
+    _sensitivity_pass,
 )
 from engelkit.flow import adaptive_rk45
-from engelkit.poly import Point4, SparsePoly
+from engelkit.poly import Point4, SparsePoly, random_poly
 
 ZERO_PAIR = PfaffianPair(SparsePoly.zero(), SparsePoly.zero())
 ORIGIN = Point4.origin()
@@ -77,6 +79,11 @@ def test_jacobian_zero_pair_has_zero_xy_rows():
 def test_singular_score_orthonormal_rows():
     j = np.hstack([np.eye(4), np.zeros((4, 4))])
     assert singular_score(j) == pytest.approx(1.0)
+
+
+def test_singular_score_of_a_one_segment_jacobian_is_zero():
+    # two columns: the endpoint map cannot have rank 4
+    assert singular_score(np.eye(4)[:, :2]) == 0.0
 
 
 def test_singular_score_rejects_zero():
@@ -238,3 +245,99 @@ def test_sard_report_csv(tmp_path):
     assert lines[0] == "# meta"
     assert lines[1] == "x,y,z,w,score"
     assert len(lines) == 5
+
+
+def _pairs_and_controls(seed):
+    """Catalog models and six random user pairs, each with a random control."""
+    rng = np.random.default_rng(seed)
+    pairs = list(CATALOG.values())
+    pairs += [PfaffianPair(random_poly(rng), random_poly(rng)) for _ in range(6)]
+    return [(pair, ControlPath(rng.uniform(-1, 1, size=(int(rng.integers(2, 12)), 2)))) for pair in pairs]
+
+
+def test_bryant_hsu_completes_for_every_segment_count():
+    # stop times from linspace(0,1,16) and linspace(0,1,6) used to land
+    # 1.1e-16 apart at t = 0.6 and abort every 5-segment control
+    rng = np.random.default_rng(12)
+    for model, pair in CATALOG.items():
+        for n in range(1, 65):
+            verdict = bryant_hsu_test(pair, ORIGIN, ControlPath(rng.uniform(-1, 1, size=(n, 2))))
+            assert verdict.classification in (SINGULAR, REGULAR, AMBIGUOUS), (model, n)
+
+
+def test_sample_times_near_a_boundary_are_snapped_onto_it():
+    ctrl = ControlPath.constant(0.3, 0.8, 5)
+    # 0.6 - 1e-16 and linspace's 9/15 lie within the step floor of the
+    # boundary 3/5; 0.25 + 2e-16 lies within it of 0.25
+    samples = list(np.linspace(0.0, 1.0, 16)) + [0.6 - 1e-16, 0.25, 0.25 + 2e-16]
+    record = adjoint_transport(CATALOG["d224"], Point4(0, 0, 0.2, 0.1), ctrl, sample_times=samples)
+    assert len(record.times) == 17 and 0.6 in record.times and 0.25 in record.times
+    assert np.all(np.diff(record.times) > 1e-15)
+    with pytest.raises(ValueError):
+        adjoint_transport(CATALOG["d224"], ORIGIN, ctrl, sample_times=[0.5, 1.5])
+
+
+def test_verdict_endpoint_matches_horizontal_integrate():
+    # On the catalog the integrands are polynomials in t of low degree, which
+    # both step sequences integrate exactly; on user pairs they agree to the
+    # integrator tolerance (rtol 1e-10 on states of size <= 1).
+    for i, (pair, ctrl) in enumerate(_pairs_and_controls(20)):
+        verdict = bryant_hsu_test(pair, ORIGIN, ctrl)
+        endp = horizontal_integrate(pair, ORIGIN, ctrl).endpoint
+        bound = 1e-12 if i < len(CATALOG) else 1e-9
+        assert np.max(np.abs(verdict.endpoint - endp)) <= bound, (pair, ctrl.u)
+
+
+def test_sampled_pass_jacobian_matches_finite_differences():
+    # criterion 9's bound, on user pairs as well as the catalog
+    for pair, ctrl in _pairs_and_controls(21):
+        _, jac, _, _ = _sensitivity_pass(
+            _ControlSystem(pair), ORIGIN, ctrl, _sample_times(ctrl.n_segments, None), 1e-10, 1e-12
+        )
+        res = endpoint_jacobian(pair, ORIGIN, ctrl, fd_check=True)
+        assert res.fd_max_discrepancy <= 1e-5
+        assert np.max(np.abs(jac - res.matrix)) <= 1e-5
+
+
+def _reference_transition(pair, q0, ctrl, t_end):
+    """Phi(t_end) from the variational equation dPhi/dt = A(q) Phi, with A
+    built directly from the pair and integrated without restarts."""
+    df = [pair.f.diff(v).compile() for v in ("x", "y", "z", "w")]
+    dg = [pair.g.diff(v).compile() for v in ("x", "y", "z", "w")]
+    f, g = pair.f.compile(), pair.g.compile()
+    n = ctrl.n_segments
+    s = np.concatenate([np.asarray(q0, dtype=float), np.eye(4).ravel()])
+    for j in range(n):
+        lo, hi = j / n, min((j + 1) / n, t_end)
+        if hi <= lo:
+            break
+        u1, u2 = ctrl.u[j]
+
+        def rhs(t, s, u1=u1, u2=u2):
+            q = s[:4]
+            a = np.zeros((4, 4))
+            a[0] = [-u2 * d(*q) for d in df]
+            a[1] = [-u2 * d(*q) for d in dg]
+            dq = [-u2 * f(*q), -u2 * g(*q), u1, u2]
+            return np.concatenate([dq, (a @ s[4:].reshape(4, 4)).ravel()])
+
+        s = adaptive_rk45(rhs, s, (lo, hi), 1e-10, 1e-12)[1][-1]
+    return s[4:].reshape(4, 4)
+
+
+def test_adjoint_transport_is_inverse_transpose_of_the_transition():
+    q0 = (0.1, -0.2, 0.3, 0.2)
+    for pair, ctrl in _pairs_and_controls(22)[2:7]:
+        record = adjoint_transport(pair, q0, ctrl, sample_times=[0.0, 0.37, 0.5, 0.81, 1.0])
+        for t, psi in zip(record.times, record.transports):
+            phi = _reference_transition(pair, q0, ctrl, t)
+            assert np.max(np.abs(psi.T @ phi - np.eye(4))) <= 1e-8, (t, pair)
+
+
+def test_reversed_control_returns_to_start():
+    rng = np.random.default_rng(23)
+    for pair, ctrl in _pairs_and_controls(24):
+        q0 = rng.uniform(-0.5, 0.5, size=4)
+        end = horizontal_integrate(pair, q0, ctrl).endpoint
+        back = horizontal_integrate(pair, end, ctrl.reversed()).endpoint
+        assert np.max(np.abs(back - q0)) <= 1e-10, (pair, ctrl.u)

@@ -10,7 +10,9 @@ from engelkit.flow import (
     RHO,
     ZW,
     IntegrationError,
+    NonFiniteStateError,
     Trajectory,
+    adaptive_rk45,
     closed_form,
     conserved_drift,
     integrate,
@@ -66,6 +68,49 @@ def test_blowup_reports_reachable_time():
     with pytest.raises(IntegrationError) as err:
         integrate(fld, Point4(1.0, 0, 0, 0), 2.0)
     assert 0.9 < err.value.t_reached <= 1.05
+
+
+def test_clipped_last_step_lands_exactly_on_t1():
+    # t + (t1 - t) misses t1 by one ulp here; the clipped step must land on it
+    t1 = 1 / 69
+    times, _, _, _ = adaptive_rk45(
+        lambda t, y: np.zeros_like(y), np.zeros(1), (0.0, t1), 1e-10, 1e-12, h0=0.3 / 69
+    )
+    assert times[-1] == t1
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_trial_step_is_rejected():
+    # the rhs is finite while y <= 1.5, so y = 1 + t is reachable up to t = 0.5
+    with pytest.raises(NonFiniteStateError, match="non-finite") as err:
+        adaptive_rk45(
+            lambda t, y: np.where(y <= 1.5, 1.0, np.inf),
+            np.array([1.0]),
+            (0.0, 1.0),
+            1e-10,
+            1e-12,
+            h0=0.3,
+        )
+    assert abs(err.value.t_reached - 0.5) <= 1e-3
+
+
+def test_stops_are_landed_on_exactly_with_one_rhs_call_saved_per_step():
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return np.array([-y[0], y[0]])
+
+    stops = [0.1, 1 / 3, 0.6, 0.6 + 1e-9]
+    times, states, _, _ = adaptive_rk45(rhs, np.array([1.0, 0.0]), (0.0, 1.0), 1e-10, 1e-12, stops=stops)
+    assert set(stops) <= set(times) and times[-1] == 1.0
+    for t, y in zip(times, states):
+        assert abs(y[0] - math.exp(-t)) <= 1e-9
+    # first-same-as-last: one rhs call to start, then six per step (no step
+    # is rejected on this problem)
+    assert calls[0] == 1 + 6 * (len(times) - 1)
+    with pytest.raises(ValueError):
+        adaptive_rk45(rhs, np.array([1.0, 0.0]), (0.0, 1.0), 1e-10, 1e-12, stops=[1.5])
 
 
 def test_trajectory_validation():
