@@ -398,14 +398,13 @@ CRITERIA = {
 }
 
 
-def run_all(numbers: list[int] | None = None, verbose: bool = True) -> list[CriterionResult]:
+def run_all(numbers: list[int] | None = None) -> list[CriterionResult]:
     results = []
     for number in sorted(numbers or CRITERIA):
         result = CRITERIA[number]()
         results.append(result)
-        if verbose:
-            print(result.summary_line())
-            if not result.passed:
-                for line in result.detail_lines():
-                    print(line)
+        print(result.summary_line())
+        if not result.passed:
+            for line in result.detail_lines():
+                print(line)
     return results

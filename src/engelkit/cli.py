@@ -24,11 +24,10 @@ from .endpoint import horizontal_integrate  # noqa: F401  (patched by bench/trac
 from .flow import (
     DEFAULT_ATOL,
     DEFAULT_EPS_CUT,
+    DEFAULT_MONITORS,
     DEFAULT_RTOL,
     DEFAULT_T_MAX,
     FLOAT_FMT,
-    RHO,
-    ZW,
     integrate,
     singular_surface,
 )
@@ -148,10 +147,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     model, pair = resolve_model(args.model)
     q0 = _parse_point(args.start)
     fld = char_field(pair, args.variant)
-    traj = integrate(
-        fld, q0, args.t, rtol=args.rtol, atol=args.atol,
-        monitors={"rho": RHO, "zw": ZW},
-    )
+    traj = integrate(fld, q0, args.t, rtol=args.rtol, atol=args.atol, monitors=DEFAULT_MONITORS)
     print(
         f"{model} ({args.variant}): {traj.times.size} samples to t={args.t}; "
         f"endpoint ({', '.join(FLOAT_FMT % v for v in traj.endpoint)})"
@@ -271,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"engelkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, model: bool = True) -> None:
-        if model:
-            p.add_argument("--model", required=True,
-                           help="catalog id (engel_std, d224, d2334a, d2334b) or JSON file")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--model", required=True,
+                       help="catalog id (engel_std, d224, d2334a, d2334b) or JSON file")
         p.add_argument("--out", help="output file")
-        p.add_argument("--seed", type=int, default=0)
+
+    def tolerances(p: argparse.ArgumentParser) -> None:
         p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
         p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
 
@@ -294,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="integrate the characteristic field with monitors")
     common(p)
+    tolerances(p)
     p.add_argument("--start", required=True, help="x,y,z,w")
     p.add_argument("--t", type=float, required=True, help="integration time (negative = reversed)")
     p.add_argument("--variant", choices=VARIANTS, default=ORACLE)
@@ -301,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surface", help="reconstruct the singular-endpoint surface")
     common(p)
+    tolerances(p)
     p.add_argument("--grid", required=True, help="min:max:count magnitudes for z and w")
     p.add_argument("--signed", action="store_true", help="include all four sign quadrants")
     p.add_argument("--eps-cut", type=float, default=DEFAULT_EPS_CUT)
@@ -309,6 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("endpoint", help="singularity analysis of control paths")
     common(p)
+    tolerances(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--q0", default="0,0,0,0", help="base point x,y,z,w")
     p.add_argument("--controls", help="JSON control file: {n_segments, u} or a list of them")
     p.add_argument("--random", type=int, help="analyze N random controls")
@@ -330,10 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CliError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path

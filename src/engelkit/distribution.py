@@ -177,9 +177,13 @@ def rational_rank(columns: list[tuple[Fraction, ...]]) -> int:
 
 
 def _float_rank(matrix: np.ndarray, rank_tol: float) -> int:
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    # Unit columns keep the rank; unscaled, deep brackets ~1e10 long would
+    # lift the relative threshold above the frame's unit singular values.
+    norms = np.linalg.norm(matrix, axis=0)
+    columns = matrix[:, norms > 0.0] / norms[norms > 0.0]
+    if columns.size == 0:
         return 0
+    sv = np.linalg.svd(columns, compute_uv=False)
     return int(np.sum(sv > rank_tol * sv[0]))
 
 
@@ -272,10 +276,6 @@ def sigma_check(
     )
 
 
-def _poly(expr_terms: dict) -> SparsePoly:
-    return SparsePoly(expr_terms)
-
-
 # Catalog of built-in models, keyed by id.  Exponent order is (x, y, z, w).
 #   engel_std : f = z,   g = z^2/2        growth (2,3,4) everywhere
 #   d224      : f = z^2, g = z*w          growth (2,2,4) on z = w = 0
@@ -283,20 +283,20 @@ def _poly(expr_terms: dict) -> SparsePoly:
 #   d2334b    : f = z,   g = z^3/3 + z*w^2  growth (2,3,3,4) on z = w = 0
 CATALOG: dict[str, PfaffianPair] = {
     "engel_std": PfaffianPair(
-        f=_poly({(0, 0, 1, 0): 1}),
-        g=_poly({(0, 0, 2, 0): Fraction(1, 2)}),
+        f=SparsePoly({(0, 0, 1, 0): 1}),
+        g=SparsePoly({(0, 0, 2, 0): Fraction(1, 2)}),
     ),
     "d224": PfaffianPair(
-        f=_poly({(0, 0, 2, 0): 1}),
-        g=_poly({(0, 0, 1, 1): 1}),
+        f=SparsePoly({(0, 0, 2, 0): 1}),
+        g=SparsePoly({(0, 0, 1, 1): 1}),
     ),
     "d2334a": PfaffianPair(
-        f=_poly({(0, 0, 1, 0): 1}),
-        g=_poly({(0, 0, 2, 1): 1}),
+        f=SparsePoly({(0, 0, 1, 0): 1}),
+        g=SparsePoly({(0, 0, 2, 1): 1}),
     ),
     "d2334b": PfaffianPair(
-        f=_poly({(0, 0, 1, 0): 1}),
-        g=_poly({(0, 0, 3, 0): Fraction(1, 3), (0, 0, 1, 2): 1}),
+        f=SparsePoly({(0, 0, 1, 0): 1}),
+        g=SparsePoly({(0, 0, 3, 0): Fraction(1, 3), (0, 0, 1, 2): 1}),
     ),
 }
 

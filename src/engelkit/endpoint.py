@@ -29,7 +29,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .charfield import ORACLE, char_field, coefficients
+from .charfield import ORACLE, assemble_field, char_field, coefficients
 from .distribution import CATALOG, PfaffianPair
 from .flow import (
     DEFAULT_ATOL,
@@ -46,6 +46,8 @@ from .poly import VARS, Point4
 
 SINGULAR_THRESHOLD = 1e-7
 REGULAR_THRESHOLD = 1e-4
+# Control perturbation of the central finite-difference Jacobian check.
+FD_STEP = 1e-6
 
 SINGULAR = "SINGULAR"
 REGULAR = "REGULAR"
@@ -161,7 +163,7 @@ def horizontal_integrate(
     h_carry: float | None = None
     for j in range(n):
         u1, u2 = ctrl.u[j]
-        times, states, h_carry, _ = adaptive_rk45(
+        times, states, h_carry = adaptive_rk45(
             lambda t, q: sys.rhs(q, u1, u2),
             y,
             (j / n, (j + 1) / n),
@@ -227,7 +229,7 @@ def _sensitivity_pass(
     h_carry: float | None = None
     for j in range(n):
         u1, u2 = ctrl.u[j]
-        times, states, h_carry, _ = adaptive_rk45(
+        times, states, h_carry = adaptive_rk45(
             sys.variational_rhs(u1, u2),
             np.concatenate([q, restart]),
             (j / n, (j + 1) / n),
@@ -283,29 +285,25 @@ def endpoint_jacobian(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     fd_check: bool = False,
-    fd_step: float = 1e-6,
 ) -> JacobianResult:
     """Derivative of the endpoint with respect to the control entries.
 
     Integrates, per segment, the 4x4 state-transition matrix and the local
     input response, then chains transitions across the remaining segments.
     With ``fd_check`` the matrix is compared entrywise against central
-    finite differences of step ``fd_step``.
+    finite differences of step ``FD_STEP``.
     """
     endpoint, jac, _, _ = _sensitivity_pass(_ControlSystem(pair), q0, ctrl, (), rtol, atol)
     fd_disc = None
     if fd_check:
         fd = np.zeros_like(jac)
         for k in range(2 * ctrl.n_segments):
-            for sign, slot in ((+1, 0), (-1, 1)):
+            ends = []
+            for delta in (FD_STEP, -FD_STEP):
                 u = ctrl.u.copy()
-                u[k // 2, k % 2] += sign * fd_step
-                endp = horizontal_integrate(pair, q0, ControlPath(u), rtol, atol).endpoint
-                if slot == 0:
-                    plus = endp
-                else:
-                    minus = endp
-            fd[:, k] = (plus - minus) / (2 * fd_step)
+                u[k // 2, k % 2] += delta
+                ends.append(horizontal_integrate(pair, q0, ControlPath(u), rtol, atol).endpoint)
+            fd[:, k] = (ends[0] - ends[1]) / (2 * FD_STEP)
         fd_disc = float(np.max(np.abs(fd - jac)))
     return JacobianResult(matrix=jac, endpoint=endpoint, fd_max_discrepancy=fd_disc)
 
@@ -446,26 +444,26 @@ def char_control(
     p0,
     duration: float,
     n_segments: int,
-    variant: str = ORACLE,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> ControlPath:
     """Piecewise-constant approximation of a singular control.
 
-    Integrates the characteristic field from p0 for ``duration``, samples
-    its frame coefficients (c, e) at the segment midpoints, and rescales
-    time so the control lives on [0, 1] (velocities scale by ``duration``).
+    Integrates the oracle characteristic field from p0 for ``duration``,
+    samples its frame coefficients (c, e) at the segment midpoints, and
+    rescales time so the control lives on [0, 1] (velocities scale by
+    ``duration``).
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
     if n_segments < 1:
         raise ValueError("need at least one segment")
-    fld = char_field(pair, variant)
-    co = coefficients(pair, variant)
+    co = coefficients(pair, ORACLE)
     c_fn, e_fn = co.c.compile(), co.e.compile()
     mids = [(j + 0.5) * duration / n_segments for j in range(n_segments)]
-    times, states, _, _ = adaptive_rk45(
-        fld.compile_rhs(), _as_array(p0), (0.0, mids[-1]), rtol, atol, stops=mids[:-1]
+    rhs = assemble_field(pair, co).compile_rhs()
+    times, states, _ = adaptive_rk45(
+        rhs, _as_array(p0), (0.0, mids[-1]), rtol, atol, stops=mids[:-1]
     )
     u = np.zeros((n_segments, 2))
     for j, i in enumerate(np.searchsorted(times, mids)):
@@ -478,11 +476,12 @@ def char_control(
     return ControlPath(u)
 
 
-# Arc durations used when generating detector test curves; short arcs keep
-# the piecewise-constant discretization error of a curved characteristic
-# orbit below the SINGULAR band at 64 segments (a subarc of a singular
-# curve is itself singular).
+# Arc durations and segment count used when generating detector test
+# curves; short arcs keep the piecewise-constant discretization error of a
+# curved characteristic orbit below the SINGULAR band at 64 segments (a
+# subarc of a singular curve is itself singular).
 CHAR_ARC_DURATION = {"d224": 0.4, "d2334a": 0.05, "d2334b": 0.03}
+CHAR_ARC_SEGMENTS = 64
 
 
 @dataclass
@@ -499,7 +498,6 @@ class SardReport:
     endpoints: list[tuple[float, float, float, float]] = field(default_factory=list)
     scores: list[float] = field(default_factory=list)
     origin_reaching_count: int | None = None
-    reference_family: list[tuple[float, float, float, float]] | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -527,14 +525,13 @@ def _detector_stats(
     duration: float,
     rtol: float,
     atol: float,
-    n_segments: int = 64,
 ) -> tuple[float, int, list[float]]:
     agreements = 0
     decided = 0
     ambiguous = 0
     scores: list[float] = []
     for p in starts:
-        ctrl = char_control(pair, p, duration, n_segments, rtol=rtol, atol=atol)
+        ctrl = char_control(pair, p, duration, CHAR_ARC_SEGMENTS, rtol=rtol, atol=atol)
         verdict = bryant_hsu_test(pair, p, ctrl, rtol=rtol, atol=atol)
         scores.append(verdict.sigma_ratio)
         jac_class = verdict.jacobian_classification
@@ -612,7 +609,6 @@ def sard_sample(
 
     rho_start = 1e-7
     endpoints = []
-    residuals: list[float] = []
     for _ in range(n_curves):
         if model == "d224":
             theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -624,14 +620,12 @@ def sard_sample(
         z_s, w_s = math.sqrt(rho_start) * direction
         t_back = rng.uniform(1.75, 3.0)
         back = integrate(fld, (0.0, 0.0, z_s, w_s), -t_back, rtol=rtol, atol=atol)
-        p = back.endpoint
-        sample = singular_surface(pair, [(p[2], p[3])], rtol=rtol, atol=atol)
-        dx, dy = sample.offsets[0]
-        if not sample.converged[0]:
-            residuals.append(math.inf)
-        else:
-            residuals.append(max(abs(p[0] + dx), abs(p[1] + dy)))
-        endpoints.append(tuple(p))
+        endpoints.append(tuple(back.endpoint))
+    sample = singular_surface(pair, [(p[2], p[3]) for p in endpoints], rtol=rtol, atol=atol)
+    residuals = [
+        max(abs(p[0] + dx), abs(p[1] + dy)) if ok else math.inf
+        for p, (dx, dy), ok in zip(endpoints, sample.offsets, sample.converged)
+    ]
     agreement, ambiguous, scores = _detector_stats(
         pair,
         [np.array(p) for p in endpoints[: min(detector_subset, n_curves)]],
@@ -640,15 +634,6 @@ def sard_sample(
         atol,
     )
     scores += [math.nan] * (n_curves - len(scores))
-    reference = None
-    if model == "d2334a":
-        # reference curve family (x, y) = (-z w ln w, -z^2 w^2 ln w), kept
-        # separate from the numerically reconstructed origin-convergent set
-        reference = []
-        for z in np.linspace(-0.1, 0.1, 9):
-            for w in np.linspace(0.01, 0.1, 5):
-                lnw = math.log(w)
-                reference.append((float(-z * w * lnw), float(-(z * w) ** 2 * lnw), float(z), float(w)))
     return SardReport(
         model=model,
         n_curves=n_curves,
@@ -659,5 +644,4 @@ def sard_sample(
         ambiguous_count=ambiguous,
         endpoints=endpoints,
         scores=scores,
-        reference_family=reference,
     )

@@ -65,8 +65,12 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 # Smallest step, relative to max(1, |t|), before the integrator gives up.
 H_FLOOR = 1e-15
+# Step budget of one integrator call, counting rejected trial steps.
+MAX_STEPS = 1_000_000
 
 
+# A rejected non-finite trial step is handled below; numpy need not warn.
+@np.errstate(invalid="ignore", over="ignore")
 def adaptive_rk45(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -75,12 +79,11 @@ def adaptive_rk45(
     atol: float,
     h0: float | None = None,
     stop_when: Callable[[float, np.ndarray], bool] | None = None,
-    max_steps: int = 1_000_000,
     stops: Sequence[float] = (),
-) -> tuple[list[float], list[np.ndarray], float, bool]:
+) -> tuple[list[float], list[np.ndarray], float]:
     """Integrate rhs over t_span, recording every accepted step.
 
-    Returns (times, states, last_step_size, stopped_early).  Steps are
+    Returns (times, states, last_step_size).  Steps are
     clipped to land exactly on t1 and on each time in ``stops`` (which
     must lie in t_span), so those times appear in ``times`` as given.
     The last stage of an accepted step is reused as the first stage of
@@ -88,7 +91,7 @@ def adaptive_rk45(
     or result is rejected and retried with a smaller step.  ``stop_when``
     is checked at accepted steps only.  Raises StepSizeUnderflowError, or
     NonFiniteStateError when the step underflowed while non-finite trial
-    states were being rejected.
+    states were being rejected, or IntegrationError after MAX_STEPS steps.
     """
     t0, t1 = t_span
     if t1 <= t0:
@@ -108,13 +111,12 @@ def adaptive_rk45(
     k = np.empty((7, y.size))
     k[0] = rhs(t, y)
     steps = 0
-    stopped = False
     non_finite = False
     next_target = 0
     while t < t1:
         steps += 1
-        if steps > max_steps:
-            raise IntegrationError("maximum step count exceeded", t)
+        if steps > MAX_STEPS:
+            raise IntegrationError(f"step budget of MAX_STEPS={MAX_STEPS} steps exhausted", t)
         target = targets[next_target]
         proposal = h
         # Stretch a step that would stop just short of the target
@@ -149,7 +151,6 @@ def adaptive_rk45(
             if clipped:
                 next_target += 1
             if stop_when is not None and stop_when(t, y):
-                stopped = True
                 break
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
@@ -161,7 +162,7 @@ def adaptive_rk45(
                 h = max(h, proposal)
         else:
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-    return times, states, h, stopped
+    return times, states, h
 
 
 @dataclass
@@ -225,7 +226,6 @@ def integrate(
     atol: float = DEFAULT_ATOL,
     monitors: Mapping[str, SparsePoly] | None = None,
     stop_when: Callable[[float, np.ndarray], bool] | None = None,
-    max_steps: int = 1_000_000,
 ) -> Trajectory:
     """Adaptive integration of a polynomial field from q0 for time t_end.
 
@@ -235,9 +235,8 @@ def integrate(
         raise ValueError("t_end must be nonzero")
     fld = vector_field if t_end > 0 else -vector_field
     y0 = np.asarray(q0.as_floats() if isinstance(q0, Point4) else q0, dtype=float)
-    times, states, _, _ = adaptive_rk45(
-        fld.compile_rhs(), y0, (0.0, abs(t_end)), rtol, atol,
-        stop_when=stop_when, max_steps=max_steps,
+    times, states, _ = adaptive_rk45(
+        fld.compile_rhs(), y0, (0.0, abs(t_end)), rtol, atol, stop_when=stop_when
     )
     states_arr = np.array(states)
     return Trajectory(

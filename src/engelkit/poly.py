@@ -13,6 +13,7 @@ zero coefficients).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
@@ -326,7 +327,7 @@ class Point4:
 
     def __post_init__(self) -> None:
         for c in self.as_tuple():
-            if isinstance(c, float) and not _finite(c):
+            if isinstance(c, float) and not math.isfinite(c):
                 raise ValueError(f"non-finite coordinate {c!r}")
 
     def as_tuple(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
@@ -342,10 +343,6 @@ class Point4:
     @classmethod
     def origin(cls) -> "Point4":
         return cls(0, 0, 0, 0)
-
-
-def _finite(value: float) -> bool:
-    return value == value and value not in (float("inf"), float("-inf"))
 
 
 def random_poly(

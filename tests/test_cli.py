@@ -1,9 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from engelkit.cli import main
-from engelkit.distribution import CATALOG
+from engelkit.distribution import CATALOG, resolve_model
 from engelkit.endpoint import ControlPath, horizontal_integrate
 
 
@@ -152,6 +153,66 @@ def test_user_model_file(tmp_path, capsys):
     model_file.write_text(json.dumps(CATALOG["d224"].to_json_dict()))
     assert main(["analyze", "--model", str(model_file), "--point", "0,0,0,0"]) == 0
     assert "growth (2,2,4)" in capsys.readouterr().out
+
+
+def test_model_file_round_trips_through_the_json_codec(tmp_path, capsys):
+    for name, pair in CATALOG.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(pair.to_json_dict()))
+        assert resolve_model(str(path)) == (f"user:{name}.json", pair)
+        assert main(["char", "--model", name]) == 0
+        catalog_out = capsys.readouterr().out
+        assert main(["char", "--model", str(path)]) == 0
+        assert capsys.readouterr().out == catalog_out
+    assert '"1/3"' in (tmp_path / "d2334b.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--model", "d224", "--grid=-0.5:0.5:3", "--point", "1/2,0,1/3,-1",
+         "--out", "out.csv"],
+        ["char", "--model", "d2334b", "--out", "out.json"],
+        ["surface", "--model", "d224", "--grid", "0.05:0.1:2", "--signed", "--out", "out.csv"],
+        ["endpoint", "--model", "d224", "--sard", "3", "--seed", "2", "--out", "out.json",
+         "--cloud", "cloud.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_outputs_are_byte_identical_with_a_four_line_header(tmp_path, capsys, argv):
+    # the header records the output paths, so both runs write to the same ones
+    argv = [str(tmp_path / arg) if arg.endswith((".csv", ".json")) else arg for arg in argv]
+    paths = [arg for arg in argv if arg.startswith(str(tmp_path))]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        runs.append([(tmp_path / path).read_bytes() for path in paths])
+    assert runs[0] == runs[1]
+    for path, data in zip(paths, runs[1]):
+        text = data.decode()
+        if path.endswith(".json"):
+            header = json.loads(text)["_meta"]["header"]
+        else:
+            header = [line for line in text.splitlines() if line.startswith("# ")]
+            assert text.splitlines()[:4] == header
+        assert len(header) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["analyze", "--model", "d224", "--point", "0,0,0,0", flag, "1"]
+          for flag in ("--seed", "--rtol", "--atol")),
+        *(["char", "--model", "d224", flag, "1"] for flag in ("--seed", "--rtol", "--atol")),
+        ["flow", "--model", "d224", "--start", "0,0,1,0", "--t", "1", "--seed", "1"],
+        ["surface", "--model", "d224", "--grid", "0.05:0.1:2", "--seed", "1"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_flags_that_reach_no_computation_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
 
 
 def test_verify_subset(capsys):

@@ -103,6 +103,31 @@ def test_growth_vector_float_matches_exact():
             assert exact.dims == approx.dims
 
 
+def test_float_growth_vector_keeps_rank_of_long_brackets():
+    # deep brackets of this pair are ~5.6e9 long at the point; an unscaled
+    # relative threshold drops the frame's rank at step 6
+    pair = PfaffianPair.from_json_dict(
+        {"f": [], "g": [["-5/6", [0, 0, 0, 2]], [-1, [0, 0, 1, 1]], [-4, [0, 1, 1, 1]],
+                        [-2, [0, 3, 0, 0]], [2, [1, 0, 1, 1]]]}
+    )
+    exact = growth_vector(pair, Point4(Fraction(-5, 3), 4, -2, 5))
+    approx = growth_vector(pair, Point4(-5 / 3, 4.0, -2.0, 5.0))
+    assert exact.dims == approx.dims == (2, 3, 3, 3, 3, 3)
+
+
+def test_float_growth_vector_matches_exact_at_random_rational_points():
+    rng = np.random.default_rng(99)
+    pairs = list(CATALOG.values())
+    pairs += [PfaffianPair(random_poly(rng), random_poly(rng)) for _ in range(20)]
+    for pair in pairs:
+        for _ in range(5):
+            nums, dens = rng.integers(-8, 9, size=4), rng.integers(1, 5, size=4)
+            q = Point4(*(Fraction(int(n), int(d)) for n, d in zip(nums, dens)))
+            exact = growth_vector(pair, q)
+            approx = growth_vector(pair, Point4(*q.as_floats()))
+            assert exact.dims == approx.dims, (pair.to_json_dict(), q)
+
+
 def test_growth_vector_not_bracket_generating():
     gv = growth_vector(PfaffianPair(ZERO, ZERO), Point4.origin(), max_step=4)
     assert gv.dims == (2, 2, 2, 2)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from engelkit import flow
 from engelkit.charfield import ORACLE, char_field
 from engelkit.distribution import CATALOG, PolyVectorField
 from engelkit.flow import (
@@ -73,13 +74,12 @@ def test_blowup_reports_reachable_time():
 def test_clipped_last_step_lands_exactly_on_t1():
     # t + (t1 - t) misses t1 by one ulp here; the clipped step must land on it
     t1 = 1 / 69
-    times, _, _, _ = adaptive_rk45(
+    times, _, _ = adaptive_rk45(
         lambda t, y: np.zeros_like(y), np.zeros(1), (0.0, t1), 1e-10, 1e-12, h0=0.3 / 69
     )
     assert times[-1] == t1
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_trial_step_is_rejected():
     # the rhs is finite while y <= 1.5, so y = 1 + t is reachable up to t = 0.5
     with pytest.raises(NonFiniteStateError, match="non-finite") as err:
@@ -94,6 +94,13 @@ def test_non_finite_trial_step_is_rejected():
     assert abs(err.value.t_reached - 0.5) <= 1e-3
 
 
+def test_step_budget_error_names_the_budget(monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 5)
+    with pytest.raises(IntegrationError, match="MAX_STEPS=5") as err:
+        adaptive_rk45(lambda t, y: -y, np.array([1.0]), (0.0, 1.0), 1e-10, 1e-12, h0=1e-3)
+    assert 0.0 < err.value.t_reached < 1.0
+
+
 def test_stops_are_landed_on_exactly_with_one_rhs_call_saved_per_step():
     calls = [0]
 
@@ -102,7 +109,7 @@ def test_stops_are_landed_on_exactly_with_one_rhs_call_saved_per_step():
         return np.array([-y[0], y[0]])
 
     stops = [0.1, 1 / 3, 0.6, 0.6 + 1e-9]
-    times, states, _, _ = adaptive_rk45(rhs, np.array([1.0, 0.0]), (0.0, 1.0), 1e-10, 1e-12, stops=stops)
+    times, states, _ = adaptive_rk45(rhs, np.array([1.0, 0.0]), (0.0, 1.0), 1e-10, 1e-12, stops=stops)
     assert set(stops) <= set(times) and times[-1] == 1.0
     for t, y in zip(times, states):
         assert abs(y[0] - math.exp(-t)) <= 1e-9
