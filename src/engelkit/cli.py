@@ -68,7 +68,7 @@ def _header_lines(args: argparse.Namespace, model: str, **extra) -> list[str]:
     params = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "out") and v is not None
+        if k not in ("func", "out", "cloud") and v is not None
     }
     params.update(extra)
     body = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
@@ -222,6 +222,10 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
         raise CliError("endpoint needs --controls, --random or --sard")
     rows = []
     for i, ctrl in enumerate(controls):
+        if ctrl.n_segments == 1:
+            print(f"note: control {i} has one segment: its 4x2 Jacobian cannot reach rank 4, so "
+                  "the Jacobian detector always reads SINGULAR and the two detectors cannot "
+                  "agree on a regular curve", file=sys.stderr)
         verdict = bryant_hsu_test(pair, q0, ctrl, rtol=args.rtol, atol=args.atol)
         rows.append(
             {

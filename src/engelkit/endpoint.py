@@ -163,7 +163,7 @@ def horizontal_integrate(
     h_carry: float | None = None
     for j in range(n):
         u1, u2 = ctrl.u[j]
-        times, states, h_carry = adaptive_rk45(
+        times, states, h_carry, _ = adaptive_rk45(
             lambda t, q: sys.rhs(q, u1, u2),
             y,
             (j / n, (j + 1) / n),
@@ -180,10 +180,10 @@ def horizontal_integrate(
 def _sample_times(n_segments: int, sample_times: Sequence[float] | None) -> list[Fraction]:
     """Sorted sample times in [0, 1] as exact fractions.
 
-    The default is m = max(16, 2 n) equispaced times k / (m - 1).  A given
-    time within the integrator's step floor of a segment boundary is
-    snapped onto it, and one within the floor of the previous time is
-    dropped, so the integrator never has to take a step below its floor.
+    The default is m = max(16, 2 n) equispaced times k / (m - 1).  Times
+    within H_FLOOR are one instant up to rounding, so a given time that
+    close to a segment boundary is snapped onto it and one that close to
+    the previous time is dropped: rounding adds no constraint rows.
     """
     n = n_segments
     if sample_times is None:
@@ -209,7 +209,7 @@ def _sensitivity_pass(
     atol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrate (q, Phi, L) once over the control, one integrator call per
-    segment, stopping exactly at the sample times.
+    segment, reading the sample times from the dense output.
 
     Phi (the state-transition matrix) and L (the response to the segment's
     two control entries) restart at (I, 0) at every segment boundary; the
@@ -219,9 +219,9 @@ def _sensitivity_pass(
     """
     n = ctrl.n_segments
     # Each sample is read off the segment whose closed interval holds it.
-    stops: list[list[float]] = [[] for _ in range(n)]
+    per_segment: list[list[float]] = [[] for _ in range(n)]
     for t in samples:
-        stops[max(math.ceil(t * n) - 1, 0)].append(float(t))
+        per_segment[max(math.ceil(t * n) - 1, 0)].append(float(t))
     restart = np.hstack([np.eye(4), np.zeros((4, 2))]).ravel()
     q = _as_array(q0)
     phi = np.eye(4)
@@ -229,18 +229,17 @@ def _sensitivity_pass(
     h_carry: float | None = None
     for j in range(n):
         u1, u2 = ctrl.u[j]
-        times, states, h_carry = adaptive_rk45(
+        _, states, h_carry, sampled = adaptive_rk45(
             sys.variational_rhs(u1, u2),
             np.concatenate([q, restart]),
             (j / n, (j + 1) / n),
             rtol,
             atol,
             h0=h_carry,
-            stops=stops[j],
+            samples=per_segment[j],
         )
-        for i in np.searchsorted(times, stops[j]):
-            qs.append(states[i][:4])
-            phis.append(states[i][4:].reshape(4, 6)[:, :4] @ phi)
+        qs.append(sampled[:, :4])
+        phis.append(sampled[:, 4:].reshape(-1, 4, 6)[:, :, :4] @ phi)
         q = states[-1][:4]
         x_end = states[-1][4:].reshape(4, 6)
         transitions.append(x_end[:, :4])
@@ -252,7 +251,7 @@ def _sensitivity_pass(
     for j in range(n - 1, -1, -1):
         jac[:, 2 * j : 2 * j + 2] = suffix @ local_cols[j]
         suffix = suffix @ transitions[j]
-    return q, jac, np.array(qs).reshape(-1, 4), np.array(phis).reshape(-1, 4, 4)
+    return q, jac, np.concatenate(qs), np.concatenate(phis)
 
 
 def _constraint_matrix(sys: _ControlSystem, states: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -462,12 +461,10 @@ def char_control(
     c_fn, e_fn = co.c.compile(), co.e.compile()
     mids = [(j + 0.5) * duration / n_segments for j in range(n_segments)]
     rhs = assemble_field(pair, co).compile_rhs()
-    times, states, _ = adaptive_rk45(
-        rhs, _as_array(p0), (0.0, mids[-1]), rtol, atol, stops=mids[:-1]
-    )
+    _, _, _, states = adaptive_rk45(rhs, _as_array(p0), (0.0, mids[-1]), rtol, atol, samples=mids)
     u = np.zeros((n_segments, 2))
-    for j, i in enumerate(np.searchsorted(times, mids)):
-        c_val, e_val = c_fn(*states[i]), e_fn(*states[i])
+    for j, q in enumerate(states):
+        c_val, e_val = c_fn(*q), e_fn(*q)
         if math.hypot(c_val, e_val) < 1e-12:
             raise FieldVanishesError(
                 f"characteristic field vanishes near segment {j} (|(c,e)| < 1e-12)"

@@ -59,6 +59,18 @@ _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _ERR = _B5 - _B4
+# Shampine's quartic continuous extension of the pair (Hairer, Norsett and
+# Wanner, Solving ODEs I, II.6): within an accepted step from (t, y) of
+# size h with stages K, y(t + theta h) = y + h K^T _P [theta, ..., theta^4].
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -79,30 +91,33 @@ def adaptive_rk45(
     atol: float,
     h0: float | None = None,
     stop_when: Callable[[float, np.ndarray], bool] | None = None,
-    stops: Sequence[float] = (),
-) -> tuple[list[float], list[np.ndarray], float]:
+    samples: Sequence[float] = (),
+) -> tuple[list[float], list[np.ndarray], float, np.ndarray]:
     """Integrate rhs over t_span, recording every accepted step.
 
-    Returns (times, states, last_step_size).  Steps are
-    clipped to land exactly on t1 and on each time in ``stops`` (which
-    must lie in t_span), so those times appear in ``times`` as given.
-    The last stage of an accepted step is reused as the first stage of
-    the next (first-same-as-last).  A trial step with a non-finite stage
-    or result is rejected and retried with a smaller step.  ``stop_when``
-    is checked at accepted steps only.  Raises StepSizeUnderflowError, or
-    NonFiniteStateError when the step underflowed while non-finite trial
-    states were being rejected, or IntegrationError after MAX_STEPS steps.
+    Returns (times, states, last_step_size, sampled); the last step lands
+    exactly on t1.  ``sampled[i]`` is the state at ``samples[i]`` (in
+    t_span) from the continuous extension of the step covering it, so
+    samples add no steps; it is the stored state at a step's time and NaN
+    past a ``stop_when`` break, which is checked at accepted steps only.
+    The last stage of a step is the first of the next (first-same-as-last).
+    A non-finite trial step is rejected and retried with a smaller step.
+    Raises StepSizeUnderflowError, or NonFiniteStateError when the step
+    underflowed while non-finite trial states were being rejected, or
+    IntegrationError after MAX_STEPS steps.
     """
     t0, t1 = t_span
     if t1 <= t0:
         raise ValueError("t_span must be increasing; reverse the field instead")
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
-    targets = sorted(float(s) for s in stops)
-    if targets and (targets[0] < t0 or targets[-1] > t1):
-        raise ValueError("stops must lie in t_span")
-    targets = [s for s in targets if t0 < s < t1] + [t1]
+    pending = [(math.inf, -1)] + sorted(
+        ((float(s), i) for i, s in enumerate(samples)), reverse=True
+    )
+    if not all(t0 <= s <= t1 for s, _ in pending[1:]):
+        raise ValueError("samples must lie in t_span")
     y = np.asarray(y0, dtype=float).copy()
+    sampled = np.full((len(samples), y.size), math.nan)
     t = t0
     times = [t0]
     states = [y.copy()]
@@ -112,25 +127,23 @@ def adaptive_rk45(
     k[0] = rhs(t, y)
     steps = 0
     non_finite = False
-    next_target = 0
     while t < t1:
         steps += 1
         if steps > MAX_STEPS:
             raise IntegrationError(f"step budget of MAX_STEPS={MAX_STEPS} steps exhausted", t)
-        target = targets[next_target]
         proposal = h
-        # Stretch a step that would stop just short of the target
-        # (Hairer-Norsett-Wanner's 1.01 rule), so no sliver step is left.
-        clipped = t + 1.01 * h >= target
+        # Stretch a step that would stop just short of t1 (Hairer-Norsett-
+        # Wanner's 1.01 rule), so no sliver step is left.
+        clipped = t + 1.01 * h >= t1
         if clipped:
-            h = target - t
+            h = t1 - t
         if h < H_FLOOR * max(1.0, abs(t)):
             if non_finite:
                 raise NonFiniteStateError(
                     "step size underflow while rejecting non-finite trial states", t
                 )
             raise StepSizeUnderflowError("step size underflow", t)
-        t_new = target if clipped else t + h
+        t_new = t1 if clipped else t + h
         for i in range(1, 7):
             yi = y + h * (k[:i].T @ _A[i])
             k[i] = rhs(t_new if i == 6 else t + _C[i] * h, yi)
@@ -143,13 +156,15 @@ def adaptive_rk45(
             ratio = h * (k.T @ _ERR) / scale
             err = math.sqrt(float(ratio @ ratio) / ratio.size)
         if err <= 1.0:
+            while pending[-1][0] <= t_new:
+                s, i = pending.pop()
+                theta = (s - t) / h
+                sampled[i] = y_new if s == t_new else y + h * (theta ** np.arange(1, 5) @ _P.T) @ k
             t = t_new
             y = y_new
             k[0] = k[6]
             times.append(t)
             states.append(y.copy())
-            if clipped:
-                next_target += 1
             if stop_when is not None and stop_when(t, y):
                 break
             factor = _MAX_FACTOR if err == 0.0 else min(
@@ -157,12 +172,12 @@ def adaptive_rk45(
             )
             h *= factor
             if clipped:
-                # The clip was set by the target, not by the error: carry
-                # on from the step the controller had proposed.
+                # The clip was set by t1, not by the error: carry on from
+                # the step the controller had proposed.
                 h = max(h, proposal)
         else:
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-    return times, states, h
+    return times, states, h, sampled
 
 
 @dataclass
@@ -235,7 +250,7 @@ def integrate(
         raise ValueError("t_end must be nonzero")
     fld = vector_field if t_end > 0 else -vector_field
     y0 = np.asarray(q0.as_floats() if isinstance(q0, Point4) else q0, dtype=float)
-    times, states, _ = adaptive_rk45(
+    times, states, _, _ = adaptive_rk45(
         fld.compile_rhs(), y0, (0.0, abs(t_end)), rtol, atol, stop_when=stop_when
     )
     states_arr = np.array(states)

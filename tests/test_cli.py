@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,18 +168,17 @@ def test_model_file_round_trips_through_the_json_codec(tmp_path, capsys):
     assert '"1/3"' in (tmp_path / "d2334b.json").read_text()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["analyze", "--model", "d224", "--grid=-0.5:0.5:3", "--point", "1/2,0,1/3,-1",
-         "--out", "out.csv"],
-        ["char", "--model", "d2334b", "--out", "out.json"],
-        ["surface", "--model", "d224", "--grid", "0.05:0.1:2", "--signed", "--out", "out.csv"],
-        ["endpoint", "--model", "d224", "--sard", "3", "--seed", "2", "--out", "out.json",
-         "--cloud", "cloud.csv"],
-    ],
-    ids=lambda argv: argv[0],
-)
+FILE_OUTPUT_ARGVS = [
+    ["analyze", "--model", "d224", "--grid=-0.5:0.5:3", "--point", "1/2,0,1/3,-1",
+     "--out", "out.csv"],
+    ["char", "--model", "d2334b", "--out", "out.json"],
+    ["surface", "--model", "d224", "--grid", "0.05:0.1:2", "--signed", "--out", "out.csv"],
+    ["endpoint", "--model", "d224", "--sard", "3", "--seed", "2", "--out", "out.json",
+     "--cloud", "cloud.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", FILE_OUTPUT_ARGVS, ids=lambda argv: argv[0])
 def test_outputs_are_byte_identical_with_a_four_line_header(tmp_path, capsys, argv):
     # the header records the output paths, so both runs write to the same ones
     argv = [str(tmp_path / arg) if arg.endswith((".csv", ".json")) else arg for arg in argv]
@@ -196,6 +196,38 @@ def test_outputs_are_byte_identical_with_a_four_line_header(tmp_path, capsys, ar
             header = [line for line in text.splitlines() if line.startswith("# ")]
             assert text.splitlines()[:4] == header
         assert len(header) == 4
+
+
+@pytest.mark.parametrize("argv", FILE_OUTPUT_ARGVS, ids=lambda argv: argv[0])
+def test_outputs_do_not_depend_on_the_output_paths(tmp_path, capsys, argv):
+    runs = []
+    for run in ("a", "b"):
+        moved = [str(tmp_path / f"{run}-{arg}") if arg.endswith((".csv", ".json")) else arg
+                 for arg in argv]
+        assert main(moved) == 0
+        runs.append([Path(arg).read_bytes() for arg in moved if arg.startswith(str(tmp_path))])
+    assert runs[0] == runs[1]
+
+
+def test_one_segment_controls_get_a_note_on_stderr(tmp_path, capsys):
+    outs = []
+    for n in ("1", "2"):
+        outs.append(tmp_path / f"report{n}.json")
+        argv = ["endpoint", "--model", "d2334a", "--random", "3", "--n-segments", n,
+                "--seed", "4", "--out", str(outs[-1])]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        notes = captured.err.splitlines()
+        assert "note" not in captured.out
+        if n == "1":
+            assert len(notes) == 3
+            assert all(line.startswith(f"note: control {i} has one segment")
+                       and "cannot agree" in line for i, line in enumerate(notes))
+        else:
+            assert notes == []
+    assert "note" not in outs[0].read_text()
+    rows = json.loads(outs[0].read_text())["results"]
+    assert {row["jacobian_classification"] for row in rows} == {"SINGULAR"}
 
 
 @pytest.mark.parametrize(

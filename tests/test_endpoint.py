@@ -173,7 +173,7 @@ def test_adjoint_duality_pairing_is_conserved():
         dq0 = rng.normal(size=4)
         lam0 = rng.normal(size=4)
         s0 = np.concatenate([np.array([0.0, 0.0, 0.3, 0.2]), dq0, lam0])
-        _, states, _ = adaptive_rk45(rhs, s0, (0.0, 1.0), 1e-10, 1e-12)
+        _, states, _, _ = adaptive_rk45(rhs, s0, (0.0, 1.0), 1e-10, 1e-12)
         pairings = [s[8:12] @ s[4:8] for s in states]
         assert max(abs(p - pairings[0]) for p in pairings) <= 1e-8
 
@@ -340,3 +340,26 @@ def test_reversed_control_returns_to_start():
         end = horizontal_integrate(pair, q0, ctrl).endpoint
         back = horizontal_integrate(pair, end, ctrl.reversed()).endpoint
         assert np.max(np.abs(back - q0)) <= 1e-10, (pair, ctrl.u)
+
+
+def test_sampling_adds_no_steps_to_the_sensitivity_pass():
+    # the covector samples are read from the dense output, so the pass takes
+    # the Jacobian's own steps and both statistics agree bit for bit
+    for pair, ctrl in _pairs_and_controls(25):
+        verdict = bryant_hsu_test(pair, ORIGIN, ctrl)
+        res = endpoint_jacobian(pair, ORIGIN, ctrl)
+        assert verdict.endpoint.tolist() == res.endpoint.tolist(), (pair, ctrl.u)
+        assert verdict.sigma_ratio == singular_score(res.matrix), (pair, ctrl.u)
+
+
+def test_dense_transport_at_the_default_samples_matches_the_reference():
+    rng = np.random.default_rng(26)
+    q0 = (0.1, -0.2, 0.3, 0.2)
+    pairs = [CATALOG["d2334a"], PfaffianPair(random_poly(rng), random_poly(rng))]
+    for pair in pairs:
+        ctrl = ControlPath(rng.uniform(-1, 1, size=(32, 2)))
+        record = adjoint_transport(pair, q0, ctrl)
+        assert len(record.times) == 64
+        for t, psi in zip(record.times, record.transports):
+            phi = _reference_transition(pair, q0, ctrl, t)
+            assert np.max(np.abs(psi.T @ phi - np.eye(4))) <= 1e-8, (t, pair)

@@ -74,7 +74,7 @@ def test_blowup_reports_reachable_time():
 def test_clipped_last_step_lands_exactly_on_t1():
     # t + (t1 - t) misses t1 by one ulp here; the clipped step must land on it
     t1 = 1 / 69
-    times, _, _ = adaptive_rk45(
+    times, _, _, _ = adaptive_rk45(
         lambda t, y: np.zeros_like(y), np.zeros(1), (0.0, t1), 1e-10, 1e-12, h0=0.3 / 69
     )
     assert times[-1] == t1
@@ -101,23 +101,56 @@ def test_step_budget_error_names_the_budget(monkeypatch):
     assert 0.0 < err.value.t_reached < 1.0
 
 
-def test_stops_are_landed_on_exactly_with_one_rhs_call_saved_per_step():
-    calls = [0]
-
+def _decay(calls):
     def rhs(t, y):
         calls[0] += 1
         return np.array([-y[0], y[0]])
 
-    stops = [0.1, 1 / 3, 0.6, 0.6 + 1e-9]
-    times, states, _ = adaptive_rk45(rhs, np.array([1.0, 0.0]), (0.0, 1.0), 1e-10, 1e-12, stops=stops)
-    assert set(stops) <= set(times) and times[-1] == 1.0
-    for t, y in zip(times, states):
-        assert abs(y[0] - math.exp(-t)) <= 1e-9
+    return rhs
+
+
+def test_samples_add_no_steps_and_keep_one_rhs_call_saved_per_step():
+    calls = [0]
+    samples = np.random.default_rng(30).uniform(0.0, 1.0, size=100)
+    times, _, _, sampled = adaptive_rk45(
+        _decay(calls), np.array([1.0, 0.0]), (0.0, 1.0), 1e-10, 1e-12, samples=samples
+    )
     # first-same-as-last: one rhs call to start, then six per step (no step
     # is rejected on this problem)
     assert calls[0] == 1 + 6 * (len(times) - 1)
-    with pytest.raises(ValueError):
-        adaptive_rk45(rhs, np.array([1.0, 0.0]), (0.0, 1.0), 1e-10, 1e-12, stops=[1.5])
+    assert times == adaptive_rk45(_decay([0]), np.array([1.0, 0.0]), (0.0, 1.0), 1e-10, 1e-12)[0]
+    assert sampled.shape == (100, 2)
+    assert np.max(np.abs(sampled[:, 0] - np.exp(-samples))) <= 1e-9
+    assert np.max(np.abs(sampled[:, 1] - (1.0 - np.exp(-samples)))) <= 1e-9
+
+
+def test_samples_at_the_ends_are_the_stored_states():
+    times, states, _, sampled = adaptive_rk45(
+        _decay([0]), np.array([1.0, 0.0]), (0.0, 0.7), 1e-10, 1e-12, samples=[0.7, 0.3, 0.0]
+    )
+    assert sampled[0].tolist() == states[-1].tolist() and times[-1] == 0.7
+    assert sampled[2].tolist() == states[0].tolist() == [1.0, 0.0]
+    assert abs(sampled[1][0] - math.exp(-0.3)) <= 1e-9
+
+
+@pytest.mark.parametrize("outside", [-1e-9, 1.0 + 1e-9, math.nan])
+def test_sample_outside_t_span_is_rejected(outside):
+    with pytest.raises(ValueError, match="t_span"):
+        adaptive_rk45(_decay([0]), np.array([1.0, 0.0]), (0.0, 1.0), 1e-10, 1e-12,
+                      samples=[0.5, outside])
+
+
+def test_call_without_samples_keeps_its_step_sequence():
+    # pinned step sequence of the stop-free integrator; samples= must not change it
+    times, _, h, sampled = adaptive_rk45(
+        _decay([0]), np.array([1.0, 0.0]), (0.0, 1.0), 1e-6, 1e-9
+    )
+    assert times == [
+        0.0, 0.01, 0.060000000000000005, 0.20332359822239124, 0.38315797382733724,
+        0.5868410389336435, 0.8073281075808282, 1.0,
+    ]
+    assert h == 0.23923187849611066
+    assert sampled.shape == (0, 2)
 
 
 def test_trajectory_validation():
