@@ -49,14 +49,12 @@ class PolyVectorField:
         return np.array([c.eval(q) for c in self.components()], dtype=float)
 
     def compile_rhs(self):
-        """Autonomous ODE right-hand side rhs(t, y) -> ndarray(4)."""
+        """Autonomous ODE right-hand side rhs(t, y) -> 4-tuple of floats."""
         fx, fy, fz, fw = (c.compile() for c in self.components())
 
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        def rhs(t: float, y) -> tuple[float, float, float, float]:
             a, b, c, d = y
-            return np.array(
-                [fx(a, b, c, d), fy(a, b, c, d), fz(a, b, c, d), fw(a, b, c, d)]
-            )
+            return fx(a, b, c, d), fy(a, b, c, d), fz(a, b, c, d), fw(a, b, c, d)
 
         return rhs
 

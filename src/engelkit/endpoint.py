@@ -460,8 +460,12 @@ def char_control(
     co = coefficients(pair, ORACLE)
     c_fn, e_fn = co.c.compile(), co.e.compile()
     mids = [(j + 0.5) * duration / n_segments for j in range(n_segments)]
-    rhs = assemble_field(pair, co).compile_rhs()
-    _, _, _, states = adaptive_rk45(rhs, _as_array(p0), (0.0, mids[-1]), rtol, atol, samples=mids)
+    field_rhs = assemble_field(pair, co).compile_rhs()
+    # numpy stores an array into its stage table faster than a tuple of scalars
+    _, _, _, states = adaptive_rk45(
+        lambda t, y: np.array(field_rhs(t, y)), _as_array(p0), (0.0, mids[-1]), rtol, atol,
+        samples=mids,
+    )
     u = np.zeros((n_segments, 2))
     for j, q in enumerate(states):
         c_val, e_val = c_fn(*q), e_fn(*q)

@@ -81,10 +81,80 @@ H_FLOOR = 1e-15
 MAX_STEPS = 1_000_000
 
 
+class _StepControl:
+    """Step-size control and guards shared by both Dormand-Prince drivers.
+
+    ``trial(t)`` returns the next trial step ``(h, t_new)``: the carried
+    step, clipped to land exactly on t1.  It raises IntegrationError when
+    MAX_STEPS trial steps have been taken, and StepSizeUnderflowError (or
+    NonFiniteStateError, when the last trial was non-finite) when the step
+    falls below H_FLOOR.  ``accept(err)`` or ``reject(err, non_finite)``
+    then resizes the step from the trial's error norm.
+    """
+
+    __slots__ = ("t1", "h", "proposal", "clipped", "non_finite", "accepted", "rejected", "h_min")
+
+    def __init__(
+        self, t_span: tuple[float, float], rtol: float, atol: float, h0: float | None
+    ):
+        t0, t1 = t_span
+        if t1 <= t0:
+            raise ValueError("t_span must be increasing; reverse the field instead")
+        if rtol <= 0 or atol <= 0:
+            raise ValueError("rtol and atol must be positive")
+        span = t1 - t0
+        self.t1 = t1
+        self.h = h0 if h0 is not None else min(span, max(1e-6, 1e-2 * span))
+        self.proposal = self.h
+        self.clipped = self.non_finite = False
+        self.accepted = self.rejected = 0
+        self.h_min = math.inf
+
+    def trial(self, t: float) -> tuple[float, float]:
+        if self.accepted + self.rejected >= MAX_STEPS:
+            raise IntegrationError(
+                f"step budget of MAX_STEPS={MAX_STEPS} steps exhausted: {self.accepted} "
+                f"accepted, {self.rejected} rejected, smallest step {self.h_min!r}",
+                t,
+            )
+        h = self.proposal = self.h
+        t1 = self.t1
+        # Stretch a step that would stop just short of t1 (Hairer-Norsett-
+        # Wanner's 1.01 rule), so no sliver step is left.
+        self.clipped = clipped = t + 1.01 * h >= t1
+        if clipped:
+            h = self.h = t1 - t
+        if h < H_FLOOR * max(1.0, abs(t)):
+            if self.non_finite:
+                raise NonFiniteStateError(
+                    "step size underflow while rejecting non-finite trial states", t
+                )
+            raise StepSizeUnderflowError("step size underflow", t)
+        if h < self.h_min:
+            self.h_min = h
+        return h, t1 if clipped else t + h
+
+    def accept(self, err: float) -> None:
+        self.accepted += 1
+        factor = _MAX_FACTOR if err == 0.0 else min(
+            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+        )
+        self.h *= factor
+        if self.clipped:
+            # The clip was set by t1, not by the error: carry on from the
+            # step the controller had proposed.
+            self.h = max(self.h, self.proposal)
+
+    def reject(self, err: float, non_finite: bool) -> None:
+        self.rejected += 1
+        self.non_finite = non_finite
+        self.h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+
+
 # A rejected non-finite trial step is handled below; numpy need not warn.
 @np.errstate(invalid="ignore", over="ignore")
 def adaptive_rk45(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, np.ndarray], Sequence[float]],
     y0: np.ndarray,
     t_span: tuple[float, float],
     rtol: float,
@@ -106,11 +176,8 @@ def adaptive_rk45(
     underflowed while non-finite trial states were being rejected, or
     IntegrationError after MAX_STEPS steps.
     """
+    control = _StepControl(t_span, rtol, atol, h0)
     t0, t1 = t_span
-    if t1 <= t0:
-        raise ValueError("t_span must be increasing; reverse the field instead")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("rtol and atol must be positive")
     pending = [(math.inf, -1)] + sorted(
         ((float(s), i) for i, s in enumerate(samples)), reverse=True
     )
@@ -121,29 +188,10 @@ def adaptive_rk45(
     t = t0
     times = [t0]
     states = [y.copy()]
-    span = t1 - t0
-    h = h0 if h0 is not None else min(span, max(1e-6, 1e-2 * span))
     k = np.empty((7, y.size))
     k[0] = rhs(t, y)
-    steps = 0
-    non_finite = False
     while t < t1:
-        steps += 1
-        if steps > MAX_STEPS:
-            raise IntegrationError(f"step budget of MAX_STEPS={MAX_STEPS} steps exhausted", t)
-        proposal = h
-        # Stretch a step that would stop just short of t1 (Hairer-Norsett-
-        # Wanner's 1.01 rule), so no sliver step is left.
-        clipped = t + 1.01 * h >= t1
-        if clipped:
-            h = t1 - t
-        if h < H_FLOOR * max(1.0, abs(t)):
-            if non_finite:
-                raise NonFiniteStateError(
-                    "step size underflow while rejecting non-finite trial states", t
-                )
-            raise StepSizeUnderflowError("step size underflow", t)
-        t_new = t1 if clipped else t + h
+        h, t_new = control.trial(t)
         for i in range(1, 7):
             yi = y + h * (k[:i].T @ _A[i])
             k[i] = rhs(t_new if i == 6 else t + _C[i] * h, yi)
@@ -167,17 +215,100 @@ def adaptive_rk45(
             states.append(y.copy())
             if stop_when is not None and stop_when(t, y):
                 break
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-            )
-            h *= factor
-            if clipped:
-                # The clip was set by t1, not by the error: carry on from
-                # the step the controller had proposed.
-                h = max(h, proposal)
+            control.accept(err)
         else:
-            h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-    return times, states, h, sampled
+            control.reject(err, non_finite)
+    return times, states, control.h, sampled
+
+
+def _rk45_floats(
+    rhs: Callable[[float, tuple[float, ...]], tuple[float, ...]],
+    y0: tuple[float, ...],
+    t1: float,
+    rtol: float,
+    atol: float,
+    stop_when: Callable[[float, tuple[float, ...]], bool] | None,
+) -> tuple[list[float], list[tuple[float, ...]]]:
+    """:func:`adaptive_rk45` from t = 0 on a tuple of Python floats.
+
+    Returns (times, states) of the accepted steps.  The same steps, FSAL
+    and guards as adaptive_rk45, without samples; on a 4-dim state,
+    numpy's per-call overhead would cost more than the stages themselves.
+    Each stage sums its terms in tableau order, so results agree with
+    adaptive_rk45 up to rounding.  An OverflowError from the rhs (a
+    polynomial's ``**`` past the float range, where numpy returns inf)
+    makes the trial non-finite.
+    """
+    _, c2, c3, c4, c5, c6, _ = _C.tolist()
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = (r.tolist() for r in _A[1:5])
+    (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = (r.tolist() for r in _A[5:])
+    e1, _, e3, e4, e5, e6, e7 = _ERR.tolist()
+    control = _StepControl((0.0, t1), rtol, atol, None)
+    n = len(y0)
+    t = 0.0
+    y = y0
+    times = [t]
+    states = [y]
+    try:
+        k1 = rhs(t, y)
+    except OverflowError:
+        k1 = (math.inf,) * n
+    while t < t1:
+        h, t_new = control.trial(t)
+        try:
+            k2 = rhs(t + c2 * h, tuple(a + h * (a21 * p) for a, p in zip(y, k1)))
+            k3 = rhs(
+                t + c3 * h,
+                tuple(a + h * (a31 * p + a32 * q) for a, p, q in zip(y, k1, k2)),
+            )
+            k4 = rhs(
+                t + c4 * h,
+                tuple(a + h * (a41 * p + a42 * q + a43 * r) for a, p, q, r in zip(y, k1, k2, k3)),
+            )
+            k5 = rhs(
+                t + c5 * h,
+                tuple(
+                    a + h * (a51 * p + a52 * q + a53 * r + a54 * s)
+                    for a, p, q, r, s in zip(y, k1, k2, k3, k4)
+                ),
+            )
+            k6 = rhs(
+                t + c6 * h,
+                tuple(
+                    a + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
+                    for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
+                ),
+            )
+            # The last stage is evaluated at the propagated solution itself.
+            y_new = tuple(
+                a + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v)
+                for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)
+            )
+            k7 = rhs(t_new, y_new)
+            non_finite = not all(map(math.isfinite, (*k1, *k2, *k3, *k4, *k5, *k6, *k7, *y_new)))
+        except OverflowError:
+            non_finite = True
+        err = math.inf
+        if not non_finite:
+            total = 0.0
+            for a, b, p, r, s, u, v, w in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                ratio = h * (e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w) / (
+                    atol + rtol * max(abs(a), abs(b))
+                )
+                total += ratio * ratio
+            err = math.sqrt(total / n)
+        if err <= 1.0:
+            t = t_new
+            y = y_new
+            k1 = k7
+            times.append(t)
+            states.append(y)
+            if stop_when is not None and stop_when(t, y):
+                break
+            control.accept(err)
+        else:
+            control.reject(err, non_finite)
+    return times, states
 
 
 @dataclass
@@ -240,18 +371,19 @@ def integrate(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     monitors: Mapping[str, SparsePoly] | None = None,
-    stop_when: Callable[[float, np.ndarray], bool] | None = None,
+    stop_when: Callable[[float, tuple[float, ...]], bool] | None = None,
 ) -> Trajectory:
     """Adaptive integration of a polynomial field from q0 for time t_end.
 
     Negative ``t_end`` integrates the time-reversed field for ``|t_end|``.
+    ``stop_when(t, state)`` sees each accepted state as a tuple of floats.
     """
     if t_end == 0:
         raise ValueError("t_end must be nonzero")
     fld = vector_field if t_end > 0 else -vector_field
-    y0 = np.asarray(q0.as_floats() if isinstance(q0, Point4) else q0, dtype=float)
-    times, states, _, _ = adaptive_rk45(
-        fld.compile_rhs(), y0, (0.0, abs(t_end)), rtol, atol, stop_when=stop_when
+    y0 = q0.as_floats() if isinstance(q0, Point4) else q0
+    times, states = _rk45_floats(
+        fld.compile_rhs(), tuple(float(v) for v in y0), abs(t_end), rtol, atol, stop_when
     )
     states_arr = np.array(states)
     return Trajectory(

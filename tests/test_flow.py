@@ -21,7 +21,7 @@ from engelkit.flow import (
     lyapunov_report,
     singular_surface,
 )
-from engelkit.poly import Point4, SparsePoly
+from engelkit.poly import Point4, SparsePoly, random_poly
 
 ZERO = SparsePoly.zero()
 
@@ -78,6 +78,16 @@ def test_clipped_last_step_lands_exactly_on_t1():
         lambda t, y: np.zeros_like(y), np.zeros(1), (0.0, t1), 1e-10, 1e-12, h0=0.3 / 69
     )
     assert times[-1] == t1
+    # a step within 1 % of t1 is stretched onto it, leaving no sliver step
+    times, _, _, _ = adaptive_rk45(
+        lambda t, y: np.zeros_like(y), np.zeros(1), (0.0, 1.0), 1e-10, 1e-12, h0=0.995
+    )
+    assert times == [0.0, 1.0]
+    # after a clip, the carried step resumes from the unclipped proposal
+    _, _, h, _ = adaptive_rk45(
+        lambda t, y: np.zeros_like(y), np.zeros(1), (0.0, 1.0), 1e-10, 1e-12, h0=10.0
+    )
+    assert h == 10.0
 
 
 def test_non_finite_trial_step_is_rejected():
@@ -96,9 +106,88 @@ def test_non_finite_trial_step_is_rejected():
 
 def test_step_budget_error_names_the_budget(monkeypatch):
     monkeypatch.setattr(flow, "MAX_STEPS", 5)
-    with pytest.raises(IntegrationError, match="MAX_STEPS=5") as err:
-        adaptive_rk45(lambda t, y: -y, np.array([1.0]), (0.0, 1.0), 1e-10, 1e-12, h0=1e-3)
-    assert 0.0 < err.value.t_reached < 1.0
+    decay = PolyVectorField(-1 * SparsePoly.var("x"), ZERO, ZERO, ZERO)
+    for run, smallest in [
+        (lambda: adaptive_rk45(lambda t, y: -y, np.array([1.0]), (0.0, 1.0), 1e-10, 1e-12,
+                               h0=1e-3), 1e-3),
+        (lambda: integrate(decay, Point4(1, 0, 0, 0), 1.0), 1e-2),
+    ]:
+        with pytest.raises(IntegrationError, match="MAX_STEPS=5") as err:
+            run()
+        assert 0.0 < err.value.t_reached < 1.0
+        # the work done so far: no step of y' = -y is rejected at these tolerances
+        assert f"5 accepted, 0 rejected, smallest step {smallest!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("x0", [1e80, 1e60])
+def test_overflow_in_the_rhs_is_a_non_finite_state(x0):
+    # x' = x^4: at 1e80 the first evaluation overflows, from 1e60 a stage does.
+    # Python's ** raises OverflowError where numpy returns inf.
+    fld = PolyVectorField(SparsePoly({(4, 0, 0, 0): 1}), ZERO, ZERO, ZERO)
+    with pytest.raises(NonFiniteStateError, match="non-finite") as err:
+        integrate(fld, Point4(x0, 0, 0, 0), 1.0)
+    with pytest.raises(NonFiniteStateError, match="non-finite") as reference:
+        adaptive_rk45(fld.compile_rhs(), np.array([x0, 0, 0, 0]), (0.0, 1.0), 1e-10, 1e-12)
+    assert err.value.t_reached == reference.value.t_reached == 0.0
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(17)
+    cases = []
+    for name, pair in CATALOG.items():
+        fld = char_field(pair, ORACLE)
+        for t_end, way in [(1.0, "forward"), (-1.0, "backward")]:
+            q0 = tuple(rng.uniform(-0.5, 0.5, 4))
+            cases.append(pytest.param(fld, q0, t_end, id=f"{name}-{way}"))
+    for i in range(12):
+        fld = PolyVectorField(*(random_poly(rng) for _ in range(4)))
+        cases.append(pytest.param(fld, tuple(rng.uniform(-0.5, 0.5, 4)), 1.0, id=f"random{i}"))
+    # x' = x^2 from x = 1 blows up at t = 1
+    blowup = PolyVectorField(SparsePoly({(2, 0, 0, 0): 1}), ZERO, ZERO, ZERO)
+    return cases + [pytest.param(blowup, (1.0, 0.0, 0.0, 0.0), 2.0, id="blowup")]
+
+
+def _close(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and bool(
+        np.all(np.abs(got - want) <= 1e-7 * np.maximum(1.0, np.abs(want)))
+    )
+
+
+@pytest.mark.parametrize("fld,q0,t_end", _equivalence_cases())
+def test_integrate_takes_the_steps_of_adaptive_rk45(fld, q0, t_end):
+    # integrate's float driver against adaptive_rk45 on the same compiled rhs:
+    # the same accepted steps, with times and states equal up to rounding
+    rhs = (fld if t_end > 0 else -fld).compile_rhs()
+
+    def both(stop_when=None):
+        try:
+            traj = integrate(fld, q0, t_end, stop_when=stop_when)
+        except IntegrationError as exc:
+            with pytest.raises(type(exc)) as ref:
+                adaptive_rk45(rhs, np.array(q0), (0.0, abs(t_end)), 1e-10, 1e-12,
+                              stop_when=stop_when)
+            assert _close(exc.t_reached, ref.value.t_reached)
+            return None
+        times, states, _, _ = adaptive_rk45(
+            rhs, np.array(q0), (0.0, abs(t_end)), 1e-10, 1e-12, stop_when=stop_when
+        )
+        assert _close(traj.times, times) and _close(traj.states, states)
+        return traj
+
+    traj = both()
+    if traj is None:
+        return
+    # Stop at the first step past the middle that moves the state farther
+    # from q0 than any step before it, with the threshold far from both.
+    moved = np.sum(np.abs(traj.states - q0), axis=1)
+    m = next(
+        i for i in range(max(1, moved.size // 2), moved.size)
+        if moved[i] > 1.001 * moved[:i].max()
+    )
+    threshold = 0.5 * (moved[:m].max() + moved[m])
+    stopped = both(lambda t, y: sum(abs(a - b) for a, b in zip(y, q0)) > threshold)
+    assert stopped.times.size == m + 1
 
 
 def _decay(calls):
@@ -282,6 +371,25 @@ def test_surface_d224_leading_order():
     assert abs(dx - ref) / ref < 0.05
     assert abs(dy - ref) / ref < 0.05
     assert sample.skew_product
+
+
+def test_surface_d224_matches_the_closed_form_up_to_the_cut():
+    # The d224 flow from (0, 0, z, w) moves x by (z^2 w / 3)(1 - e^{-6t}) and
+    # y by (z w^2 / 3)(1 - e^{-6t}); at the cut rho <= eps_cut, so
+    # e^{-6t} <= (eps_cut / rho0)^{3/2}.
+    rng = np.random.default_rng(2024)
+    grid = [
+        tuple(float(s * m) for s, m in zip(rng.choice([-1.0, 1.0], 2),
+                                            10.0 ** rng.uniform(-3.0, -1.0, 2)))
+        for _ in range(16)
+    ]
+    sample = singular_surface("d224", grid)
+    assert sample.converged == [True] * 16
+    for (z, w), offset in zip(grid, sample.offsets):
+        shortfall = (sample.eps_cut / (z * z + w * w)) ** 1.5
+        for got, ref in zip(offset, (z * z * w / 3.0, z * w * w / 3.0)):
+            lo, hi = sorted((ref * (1.0 - shortfall), ref))
+            assert lo - 1e-9 * abs(ref) <= got <= hi + 1e-9 * abs(ref), (z, w, got, ref)
 
 
 def test_surface_invariant_axis_is_exact():
