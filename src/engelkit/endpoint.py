@@ -112,16 +112,9 @@ class _ControlSystem:
             if not (d := poly.diff(v)).is_zero()
         ]
 
-    def rhs(self, q: np.ndarray, u1: float, u2: float) -> np.ndarray:
+    def rhs(self, q: Sequence[float], u1: float, u2: float) -> tuple[float, float, float, float]:
         x, y, z, w = q
-        return np.array([-u2 * self._f(x, y, z, w), -u2 * self._g(x, y, z, w), u1, u2])
-
-    def jac(self, q: np.ndarray, u1: float, u2: float) -> np.ndarray:
-        x, y, z, w = q
-        a = np.zeros((4, 4))
-        for row, col, d in self._grads:
-            a[row, col] = -u2 * d(x, y, z, w)
-        return a
+        return (-u2 * self._f(x, y, z, w), -u2 * self._g(x, y, z, w), u1, u2)
 
     def variational_rhs(self, u1: float, u2: float):
         """rhs of (q, X) with X = [Phi | L] a 4x6 matrix stored row-major:
@@ -130,21 +123,28 @@ class _ControlSystem:
         A = d(u1 Z + u2 W)/dq and B = [Z | W] vary only in their x and y
         rows, so the z and w rows of Xdot are constant.
         """
-        f, g, jac = self._f, self._g, self.jac
-        zw_rows = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        f, g, grads = self._f, self._g, self._grads
+        zw_rows = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
-        def rhs(t: float, s: np.ndarray) -> np.ndarray:
-            q = s[:4].tolist()
-            fv, gv = f(*q), g(*q)
-            xy_rows = jac(q, u1, u2)[:2] @ s[4:].reshape(4, 6)
-            xy_rows[:, 5] -= (fv, gv)
-            return np.concatenate([(-u2 * fv, -u2 * gv, u1, u2), xy_rows.ravel(), zw_rows])
+        def rhs(t: float, s: tuple[float, ...]) -> tuple[float, ...]:
+            x, y, z, w = s[:4]
+            a = [0.0] * 8  # the x and y rows of A
+            for row, col, d in grads:
+                a[4 * row + col] = -u2 * d(x, y, z, w)
+            axx, axy, axz, axw, ayx, ayy, ayz, ayw = a
+            cols = s[4:10], s[10:16], s[16:22], s[22:28]
+            x_row = [axx * p + axy * q + axz * r + axw * v for p, q, r, v in zip(*cols)]
+            y_row = [ayx * p + ayy * q + ayz * r + ayw * v for p, q, r, v in zip(*cols)]
+            fv, gv = f(x, y, z, w), g(x, y, z, w)
+            x_row[5] -= fv
+            y_row[5] -= gv
+            return (-u2 * fv, -u2 * gv, u1, u2, *x_row, *y_row, *zw_rows)
 
         return rhs
 
 
-def _as_array(q0) -> np.ndarray:
-    return np.asarray(q0.as_floats() if isinstance(q0, Point4) else q0, dtype=float)
+def _as_floats(q0) -> tuple[float, ...]:
+    return q0.as_floats() if isinstance(q0, Point4) else tuple(map(float, q0))
 
 
 def horizontal_integrate(
@@ -157,24 +157,18 @@ def horizontal_integrate(
     """Integrate the control system segment by segment; endpoint = final state."""
     sys = _ControlSystem(pair)
     n = ctrl.n_segments
-    y = _as_array(q0)
-    all_times = [np.array([0.0])]
-    all_states = [y[None, :].copy()]
+    y = _as_floats(q0)
+    all_times = [0.0]
+    all_states = [np.array([y])]
     h_carry: float | None = None
-    for j in range(n):
-        u1, u2 = ctrl.u[j]
+    for j, (u1, u2) in enumerate(ctrl.u.tolist()):
         times, states, h_carry, _ = adaptive_rk45(
-            lambda t, q: sys.rhs(q, u1, u2),
-            y,
-            (j / n, (j + 1) / n),
-            rtol,
-            atol,
-            h0=h_carry,
+            lambda t, q: sys.rhs(q, u1, u2), y, (j / n, (j + 1) / n), rtol, atol, h0=h_carry
         )
         y = states[-1]
-        all_times.append(np.array(times[1:]))
-        all_states.append(np.array(states[1:]))
-    return Trajectory(times=np.concatenate(all_times), states=np.vstack(all_states))
+        all_times += times[1:]
+        all_states.append(states[1:])
+    return Trajectory(times=np.array(all_times), states=np.vstack(all_states))
 
 
 def _sample_times(n_segments: int, sample_times: Sequence[float] | None) -> list[Fraction]:
@@ -189,8 +183,11 @@ def _sample_times(n_segments: int, sample_times: Sequence[float] | None) -> list
     if sample_times is None:
         m = max(16, 2 * n)
         return [Fraction(k, m - 1) for k in range(m)]
+    times = sorted(float(t) for t in sample_times)
+    if not times:
+        raise ValueError("sample_times must hold at least one sample time")
     out: list[Fraction] = []
-    for t in sorted(float(t) for t in sample_times):
+    for t in times:
         if not 0.0 <= t <= 1.0:
             raise ValueError("sample times must lie in [0, 1]")
         j = round(t * n)
@@ -222,21 +219,15 @@ def _sensitivity_pass(
     per_segment: list[list[float]] = [[] for _ in range(n)]
     for t in samples:
         per_segment[max(math.ceil(t * n) - 1, 0)].append(float(t))
-    restart = np.hstack([np.eye(4), np.zeros((4, 2))]).ravel()
-    q = _as_array(q0)
+    restart = tuple(float(row == col) for row in range(4) for col in range(6))
+    q = _as_floats(q0)
     phi = np.eye(4)
     transitions, local_cols, qs, phis = [], [], [], []
     h_carry: float | None = None
-    for j in range(n):
-        u1, u2 = ctrl.u[j]
+    for j, (u1, u2) in enumerate(ctrl.u.tolist()):
         _, states, h_carry, sampled = adaptive_rk45(
-            sys.variational_rhs(u1, u2),
-            np.concatenate([q, restart]),
-            (j / n, (j + 1) / n),
-            rtol,
-            atol,
-            h0=h_carry,
-            samples=per_segment[j],
+            sys.variational_rhs(u1, u2), (*q, *restart), (j / n, (j + 1) / n), rtol, atol,
+            h0=h_carry, samples=per_segment[j],
         )
         qs.append(sampled[:, :4])
         phis.append(sampled[:, 4:].reshape(-1, 4, 6)[:, :, :4] @ phi)
@@ -461,10 +452,8 @@ def char_control(
     c_fn, e_fn = co.c.compile(), co.e.compile()
     mids = [(j + 0.5) * duration / n_segments for j in range(n_segments)]
     field_rhs = assemble_field(pair, co).compile_rhs()
-    # numpy stores an array into its stage table faster than a tuple of scalars
     _, _, _, states = adaptive_rk45(
-        lambda t, y: np.array(field_rhs(t, y)), _as_array(p0), (0.0, mids[-1]), rtol, atol,
-        samples=mids,
+        field_rhs, _as_floats(p0), (0.0, mids[-1]), rtol, atol, samples=mids
     )
     u = np.zeros((n_segments, 2))
     for j, q in enumerate(states):

@@ -1,10 +1,12 @@
 """Numerical integration of characteristic fields and flow-based analyses.
 
-The integrator is an explicit embedded Runge-Kutta 4(5) pair (Dormand-
-Prince coefficients) with per-step error control on mixed absolute and
-relative tolerances.  Accepted steps are recorded as-is; monitor channels
-are polynomial quantities sampled along the trajectory.  Everything is
-deterministic for fixed inputs.
+One Dormand-Prince 4(5) integrator, :func:`adaptive_rk45`, serves every flow:
+an embedded Runge-Kutta pair with per-step error control on mixed absolute
+and relative tolerances and dense output, run on tuples of Python floats.
+It integrates the characteristic flows here and, in :mod:`engelkit.endpoint`,
+the control system, its variational pass and the characteristic controls.
+Monitor channels are polynomial quantities sampled along the trajectory.
+Everything is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -44,33 +46,31 @@ class NonFiniteStateError(IntegrationError):
 
 # Dormand-Prince embedded pair: 5th-order propagated solution, 4th-order
 # embedded solution for the local error estimate.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_ERR = _B5 - _B4
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 # Shampine's quartic continuous extension of the pair (Hairer, Norsett and
 # Wanner, Solving ODEs I, II.6): within an accepted step from (t, y) of
 # size h with stages K, y(t + theta h) = y + h K^T _P [theta, ..., theta^4].
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+_P = (
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -82,7 +82,7 @@ MAX_STEPS = 1_000_000
 
 
 class _StepControl:
-    """Step-size control and guards shared by both Dormand-Prince drivers.
+    """Step-size control and guards of the Dormand-Prince integrator.
 
     ``trial(t)`` returns the next trial step ``(h, t_new)``: the carried
     step, clipped to land exactly on t1.  It raises IntegrationError when
@@ -103,6 +103,11 @@ class _StepControl:
         if rtol <= 0 or atol <= 0:
             raise ValueError("rtol and atol must be positive")
         span = t1 - t0
+        if span < H_FLOOR * max(1.0, abs(t0)):
+            raise ValueError(
+                f"t_span {t_span!r} is shorter than the step floor H_FLOOR={H_FLOOR!r} "
+                "relative to max(1, |t0|)"
+            )
         self.t1 = t1
         self.h = h0 if h0 is not None else min(span, max(1e-6, 1e-2 * span))
         self.proposal = self.h
@@ -151,18 +156,16 @@ class _StepControl:
         self.h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
 
 
-# A rejected non-finite trial step is handled below; numpy need not warn.
-@np.errstate(invalid="ignore", over="ignore")
 def adaptive_rk45(
-    rhs: Callable[[float, np.ndarray], Sequence[float]],
-    y0: np.ndarray,
+    rhs: Callable[[float, tuple[float, ...]], Sequence[float]],
+    y0: Sequence[float],
     t_span: tuple[float, float],
     rtol: float,
     atol: float,
     h0: float | None = None,
-    stop_when: Callable[[float, np.ndarray], bool] | None = None,
+    stop_when: Callable[[float, tuple[float, ...]], bool] | None = None,
     samples: Sequence[float] = (),
-) -> tuple[list[float], list[np.ndarray], float, np.ndarray]:
+) -> tuple[list[float], np.ndarray, float, np.ndarray]:
     """Integrate rhs over t_span, recording every accepted step.
 
     Returns (times, states, last_step_size, sampled); the last step lands
@@ -174,8 +177,15 @@ def adaptive_rk45(
     A non-finite trial step is rejected and retried with a smaller step.
     Raises StepSizeUnderflowError, or NonFiniteStateError when the step
     underflowed while non-finite trial states were being rejected, or
-    IntegrationError after MAX_STEPS steps.
+    IntegrationError after MAX_STEPS steps.  ``rhs(t, y)`` and
+    ``stop_when(t, y)`` get y as a tuple of floats: on 4 to 28 entries,
+    numpy's per-call overhead would cost more than the stages.  An
+    OverflowError from the rhs (``**`` past the float range) is non-finite.
     """
+    _, c2, c3, c4, c5, c6, _ = _C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = _A[1:5]
+    (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = _A[5:]
+    e1, _, e3, e4, e5, e6, e7 = _ERR
     control = _StepControl(t_span, rtol, atol, h0)
     t0, t1 = t_span
     pending = [(math.inf, -1)] + sorted(
@@ -183,70 +193,10 @@ def adaptive_rk45(
     )
     if not all(t0 <= s <= t1 for s, _ in pending[1:]):
         raise ValueError("samples must lie in t_span")
-    y = np.asarray(y0, dtype=float).copy()
-    sampled = np.full((len(samples), y.size), math.nan)
+    y = tuple(map(float, y0))
+    n = len(y)
+    sampled = np.full((len(samples), n), math.nan)
     t = t0
-    times = [t0]
-    states = [y.copy()]
-    k = np.empty((7, y.size))
-    k[0] = rhs(t, y)
-    while t < t1:
-        h, t_new = control.trial(t)
-        for i in range(1, 7):
-            yi = y + h * (k[:i].T @ _A[i])
-            k[i] = rhs(t_new if i == 6 else t + _C[i] * h, yi)
-        # The last stage is evaluated at the propagated solution itself.
-        y_new = yi
-        non_finite = not (np.isfinite(k).all() and np.isfinite(y_new).all())
-        err = math.inf
-        if not non_finite:
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            ratio = h * (k.T @ _ERR) / scale
-            err = math.sqrt(float(ratio @ ratio) / ratio.size)
-        if err <= 1.0:
-            while pending[-1][0] <= t_new:
-                s, i = pending.pop()
-                theta = (s - t) / h
-                sampled[i] = y_new if s == t_new else y + h * (theta ** np.arange(1, 5) @ _P.T) @ k
-            t = t_new
-            y = y_new
-            k[0] = k[6]
-            times.append(t)
-            states.append(y.copy())
-            if stop_when is not None and stop_when(t, y):
-                break
-            control.accept(err)
-        else:
-            control.reject(err, non_finite)
-    return times, states, control.h, sampled
-
-
-def _rk45_floats(
-    rhs: Callable[[float, tuple[float, ...]], tuple[float, ...]],
-    y0: tuple[float, ...],
-    t1: float,
-    rtol: float,
-    atol: float,
-    stop_when: Callable[[float, tuple[float, ...]], bool] | None,
-) -> tuple[list[float], list[tuple[float, ...]]]:
-    """:func:`adaptive_rk45` from t = 0 on a tuple of Python floats.
-
-    Returns (times, states) of the accepted steps.  The same steps, FSAL
-    and guards as adaptive_rk45, without samples; on a 4-dim state,
-    numpy's per-call overhead would cost more than the stages themselves.
-    Each stage sums its terms in tableau order, so results agree with
-    adaptive_rk45 up to rounding.  An OverflowError from the rhs (a
-    polynomial's ``**`` past the float range, where numpy returns inf)
-    makes the trial non-finite.
-    """
-    _, c2, c3, c4, c5, c6, _ = _C.tolist()
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = (r.tolist() for r in _A[1:5])
-    (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = (r.tolist() for r in _A[5:])
-    e1, _, e3, e4, e5, e6, e7 = _ERR.tolist()
-    control = _StepControl((0.0, t1), rtol, atol, None)
-    n = len(y0)
-    t = 0.0
-    y = y0
     times = [t]
     states = [y]
     try:
@@ -255,35 +205,33 @@ def _rk45_floats(
         k1 = (math.inf,) * n
     while t < t1:
         h, t_new = control.trial(t)
+        # Each stage sums its terms in tableau order.
         try:
-            k2 = rhs(t + c2 * h, tuple(a + h * (a21 * p) for a, p in zip(y, k1)))
-            k3 = rhs(
-                t + c3 * h,
-                tuple(a + h * (a31 * p + a32 * q) for a, p, q in zip(y, k1, k2)),
-            )
+            k2 = rhs(t + c2 * h, tuple([a + h * (a21 * p) for a, p in zip(y, k1)]))
+            k3 = rhs(t + c3 * h, tuple([a + h * (a31 * p + a32 * q) for a, p, q in zip(y, k1, k2)]))
             k4 = rhs(
                 t + c4 * h,
-                tuple(a + h * (a41 * p + a42 * q + a43 * r) for a, p, q, r in zip(y, k1, k2, k3)),
+                tuple([a + h * (a41 * p + a42 * q + a43 * r) for a, p, q, r in zip(y, k1, k2, k3)]),
             )
             k5 = rhs(
                 t + c5 * h,
-                tuple(
+                tuple([
                     a + h * (a51 * p + a52 * q + a53 * r + a54 * s)
                     for a, p, q, r, s in zip(y, k1, k2, k3, k4)
-                ),
+                ]),
             )
             k6 = rhs(
                 t + c6 * h,
-                tuple(
+                tuple([
                     a + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
                     for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
-                ),
+                ]),
             )
             # The last stage is evaluated at the propagated solution itself.
-            y_new = tuple(
+            y_new = tuple([
                 a + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v)
                 for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)
-            )
+            ])
             k7 = rhs(t_new, y_new)
             non_finite = not all(map(math.isfinite, (*k1, *k2, *k3, *k4, *k5, *k6, *k7, *y_new)))
         except OverflowError:
@@ -298,6 +246,19 @@ def _rk45_floats(
                 total += ratio * ratio
             err = math.sqrt(total / n)
         if err <= 1.0:
+            while pending[-1][0] <= t_new:
+                ts, i = pending.pop()
+                if ts == t_new:
+                    sampled[i] = y_new
+                    continue
+                theta = (ts - t) / h
+                d1, _, d3, d4, d5, d6, d7 = (
+                    theta * (p1 + theta * (p2 + theta * (p3 + theta * p4))) for p1, p2, p3, p4 in _P
+                )
+                sampled[i] = [
+                    a + h * (d1 * p + d3 * r + d4 * s + d5 * u + d6 * v + d7 * w)
+                    for a, p, r, s, u, v, w in zip(y, k1, k3, k4, k5, k6, k7)
+                ]
             t = t_new
             y = y_new
             k1 = k7
@@ -308,7 +269,7 @@ def _rk45_floats(
             control.accept(err)
         else:
             control.reject(err, non_finite)
-    return times, states
+    return times, np.array(states), control.h, sampled
 
 
 @dataclass
@@ -382,14 +343,11 @@ def integrate(
         raise ValueError("t_end must be nonzero")
     fld = vector_field if t_end > 0 else -vector_field
     y0 = q0.as_floats() if isinstance(q0, Point4) else q0
-    times, states = _rk45_floats(
-        fld.compile_rhs(), tuple(float(v) for v in y0), abs(t_end), rtol, atol, stop_when
+    times, states, _, _ = adaptive_rk45(
+        fld.compile_rhs(), y0, (0.0, abs(t_end)), rtol, atol, stop_when=stop_when
     )
-    states_arr = np.array(states)
     return Trajectory(
-        times=np.array(times),
-        states=states_arr,
-        monitors=_monitor_channels(monitors, states_arr),
+        times=np.array(times), states=states, monitors=_monitor_channels(monitors, states)
     )
 
 

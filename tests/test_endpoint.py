@@ -21,7 +21,8 @@ from engelkit.endpoint import (
     _sensitivity_pass,
 )
 from engelkit.flow import adaptive_rk45
-from engelkit.poly import Point4, SparsePoly, random_poly
+from engelkit.poly import VARS, Point4, SparsePoly, random_poly
+from reference_rk45 import reference_rk45
 
 ZERO_PAIR = PfaffianPair(SparsePoly.zero(), SparsePoly.zero())
 ORIGIN = Point4.origin()
@@ -156,18 +157,31 @@ def test_adjoint_record_structure():
     assert record.constraint_matrix.shape == (2 * len(record.times), 4)
 
 
+def _dynamics(pair, u1, u2):
+    """q -> (qdot, A) for qdot = u1 Z + u2 W and A = dqdot/dq, with A built
+    directly from the pair's partial derivatives."""
+    f, g = pair.f.compile(), pair.g.compile()
+    df = [pair.f.diff(v).compile() for v in VARS]
+    dg = [pair.g.diff(v).compile() for v in VARS]
+
+    def dynamics(q):
+        a = np.zeros((4, 4))
+        a[0] = [-u2 * d(*q) for d in df]
+        a[1] = [-u2 * d(*q) for d in dg]
+        return np.array([-u2 * f(*q), -u2 * g(*q), u1, u2]), a
+
+    return dynamics
+
+
 def test_adjoint_duality_pairing_is_conserved():
     # <lambda(t), dq(t)> is constant when dq solves the variational equation
     # and lambda the adjoint transport along the same trajectory
     rng = np.random.default_rng(2)
-    pair = CATALOG["d2334a"]
-    sys = _ControlSystem(pair)
-    u1, u2 = 0.7, -0.4
+    dynamics = _dynamics(CATALOG["d2334a"], 0.7, -0.4)
 
     def rhs(t, s):
-        q, dq, lam = s[:4], s[4:8], s[8:12]
-        a = sys.jac(q, u1, u2)
-        return np.concatenate([sys.rhs(q, u1, u2), a @ dq, -a.T @ lam])
+        qdot, a = dynamics(s[:4])
+        return np.concatenate([qdot, a @ s[4:8], -a.T @ s[8:12]])
 
     for _ in range(5):
         dq0 = rng.normal(size=4)
@@ -276,6 +290,14 @@ def test_sample_times_near_a_boundary_are_snapped_onto_it():
         adjoint_transport(CATALOG["d224"], ORIGIN, ctrl, sample_times=[0.5, 1.5])
 
 
+def test_empty_sample_times_are_rejected():
+    ctrl = ControlPath.constant(0.3, 0.8, 4)
+    with pytest.raises(ValueError, match="at least one sample time"):
+        adjoint_transport(CATALOG["d224"], ORIGIN, ctrl, sample_times=[])
+    with pytest.raises(ValueError, match="at least one sample time"):
+        adjoint_transport(CATALOG["d224"], ORIGIN, ctrl, sample_times=np.array([]))
+
+
 def test_verdict_endpoint_matches_horizontal_integrate():
     # On the catalog the integrands are polynomials in t of low degree, which
     # both step sequences integrate exactly; on user pairs they agree to the
@@ -300,27 +322,21 @@ def test_sampled_pass_jacobian_matches_finite_differences():
 
 def _reference_transition(pair, q0, ctrl, t_end):
     """Phi(t_end) from the variational equation dPhi/dt = A(q) Phi, with A
-    built directly from the pair and integrated without restarts."""
-    df = [pair.f.diff(v).compile() for v in ("x", "y", "z", "w")]
-    dg = [pair.g.diff(v).compile() for v in ("x", "y", "z", "w")]
-    f, g = pair.f.compile(), pair.g.compile()
+    built directly from the pair and integrated without restarts by the
+    numpy reference integrator."""
     n = ctrl.n_segments
     s = np.concatenate([np.asarray(q0, dtype=float), np.eye(4).ravel()])
     for j in range(n):
         lo, hi = j / n, min((j + 1) / n, t_end)
         if hi <= lo:
             break
-        u1, u2 = ctrl.u[j]
+        dynamics = _dynamics(pair, *ctrl.u[j])
 
-        def rhs(t, s, u1=u1, u2=u2):
-            q = s[:4]
-            a = np.zeros((4, 4))
-            a[0] = [-u2 * d(*q) for d in df]
-            a[1] = [-u2 * d(*q) for d in dg]
-            dq = [-u2 * f(*q), -u2 * g(*q), u1, u2]
-            return np.concatenate([dq, (a @ s[4:].reshape(4, 4)).ravel()])
+        def rhs(t, s, dynamics=dynamics):
+            qdot, a = dynamics(s[:4])
+            return np.concatenate([qdot, (a @ s[4:].reshape(4, 4)).ravel()])
 
-        s = adaptive_rk45(rhs, s, (lo, hi), 1e-10, 1e-12)[1][-1]
+        s = reference_rk45(rhs, s, (lo, hi), 1e-10, 1e-12)[1][-1]
     return s[4:].reshape(4, 4)
 
 
