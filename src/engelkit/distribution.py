@@ -128,24 +128,22 @@ def lie_bracket(v1: PolyVectorField, v2: PolyVectorField) -> PolyVectorField:
 
 @lru_cache(maxsize=64)
 def bracket_levels(pair: PfaffianPair, max_step: int) -> tuple[tuple[PolyVectorField, ...], ...]:
-    """Iterated-bracket generations of the frame.
+    """Iterated-bracket generations 1..max_step of the frame.
 
     Level 1 is (Z, W); level k+1 holds [Z, V] and [W, V] for every V of
     level k.  Left-normed brackets span each graded piece of the generated
-    Lie algebra, so accumulating these levels spans the full flag.
+    Lie algebra, so accumulating these levels spans the full flag.  Each
+    call brackets only its last level onto the cached levels below it.
     """
-    z_field, w_field = frame(pair)
-    levels: list[tuple[PolyVectorField, ...]] = [(z_field, w_field)]
-    for _ in range(1, max_step):
-        prev = levels[-1]
-        if len(levels) == 1:
-            nxt = (lie_bracket(z_field, w_field),)
-        else:
-            nxt = tuple(
-                lie_bracket(basis, v) for v in prev for basis in (z_field, w_field)
-            )
-        levels.append(nxt)
-    return tuple(levels)
+    if max_step == 1:
+        return (frame(pair),)
+    levels = bracket_levels(pair, max_step - 1)
+    z_field, w_field = levels[0]
+    if max_step == 2:
+        nxt = (lie_bracket(z_field, w_field),)
+    else:
+        nxt = tuple(lie_bracket(basis, v) for v in levels[-1] for basis in (z_field, w_field))
+    return levels + (nxt,)
 
 
 def rational_rank(columns: list[tuple[Fraction, ...]]) -> int:
@@ -177,6 +175,10 @@ def rational_rank(columns: list[tuple[Fraction, ...]]) -> int:
 def _float_rank(matrix: np.ndarray, rank_tol: float) -> int:
     # Unit columns keep the rank; unscaled, deep brackets ~1e10 long would
     # lift the relative threshold above the frame's unit singular values.
+    # Scaling each column by a power of two first is exact and keeps the
+    # squares in the norm from underflowing (entries below ~1e-162).
+    _, exponents = np.frexp(np.abs(matrix).max(axis=0))
+    matrix = np.ldexp(matrix, -exponents)
     norms = np.linalg.norm(matrix, axis=0)
     columns = matrix[:, norms > 0.0] / norms[norms > 0.0]
     if columns.size == 0:
@@ -194,20 +196,20 @@ def growth_vector(
     """Growth vector of the distribution at a point.
 
     Accumulates the bracket levels and reports the rank of the evaluated
-    spanning set after each level.  At rational points the rank is exact
+    spanning set after each level; level k+1 is built only while the rank
+    after level k is below 4.  At rational points the rank is exact
     (Gaussian elimination over Q) and ``rank_tol`` is ignored; otherwise
     the rank is the number of singular values above ``rank_tol`` relative
     to the largest one.
     """
     if max_step < 2:
         raise ValueError("max_step must be at least 2")
-    levels = bracket_levels(pair, max_step)
     dims: list[int] = []
     exact = q.is_rational
     columns_exact: list[tuple[Fraction, ...]] = []
     columns_float: list[np.ndarray] = []
-    for level in levels:
-        for field in level:
+    for step in range(1, max_step + 1):
+        for field in bracket_levels(pair, step)[-1]:
             if exact:
                 columns_exact.append(field.eval_exact(q))
             else:

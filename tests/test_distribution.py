@@ -4,11 +4,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from engelkit import distribution
 from engelkit.distribution import (
     CATALOG,
     DEGENERATE_MODELS,
     PfaffianPair,
     PolyVectorField,
+    bracket_levels,
     engel_certificate,
     frame,
     growth_vector,
@@ -17,6 +19,7 @@ from engelkit.distribution import (
     sigma_check,
 )
 from engelkit.poly import Point4, SparsePoly, random_poly
+from reference_growth import eager_growth_vector
 
 Z = SparsePoly.var("z")
 W = SparsePoly.var("w")
@@ -128,10 +131,61 @@ def test_float_growth_vector_matches_exact_at_random_rational_points():
             assert exact.dims == approx.dims, (pair.to_json_dict(), q)
 
 
-def test_growth_vector_not_bracket_generating():
+@pytest.mark.parametrize("t", [1e-100, 1e-160, 1e-300])
+def test_float_growth_vector_matches_exact_at_tiny_coordinates(t):
+    # squared entries below ~1e-162 underflow in an unscaled column norm,
+    # which then drops the column and lowers the rank
+    for model, pair in CATALOG.items():
+        for q in [(0, 0, t, 0), (0, 0, 0, t), (0, 0, t, t), (t, t, t, t), (1, 1, t, 0)]:
+            exact = growth_vector(pair, Point4(*map(Fraction, q)))
+            approx = growth_vector(pair, Point4(*map(float, q)))
+            assert exact == approx, (model, q)
+    assert growth_vector(CATALOG["d224"], Point4(0.0, 0.0, t, 0.0)).dims == (2, 3, 4)
+
+
+def test_growth_vector_matches_eager_reference():
+    rng = np.random.default_rng(8)
+    pairs = list(CATALOG.values()) + [PfaffianPair(ZERO, ZERO)]
+    pairs += [PfaffianPair(random_poly(rng), random_poly(rng)) for _ in range(12)]
+    for pair in pairs:
+        points = [Point4.origin()]
+        for _ in range(2):
+            nums, dens = rng.integers(-6, 7, size=4), rng.integers(1, 5, size=4)
+            points.append(Point4(*(Fraction(int(n), int(d)) for n, d in zip(nums, dens))))
+        points += [Point4(*q.as_floats()) for q in points]
+        for q in points:
+            for max_step in range(2, 7):
+                assert growth_vector(pair, q, max_step) == eager_growth_vector(
+                    pair, q, max_step
+                ), (pair.to_json_dict(), q, max_step)
+
+
+def _count_brackets(monkeypatch) -> list[int]:
+    calls = [0]
+
+    def counted(v1, v2):
+        calls[0] += 1
+        return lie_bracket(v1, v2)
+
+    bracket_levels.cache_clear()
+    monkeypatch.setattr(distribution, "lie_bracket", counted)
+    return calls
+
+
+def test_growth_vector_builds_levels_only_until_rank_four(monkeypatch):
+    calls = _count_brackets(monkeypatch)
+    assert growth_vector(CATALOG["engel_std"], Point4.origin()).dims == (2, 3, 4)
+    assert calls[0] == 3  # [Z, W], then [Z, [Z, W]] and [W, [Z, W]]; not 31
+    growth_vector(CATALOG["engel_std"], Point4(1, 2, 3, 4))
+    assert calls[0] == 3  # the levels are shared across points
+
+
+def test_growth_vector_not_bracket_generating(monkeypatch):
+    calls = _count_brackets(monkeypatch)
     gv = growth_vector(PfaffianPair(ZERO, ZERO), Point4.origin(), max_step=4)
     assert gv.dims == (2, 2, 2, 2)
     assert not gv.bracket_generating
+    assert calls[0] == 1 + 2 + 4  # every level up to max_step is built
 
 
 def test_growth_vector_requires_two_steps():
