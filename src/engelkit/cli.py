@@ -28,6 +28,7 @@ from .flow import (
     DEFAULT_RTOL,
     DEFAULT_T_MAX,
     FLOAT_FMT,
+    IntegrationError,
     integrate,
     singular_surface,
 )
@@ -336,6 +337,13 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CliError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: float overflow: a value computed from the input is past the float "
+              f"range ({exc.args[-1] if exc.args else exc})", file=sys.stderr)
+        return 2
+    except IntegrationError as exc:
+        print(f"error: integration failed: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path
         print(f"internal error: {exc}", file=sys.stderr)

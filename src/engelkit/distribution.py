@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codegen import function_source, kernel, tuple_source
 from .poly import Point4, SparsePoly, VARS
 
 DEFAULT_RANK_TOL = 1e-9
@@ -49,14 +50,10 @@ class PolyVectorField:
         return np.array([c.eval(q) for c in self.components()], dtype=float)
 
     def compile_rhs(self):
-        """Autonomous ODE right-hand side rhs(t, y) -> 4-tuple of floats."""
-        fx, fy, fz, fw = (c.compile() for c in self.components())
-
-        def rhs(t: float, y) -> tuple[float, float, float, float]:
-            a, b, c, d = y
-            return fx(a, b, c, d), fy(a, b, c, d), fz(a, b, c, d), fw(a, b, c, d)
-
-        return rhs
+        """Autonomous ODE right-hand side rhs(t, q) -> 4-tuple of floats,
+        generated from the components' float_source()."""
+        values = tuple_source(c.float_source() for c in self.components())
+        return kernel(function_source("rhs(t, q)", ["x, y, z, w = q", f"return {values}"]), "rhs")
 
     def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
         return PolyVectorField(

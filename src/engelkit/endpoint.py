@@ -30,6 +30,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .charfield import ORACLE, assemble_field, char_field, coefficients
+from .codegen import function_source, kernel, tuple_source
 from .distribution import CATALOG, PfaffianPair
 from .flow import (
     DEFAULT_ATOL,
@@ -103,14 +104,7 @@ class _ControlSystem:
         self.pair = pair
         self._f = pair.f.compile()
         self._g = pair.g.compile()
-        # (row, column, derivative) for the entries of d(f, g)/dq that are
-        # not identically zero.
-        self._grads = [
-            (row, col, d.compile())
-            for row, poly in enumerate((pair.f, pair.g))
-            for col, v in enumerate(VARS)
-            if not (d := poly.diff(v)).is_zero()
-        ]
+        self._variational = kernel(_variational_source(pair), "variational")
 
     def rhs(self, q: Sequence[float], u1: float, u2: float) -> tuple[float, float, float, float]:
         x, y, z, w = q
@@ -123,24 +117,35 @@ class _ControlSystem:
         A = d(u1 Z + u2 W)/dq and B = [Z | W] vary only in their x and y
         rows, so the z and w rows of Xdot are constant.
         """
-        f, g, grads = self._f, self._g, self._grads
-        zw_rows = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+        return self._variational(u1, u2)
 
-        def rhs(t: float, s: tuple[float, ...]) -> tuple[float, ...]:
-            x, y, z, w = s[:4]
-            a = [0.0] * 8  # the x and y rows of A
-            for row, col, d in grads:
-                a[4 * row + col] = -u2 * d(x, y, z, w)
-            axx, axy, axz, axw, ayx, ayy, ayz, ayw = a
-            cols = s[4:10], s[10:16], s[16:22], s[22:28]
-            x_row = [axx * p + axy * q + axz * r + axw * v for p, q, r, v in zip(*cols)]
-            y_row = [ayx * p + ayy * q + ayz * r + ayw * v for p, q, r, v in zip(*cols)]
-            fv, gv = f(x, y, z, w), g(x, y, z, w)
-            x_row[5] -= fv
-            y_row[5] -= gv
-            return (-u2 * fv, -u2 * gv, u1, u2, *x_row, *y_row, *zw_rows)
 
-        return rhs
+def _variational_source(pair: PfaffianPair) -> str:
+    """Source of ``variational(u1, u2)``, which returns the 28-state rhs of
+    :meth:`_ControlSystem.variational_rhs` for the pair.
+
+    The x and y rows of A are -u2 times the gradients of f and g; only
+    the entries that are not identically zero are written out.  Column 5
+    of B is W, whose x and y entries are -f and -g.
+    """
+    rows = [[f"s{r}_{c}" for c in range(6)] for r in range(4)]
+    body = [", ".join(["x", "y", "z", "w", *(v for row in rows for v in row)]) + " = s"]
+    values = ["-u2 * fv", "-u2 * gv", "u1", "u2"]
+    for name, poly in (("f", pair.f), ("g", pair.g)):
+        grad = [
+            (row, f"a{name}{v}", d)
+            for row, v in zip(rows, VARS)
+            if not (d := poly.diff(v)).is_zero()
+        ]
+        body += [f"{a} = -u2 * ({d.float_source()})" for _, a, d in grad]
+        body.append(f"{name}v = {poly.float_source()}")
+        for c in range(6):
+            value = " + ".join(f"{a} * {row[c]}" for row, a, _ in grad) or "0.0"
+            values.append(f"{value} - {name}v" if c == 5 else value)
+    # The z and w rows of Xdot are those of [0 | B]: (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1).
+    values += ["0.0", "0.0", "0.0", "0.0", "1.0", "0.0", "0.0", "0.0", "0.0", "0.0", "0.0", "1.0"]
+    inner = function_source("rhs(t, s)", [*body, f"return {tuple_source(values)}"])
+    return function_source("variational(u1, u2)", [*inner.splitlines(), "return rhs"])
 
 
 def _as_floats(q0) -> tuple[float, ...]:

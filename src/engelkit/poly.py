@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
+from .codegen import function_source, kernel
+
 VARS = ("x", "y", "z", "w")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
 
@@ -206,26 +208,27 @@ class SparsePoly:
             return float(self.eval_exact(point))
         return self.compile()(*(float(c) for c in point.as_tuple()))
 
+    def float_source(self) -> str:
+        """Python expression of the float value at (x, y, z, w): the terms in
+        exponent order summed onto 0.0, each its coefficient times the powers
+        ``v**e`` (a first power is the coordinate itself)."""
+        parts = ["0.0"]
+        for expo, coeff in sorted(self._terms.items()):
+            factors = [repr(float(coeff))]
+            for name, e in zip(VARS, expo):
+                if e:
+                    factors.append(name if e == 1 else f"{name}**{e}")
+            parts.append(" * ".join(factors))
+        return " + ".join(parts)
+
     def compile(self) -> Callable[[float, float, float, float], float]:
-        """Float evaluator f(x, y, z, w); coefficients converted once."""
-        data = [(float(c), e) for e, c in sorted(self._terms.items())]
+        """Float evaluator f(x, y, z, w), generated from float_source().
 
-        def evaluate(x: float, y: float, z: float, w: float) -> float:
-            total = 0.0
-            for coeff, (ex, ey, ez, ew) in data:
-                term = coeff
-                if ex:
-                    term *= x**ex
-                if ey:
-                    term *= y**ey
-                if ez:
-                    term *= z**ez
-                if ew:
-                    term *= w**ew
-                total += term
-            return total
-
-        return evaluate
+        A power past the float range raises OverflowError."""
+        return kernel(
+            function_source("evaluate(x, y, z, w)", [f"return {self.float_source()}"]),
+            "evaluate",
+        )
 
     # -- serialization ----------------------------------------------------
 

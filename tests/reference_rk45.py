@@ -1,12 +1,17 @@
-"""Reference Dormand-Prince 4(5) integrator for the tests: a numpy stage loop.
+"""Reference Dormand-Prince 4(5) integrators for the tests.
 
-It keeps its own copy of the Butcher tableau and evaluates each stage with
-numpy matrix products, so a slip in ``engelkit.flow``'s float tableau or
-stage sums shows up as a difference in steps or states.  The step-size
-control and guards are ``flow._StepControl``, so both integrators take the
-same steps up to rounding and raise the same errors.  Same call and
-return as ``flow.adaptive_rk45``, except that ``rhs`` and ``stop_when``
-get the state as a numpy array.
+``reference_rk45`` is a numpy stage loop.  It keeps its own copy of the
+Butcher tableau and evaluates each stage with numpy matrix products, so a
+slip in ``engelkit.flow``'s float tableau or stage sums shows up as a
+difference in steps or states.  The step-size control and guards are
+``flow._StepControl``, so both integrators take the same steps up to
+rounding and raise the same errors.  Same call and return as
+``flow.adaptive_rk45``, except that ``rhs`` and ``stop_when`` get the state
+as a numpy array.
+
+``reference_tuple_rk45`` is the generic loop over tuples of floats that the
+generated trial step of ``flow.adaptive_rk45`` unrolls: the same stage sums
+in the same order, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import math
 
 import numpy as np
 
+from engelkit import flow
 from engelkit.flow import _StepControl
 
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -84,6 +90,96 @@ def reference_rk45(rhs, y0, t_span, rtol, atol, h0=None, stop_when=None, samples
             k[0] = k[6]
             times.append(t)
             states.append(y.copy())
+            if stop_when is not None and stop_when(t, y):
+                break
+            control.accept(err)
+        else:
+            control.reject(err, non_finite)
+    return times, np.array(states), control.h, sampled
+
+
+def reference_tuple_rk45(rhs, y0, t_span, rtol, atol, h0=None, stop_when=None, samples=()):
+    _, c2, c3, c4, c5, c6, _ = flow._C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = flow._A[1:5]
+    (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = flow._A[5:]
+    e1, _, e3, e4, e5, e6, e7 = flow._ERR
+    control = _StepControl(t_span, rtol, atol, h0)
+    t0, t1 = t_span
+    pending = [(math.inf, -1)] + sorted(
+        ((float(s), i) for i, s in enumerate(samples)), reverse=True
+    )
+    if not all(t0 <= s <= t1 for s, _ in pending[1:]):
+        raise ValueError("samples must lie in t_span")
+    y = tuple(map(float, y0))
+    n = len(y)
+    sampled = np.full((len(samples), n), math.nan)
+    t = t0
+    times = [t]
+    states = [y]
+    try:
+        k1 = rhs(t, y)
+    except OverflowError:
+        k1 = (math.inf,) * n
+    while t < t1:
+        h, t_new = control.trial(t)
+        try:
+            k2 = rhs(t + c2 * h, tuple([a + h * (a21 * p) for a, p in zip(y, k1)]))
+            k3 = rhs(t + c3 * h, tuple([a + h * (a31 * p + a32 * q) for a, p, q in zip(y, k1, k2)]))
+            k4 = rhs(
+                t + c4 * h,
+                tuple([a + h * (a41 * p + a42 * q + a43 * r) for a, p, q, r in zip(y, k1, k2, k3)]),
+            )
+            k5 = rhs(
+                t + c5 * h,
+                tuple([
+                    a + h * (a51 * p + a52 * q + a53 * r + a54 * s)
+                    for a, p, q, r, s in zip(y, k1, k2, k3, k4)
+                ]),
+            )
+            k6 = rhs(
+                t + c6 * h,
+                tuple([
+                    a + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
+                    for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
+                ]),
+            )
+            y_new = tuple([
+                a + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v)
+                for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)
+            ])
+            k7 = rhs(t_new, y_new)
+            non_finite = not all(map(math.isfinite, (*k1, *k2, *k3, *k4, *k5, *k6, *k7, *y_new)))
+        except OverflowError:
+            non_finite = True
+        err = math.inf
+        if not non_finite:
+            total = 0.0
+            for a, b, p, r, s, u, v, w in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                ratio = h * (e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w) / (
+                    atol + rtol * max(abs(a), abs(b))
+                )
+                total += ratio * ratio
+            err = math.sqrt(total / n)
+        if err <= 1.0:
+            while pending[-1][0] <= t_new:
+                ts, i = pending.pop()
+                if ts == t_new:
+                    sampled[i] = y_new
+                    continue
+                theta = (ts - t) / h
+                d1, _, d3, d4, d5, d6, d7 = (
+                    theta * (p1 + theta * (p2 + theta * (p3 + theta * p4)))
+                    for p1, p2, p3, p4 in flow._P
+                )
+                sampled[i] = [
+                    a + h * (d1 * p + d3 * r + d4 * s + d5 * u + d6 * v + d7 * w)
+                    for a, p, r, s, u, v, w in zip(y, k1, k3, k4, k5, k6, k7)
+                ]
+            t = t_new
+            y = y_new
+            k1 = k7
+            times.append(t)
+            states.append(y)
             if stop_when is not None and stop_when(t, y):
                 break
             control.accept(err)

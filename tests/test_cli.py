@@ -39,6 +39,25 @@ def test_bad_point_is_usage_error(capsys):
     assert main(["analyze", "--model", "d224", "--point", "1,2,3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,cause",
+    [
+        (["analyze", "--model", "d224", "--point", "0,0,1e300,0"],
+         "error: float overflow: a value computed from the input is past the float range"),
+        (["flow", "--model", "d224", "--start", "0,0,1e200,0", "--t", "1"],
+         "error: integration failed: step size underflow while rejecting non-finite trial "
+         "states"),
+    ],
+    ids=["analyze-overflow", "flow-non-finite"],
+)
+def test_float_range_failures_are_reported_errors(argv, cause, capsys):
+    # A power past the float range and a flow that leaves it are errors on
+    # the input, reported with their cause, not internal failures.
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(cause) and "internal error" not in err
+
+
 def test_analyze_grid_csv(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     code = main(

@@ -22,6 +22,7 @@ from engelkit.endpoint import (
 )
 from engelkit.flow import adaptive_rk45
 from engelkit.poly import VARS, Point4, SparsePoly, random_poly
+from reference_poly import reference_compile
 from reference_rk45 import reference_rk45
 
 ZERO_PAIR = PfaffianPair(SparsePoly.zero(), SparsePoly.zero())
@@ -171,6 +172,43 @@ def _dynamics(pair, u1, u2):
         return np.array([-u2 * f(*q), -u2 * g(*q), u1, u2]), a
 
     return dynamics
+
+
+def _reference_variational_rhs(pair, u1, u2):
+    """The 28-state rhs as a loop over all eight x and y entries of A."""
+    f, g = reference_compile(pair.f), reference_compile(pair.g)
+    grads = [reference_compile(p.diff(v)) for p in (pair.f, pair.g) for v in VARS]
+    zw_rows = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+
+    def rhs(t, s):
+        point = s[:4]
+        axx, axy, axz, axw, ayx, ayy, ayz, ayw = (-u2 * d(*point) for d in grads)
+        cols = s[4:10], s[10:16], s[16:22], s[22:28]
+        x_row = [axx * p + axy * q + axz * r + axw * v for p, q, r, v in zip(*cols)]
+        y_row = [ayx * p + ayy * q + ayz * r + ayw * v for p, q, r, v in zip(*cols)]
+        fv, gv = f(*point), g(*point)
+        x_row[5] -= fv
+        y_row[5] -= gv
+        return (-u2 * fv, -u2 * gv, u1, u2, *x_row, *y_row, *zw_rows)
+
+    return rhs
+
+
+def test_generated_variational_rhs_matches_the_full_loop():
+    # The generated rhs writes only the entries of A that are not identically
+    # zero.  Products with those zeros can change nothing but the sign of a
+    # zero sum, so the values are equal (== counts 0.0 and -0.0 equal).
+    rng = np.random.default_rng(53)
+    pairs = [*CATALOG.values()]
+    pairs += [PfaffianPair(random_poly(rng), random_poly(rng)) for _ in range(10)]
+    for pair in pairs:
+        sys = _ControlSystem(pair)
+        for _ in range(5):
+            u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
+            s = tuple(rng.uniform(-2.0, 2.0, 28).tolist())
+            got = sys.variational_rhs(u1, u2)(0.0, s)
+            want = _reference_variational_rhs(pair, u1, u2)(0.0, s)
+            assert len(got) == 28 and got == want
 
 
 def test_adjoint_duality_pairing_is_conserved():

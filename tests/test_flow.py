@@ -23,7 +23,7 @@ from engelkit.flow import (
 )
 from engelkit.endpoint import _ControlSystem
 from engelkit.poly import Point4, SparsePoly, random_poly
-from reference_rk45 import reference_rk45
+from reference_rk45 import reference_rk45, reference_tuple_rk45
 
 ZERO = SparsePoly.zero()
 
@@ -224,6 +224,66 @@ def test_variational_pass_takes_the_steps_of_the_reference(pair):
         assert len(times) == len(ref_times) > 2
         assert times[-1] == ref_times[-1] == 1.0
         assert _close(states[-1], ref_states[-1]) and _close(sampled, ref_sampled), (u1, u2)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _unrolled_cases():
+    rng = np.random.default_rng(43)
+    cases = [
+        pytest.param(
+            lambda t, y: (math.cos(3.0 * t) * y[0] - y[0] ** 3,), (0.7,), (0.0, 4.0), None,
+            id="n1",
+        ),
+    ]
+    for name in ("d224", "d2334b"):
+        fld = char_field(CATALOG[name], ORACLE)
+        cases.append(pytest.param(
+            fld.compile_rhs(), tuple(rng.uniform(-0.5, 0.5, 4)), (0.0, 3.0),
+            lambda t, y: y[2] * y[2] + y[3] * y[3] < 1e-3, id=f"n4-{name}",
+        ))
+    fld = PolyVectorField(*(random_poly(rng) for _ in range(4)))
+    cases.append(pytest.param(
+        fld.compile_rhs(), tuple(rng.uniform(-0.5, 0.5, 4)), (0.0, 1.0), None, id="n4-random",
+    ))
+    restart = tuple(float(row == col) for row in range(4) for col in range(6))
+    for name, pair in [*CATALOG.items(), ("random", PfaffianPair(random_poly(rng),
+                                                                 random_poly(rng)))]:
+        u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
+        y0 = (*rng.uniform(-0.5, 0.5, 4).tolist(), *restart)
+        cases.append(pytest.param(
+            _ControlSystem(pair).variational_rhs(u1, u2), y0, (0.25, 1.0), None,
+            id=f"n28-{name}",
+        ))
+    return cases
+
+
+@pytest.mark.parametrize("rhs,y0,t_span,stop_when", _unrolled_cases())
+def test_generated_trial_step_is_bit_identical_to_the_tuple_loop(rhs, y0, t_span, stop_when):
+    # The unrolled, generated trial step and dense output against the generic
+    # tuple loop they replace: the same steps, states, carried step and
+    # samples, bit for bit.
+    samples = np.random.default_rng(47).uniform(*t_span, 7)
+    for h0 in (None, 0.01):
+        args = (y0, t_span, 1e-10, 1e-12, h0, stop_when, samples)
+        got, want = adaptive_rk45(rhs, *args), reference_tuple_rk45(rhs, *args)
+        assert len(got[0]) == len(want[0]) > 2
+        assert all(_bits(a) == _bits(b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("x0", [1e60, 1.0])
+def test_generated_trial_step_fails_like_the_tuple_loop(x0):
+    # x' = x^4 overflows in a stage from 1e60 and blows up in finite time from 1
+    rhs = PolyVectorField(SparsePoly({(4, 0, 0, 0): 1}), ZERO, ZERO, ZERO).compile_rhs()
+    args = ((x0, 0.0, 0.0, 0.0), (0.0, 1.0), 1e-10, 1e-12)
+    with pytest.raises(IntegrationError) as got:
+        adaptive_rk45(rhs, *args)
+    with pytest.raises(IntegrationError) as want:
+        reference_tuple_rk45(rhs, *args)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 def test_a_span_shorter_than_the_step_floor_is_rejected():

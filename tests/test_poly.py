@@ -1,3 +1,4 @@
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engelkit.charfield import ORACLE, char_field
+from engelkit.codegen import kernel
+from engelkit.distribution import CATALOG
 from engelkit.poly import Point4, SparsePoly, VARS, random_poly
+from reference_poly import reference_compile
 
 X = SparsePoly.var("x")
 Y = SparsePoly.var("y")
@@ -145,3 +150,45 @@ def test_random_poly_is_deterministic_and_bounded():
     p2 = random_poly(rng2)
     assert p1 == p2
     assert p1.degree() <= 3
+
+
+def _outcome(fn, point):
+    """The bits of fn(*point), or the OverflowError it raises."""
+    try:
+        return struct.pack("<d", fn(*point))
+    except OverflowError:
+        return OverflowError
+
+
+def test_compiled_evaluator_is_bit_identical_to_the_term_loop():
+    # The generated evaluator against the term loop it replaced, on signed
+    # zeros and coordinates from 1e-300 to 1e150: equal bits, and an
+    # OverflowError from a power past the float range on the same inputs.
+    rng = np.random.default_rng(41)
+    magnitudes = [0.0, 1e-300, 1e-160, 1e-50, 0.37, 1.0, 2.5, 1e50, 1e100, 1e150]
+    outcomes = set()
+    for _ in range(200):
+        poly = random_poly(rng, max_degree=6, max_terms=8)
+        fast, slow = poly.compile(), reference_compile(poly)
+        for _ in range(20):
+            point = tuple(
+                float(rng.choice(magnitudes)) * (-1.0 if rng.random() < 0.5 else 1.0)
+                for _ in range(4)
+            )
+            outcome = _outcome(fast, point)
+            assert outcome == _outcome(slow, point), (poly, point)
+            outcomes.add(outcome is OverflowError)
+    assert outcomes == {False, True}
+
+
+def test_kernel_cache_is_bounded_and_shared_by_equal_sources():
+    maxsize = kernel.cache_info().maxsize
+    for i in range(2 * maxsize):
+        SparsePoly.monomial(i + 1, (i % 3, 0, 1, 0)).compile()
+    assert kernel.cache_info().currsize == maxsize
+    # Freshly built, equal fields give the same source: one kernel is built.
+    kernel.cache_clear()
+    first = char_field(CATALOG["d224"], ORACLE).compile_rhs()
+    second = char_field(CATALOG["d224"], ORACLE).compile_rhs()
+    assert first is second
+    assert kernel.cache_info().misses == 1
