@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,10 @@ def cmd_surface(args: argparse.Namespace) -> int:
         pair, grid, eps_cut=args.eps_cut, t_max=args.t_max,
         rtol=args.rtol, atol=args.atol,
     )
+    for i, cause in sample.failures.items():
+        z, w = grid[i]
+        print(f"note: surface sample (z, w) = ({FLOAT_FMT % z}, {FLOAT_FMT % w}) did not "
+              f"integrate and is not converged: {cause}", file=sys.stderr)
     n_conv = sum(sample.converged)
     print(f"{model}: {n_conv}/{len(grid)} samples converged (eps_cut={args.eps_cut})")
     if args.out:
@@ -330,9 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and reused, so
+    calling ``main`` in a loop does not rebuild it (about 1 ms) each time."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, KeyError, ValueError, OSError) as exc:

@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, TextIO
+from functools import lru_cache
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -104,7 +105,7 @@ class _ControlSystem:
         self.pair = pair
         self._f = pair.f.compile()
         self._g = pair.g.compile()
-        self._variational = kernel(_variational_source(pair), "variational")
+        self._variational, self.fixed = _linearization(pair)
 
     def rhs(self, q: Sequence[float], u1: float, u2: float) -> tuple[float, float, float, float]:
         x, y, z, w = q
@@ -115,32 +116,74 @@ class _ControlSystem:
         qdot = u1 Z + u2 W, Xdot = A X + [0 | B(q)].
 
         A = d(u1 Z + u2 W)/dq and B = [Z | W] vary only in their x and y
-        rows, so the z and w rows of Xdot are constant.
+        rows, so the z and w rows of Xdot are constant.  From the restart
+        (q, I, 0) of every segment, the entries in ``fixed`` keep their
+        value: their rhs is exactly +0.0 or -0.0.
         """
         return self._variational(u1, u2)
 
 
-def _variational_source(pair: PfaffianPair) -> str:
+# The variational pass restarts X = [Phi | L] at [I | 0] on every segment.
+_RESTART = tuple(float(row == col) for row in range(4) for col in range(6))
+
+
+@lru_cache(maxsize=64)
+def _linearization(pair: PfaffianPair) -> tuple[Callable, frozenset[int]]:
+    """The generated ``variational(u1, u2)`` of the pair and its fixed entries."""
+    grads = [
+        [(v, d) for v, name in enumerate(VARS) if not (d := poly.diff(name)).is_zero()]
+        for poly in (pair.f, pair.g)
+    ]
+    support = [[v for v, _ in grad] for grad in grads]
+    return kernel(_variational_source(pair, grads), "variational"), _fixed_entries(support)
+
+
+def _fixed_entries(support: Sequence[Sequence[int]]) -> frozenset[int]:
+    """State indices of the entries of X whose rhs in the variational pass
+    is exactly +0.0 or -0.0 from the restart (q, I, 0) on.
+
+    ``support[r]`` lists the variables v (0..3 for x, y, z, w) whose
+    partial derivative of f (r = 0) or g (r = 1) is not identically zero.
+    Entry (r, c) of X is state 4 + 6 r + c.  In the x and y rows its rhs
+    is the sum of a_v X[v][c] over v in support[r], minus f or g in column
+    5; in the z and w rows it is 1 at (2, 4) and (3, 5) and 0.0 elsewhere.
+    The entries that stay exactly 0.0 are the greatest set of entries that
+    restart at 0.0, have no constant part and multiply only entries of the
+    set: start from all such entries and drop those that multiply an entry
+    outside, until none does.  The fixed entries are those whose rhs
+    multiplies only entries of that set.
+    """
+    # The entries with no constant part, each with the entries of X it multiplies.
+    linear = {
+        (r, c): [(v, c) for v in support[r]] if r < 2 else []
+        for r in range(4)
+        for c in range(6)
+        if c != (5 if r < 2 else r + 2)
+    }
+    zero = {(r, c) for r, c in linear if _RESTART[6 * r + c] == 0.0}
+    while shrunk := {e for e in zero if not zero.issuperset(linear[e])}:
+        zero -= shrunk
+    return frozenset(4 + 6 * r + c for (r, c), t in linear.items() if zero.issuperset(t))
+
+
+def _variational_source(pair: PfaffianPair, grads) -> str:
     """Source of ``variational(u1, u2)``, which returns the 28-state rhs of
     :meth:`_ControlSystem.variational_rhs` for the pair.
 
     The x and y rows of A are -u2 times the gradients of f and g; only
-    the entries that are not identically zero are written out.  Column 5
-    of B is W, whose x and y entries are -f and -g.
+    the entries that are not identically zero, ``grads`` as
+    :func:`_linearization` lists them, are written out.  Column 5 of B is
+    W, whose x and y entries are -f and -g.
     """
     rows = [[f"s{r}_{c}" for c in range(6)] for r in range(4)]
     body = [", ".join(["x", "y", "z", "w", *(v for row in rows for v in row)]) + " = s"]
     values = ["-u2 * fv", "-u2 * gv", "u1", "u2"]
-    for name, poly in (("f", pair.f), ("g", pair.g)):
-        grad = [
-            (row, f"a{name}{v}", d)
-            for row, v in zip(rows, VARS)
-            if not (d := poly.diff(v)).is_zero()
-        ]
-        body += [f"{a} = -u2 * ({d.float_source()})" for _, a, d in grad]
+    for name, poly, grad in (("f", pair.f, grads[0]), ("g", pair.g, grads[1])):
+        terms = [(rows[v], f"a{name}{VARS[v]}", d) for v, d in grad]
+        body += [f"{a} = -u2 * ({d.float_source()})" for _, a, d in terms]
         body.append(f"{name}v = {poly.float_source()}")
         for c in range(6):
-            value = " + ".join(f"{a} * {row[c]}" for row, a, _ in grad) or "0.0"
+            value = " + ".join(f"{a} * {row[c]}" for row, a, _ in terms) or "0.0"
             values.append(f"{value} - {name}v" if c == 5 else value)
     # The z and w rows of Xdot are those of [0 | B]: (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1).
     values += ["0.0", "0.0", "0.0", "0.0", "1.0", "0.0", "0.0", "0.0", "0.0", "0.0", "0.0", "1.0"]
@@ -176,8 +219,37 @@ def horizontal_integrate(
     return Trajectory(times=np.array(all_times), states=np.vstack(all_states))
 
 
-def _sample_times(n_segments: int, sample_times: Sequence[float] | None) -> list[Fraction]:
-    """Sorted sample times in [0, 1] as exact fractions.
+class _Samples(NamedTuple):
+    """Sample times of a pass: each as a float, and the same floats grouped
+    by the segment whose closed interval holds them (the first such)."""
+
+    times: tuple[float, ...]
+    per_segment: tuple[tuple[float, ...], ...]
+
+
+def _split_samples(n_segments: int, fractions: Iterable[tuple[int, int]]) -> _Samples:
+    """_Samples of the times num / den for (num, den) in ``fractions``.
+
+    Integer arithmetic only: ceil(num n / den) - 1 is the segment, and
+    num / den is the float that ``Fraction.__float__`` gives."""
+    n = n_segments
+    times = []
+    per_segment: list[list[float]] = [[] for _ in range(n)]
+    for num, den in fractions:
+        t = num / den
+        times.append(t)
+        per_segment[max(-(-num * n // den) - 1, 0)].append(t)
+    return _Samples(tuple(times), tuple(map(tuple, per_segment)))
+
+
+@lru_cache(maxsize=64)
+def _default_samples(n_segments: int) -> _Samples:
+    m = max(16, 2 * n_segments)
+    return _split_samples(n_segments, ((k, m - 1) for k in range(m)))
+
+
+def _sample_times(n_segments: int, sample_times: Sequence[float] | None) -> _Samples:
+    """Sorted sample times in [0, 1], placed exactly in their segments.
 
     The default is m = max(16, 2 n) equispaced times k / (m - 1).  Times
     within H_FLOOR are one instant up to rounding, so a given time that
@@ -186,8 +258,7 @@ def _sample_times(n_segments: int, sample_times: Sequence[float] | None) -> list
     """
     n = n_segments
     if sample_times is None:
-        m = max(16, 2 * n)
-        return [Fraction(k, m - 1) for k in range(m)]
+        return _default_samples(n)
     times = sorted(float(t) for t in sample_times)
     if not times:
         raise ValueError("sample_times must hold at least one sample time")
@@ -199,14 +270,14 @@ def _sample_times(n_segments: int, sample_times: Sequence[float] | None) -> list
         t = Fraction(j, n) if abs(t - j / n) <= H_FLOOR else Fraction(t)
         if not out or t - out[-1] > H_FLOOR:
             out.append(t)
-    return out
+    return _split_samples(n, ((t.numerator, t.denominator) for t in out))
 
 
 def _sensitivity_pass(
     sys: _ControlSystem,
     q0,
     ctrl: ControlPath,
-    samples: Sequence[Fraction],
+    samples: _Samples | None,
     rtol: float,
     atol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -220,19 +291,15 @@ def _sensitivity_pass(
     cumulative transition Phi(t) = Phi_loc(t) Phi(boundary).
     """
     n = ctrl.n_segments
-    # Each sample is read off the segment whose closed interval holds it.
-    per_segment: list[list[float]] = [[] for _ in range(n)]
-    for t in samples:
-        per_segment[max(math.ceil(t * n) - 1, 0)].append(float(t))
-    restart = tuple(float(row == col) for row in range(4) for col in range(6))
+    per_segment = samples.per_segment if samples else ((),) * n
     q = _as_floats(q0)
     phi = np.eye(4)
     transitions, local_cols, qs, phis = [], [], [], []
     h_carry: float | None = None
     for j, (u1, u2) in enumerate(ctrl.u.tolist()):
         _, states, h_carry, sampled = adaptive_rk45(
-            sys.variational_rhs(u1, u2), (*q, *restart), (j / n, (j + 1) / n), rtol, atol,
-            h0=h_carry, samples=per_segment[j],
+            sys.variational_rhs(u1, u2), (*q, *_RESTART), (j / n, (j + 1) / n), rtol, atol,
+            h0=h_carry, samples=per_segment[j], fixed=sys.fixed,
         )
         qs.append(sampled[:, :4])
         phis.append(sampled[:, 4:].reshape(-1, 4, 6)[:, :, :4] @ phi)
@@ -288,7 +355,7 @@ def endpoint_jacobian(
     With ``fd_check`` the matrix is compared entrywise against central
     finite differences of step ``FD_STEP``.
     """
-    endpoint, jac, _, _ = _sensitivity_pass(_ControlSystem(pair), q0, ctrl, (), rtol, atol)
+    endpoint, jac, _, _ = _sensitivity_pass(_ControlSystem(pair), q0, ctrl, None, rtol, atol)
     fd_disc = None
     if fd_check:
         fd = np.zeros_like(jac)
@@ -362,7 +429,7 @@ def adjoint_transport(
     samples = _sample_times(ctrl.n_segments, sample_times)
     _, _, states, phis = _sensitivity_pass(sys, q0, ctrl, samples, rtol, atol)
     return AdjointRecord(
-        times=np.array([float(t) for t in samples]),
+        times=np.array(samples.times),
         states=states,
         transports=np.linalg.solve(phis, np.broadcast_to(np.eye(4), phis.shape)).transpose(0, 2, 1),
         constraint_matrix=_constraint_matrix(sys, states, phis),

@@ -8,9 +8,11 @@ the control system, its variational pass and the characteristic controls.
 Its trial step and dense output are generated per state size, and the
 right-hand sides per field or pair, as straight-line code
 (:mod:`engelkit.codegen`) that does the loops' arithmetic in the loops'
-order: results are bit-identical to theirs.  Generation happens on first
-use (about 2 ms for a 4-state step, 10 ms for a 28-state one), not at
-import.
+order: results are bit-identical to theirs.  The step skips the entries
+that the caller names as having an identically zero derivative (in the
+variational pass, about half of its 28 entries): they keep their value,
+and the result is still bit-identical.  Generation happens on first use
+(about 2 ms for a 4-state step, 10 ms for a 28-state one), not at import.
 Monitor channels are polynomial quantities sampled along the trajectory.
 Everything is deterministic for fixed inputs.
 """
@@ -169,7 +171,7 @@ def _names(prefix: str, n: int) -> list[str]:
 
 
 @lru_cache(maxsize=64)
-def _trial_step(n: int):
+def _trial_step(n: int, fixed: frozenset[int] = frozenset()):
     """Generated Dormand-Prince trial step on n-entry states.
 
     ``trial_step(rhs, t, h, t_new, y, k1, rtol, atol)`` evaluates the six
@@ -177,13 +179,23 @@ def _trial_step(n: int):
     stage and sum in tableau order.  It returns (y_new, k3, k4, k5, k6, k7,
     err, non_finite); when a stage overflows or a stage or y_new is not
     finite, it returns err = inf and non_finite = True with the rest None.
+
+    The entries in ``fixed`` have an rhs that is exactly +0.0 or -0.0 at
+    every stage.  Their stage values and y_new are y_j itself, and they
+    leave the error sum: y_j + h * (sum of zeros) is y_j for every y_j but
+    -0.0, and their zero terms would add nothing to the sum of squares.
+    The finiteness check still reads all of every stage, so a trial whose
+    rhs is not finite in such an entry is rejected as before.
     """
     y, y_new = _names("y", n), _names("n", n)
+    moving = [j for j in range(n) if j not in fixed]
+    new = [y[j] if j in fixed else y_new[j] for j in range(n)]
     k = {s: _names(f"k{s}_", n) for s in range(1, 8)}
     body = [f"{tuple_source(y)} = y", f"{tuple_source(k[1])} = k1", "try:"]
     for s in range(2, 7):
         state = tuple_source(
-            f"{y[j]} + h * ({linear_source(zip(_A[s - 1], (k[i][j] for i in range(1, s))))})"
+            y[j] if j in fixed
+            else f"{y[j]} + h * ({linear_source(zip(_A[s - 1], (k[i][j] for i in range(1, s))))})"
             for j in range(n)
         )
         body += [
@@ -194,26 +206,26 @@ def _trial_step(n: int):
     # weighs k2 and k7 by zero, so linear_source leaves them out.
     body += [
         f"    {y_new[j]} = {y[j]} + h * ({linear_source(zip(_B5, (k[i][j] for i in k)))})"
-        for j in range(n)
+        for j in moving
     ]
     body += [
-        f"    y_new = {tuple_source(y_new)}",
+        f"    y_new = {tuple_source(new)}",
         "    k7 = rhs(t_new, y_new)",
         f"    {tuple_source(k[7])} = k7",
         "except OverflowError:",
         "    return None, None, None, None, None, None, inf, True",
-        f"if not all(map(isfinite, {tuple_source([*(v for s in k for v in k[s]), *y_new])})):",
+        f"if not all(map(isfinite, {tuple_source([*(v for s in k for v in k[s]), *new])})):",
         "    return None, None, None, None, None, None, inf, True",
     ]
     # (b if b > a else a) is max(a, b) as the builtin evaluates it.
-    for j in range(n):
+    for j in moving:
         body += [
             f"a = abs({y[j]})",
             f"b = abs({y_new[j]})",
             f"e{j} = h * ({linear_source(zip(_ERR, (k[i][j] for i in k)))}) / "
             "(atol + rtol * (b if b > a else a))",
         ]
-    squares = " + ".join(["0.0", *(f"e{j} * e{j}" for j in range(n))])
+    squares = " + ".join(["0.0", *(f"e{j} * e{j}" for j in moving)])
     body.append(f"return y_new, k3, k4, k5, k6, k7, sqrt(({squares}) / {n}), False")
     return kernel(
         function_source("trial_step(rhs, t, h, t_new, y, k1, rtol, atol)", body), "trial_step"
@@ -221,11 +233,12 @@ def _trial_step(n: int):
 
 
 @lru_cache(maxsize=64)
-def _dense_output(n: int):
+def _dense_output(n: int, fixed: frozenset[int] = frozenset()):
     """Generated continuous extension on n-entry states.
 
     ``dense_output(y, h, theta, k1, k3, k4, k5, k6, k7)`` is the state at
-    t + theta h within the accepted step from (t, y) with those stages.
+    t + theta h within the accepted step from (t, y) with those stages;
+    the entries in ``fixed`` (see :func:`_trial_step`) are y_j itself.
     """
     y = _names("y", n)
     k = {s: _names(f"k{s}_", n) for s in (1, 3, 4, 5, 6, 7)}
@@ -234,7 +247,8 @@ def _dense_output(n: int):
         p1, p2, p3, p4 = (repr(float(p)) for p in _P[s - 1])
         body.append(f"d{s} = theta * ({p1} + theta * ({p2} + theta * ({p3} + theta * {p4})))")
     values = (
-        f"{y[j]} + h * ({' + '.join(f'd{s} * {k[s][j]}' for s in k)})" for j in range(n)
+        y[j] if j in fixed else f"{y[j]} + h * ({' + '.join(f'd{s} * {k[s][j]}' for s in k)})"
+        for j in range(n)
     )
     body.append(f"return {tuple_source(values)}")
     return kernel(
@@ -252,6 +266,7 @@ def adaptive_rk45(
     h0: float | None = None,
     stop_when: Callable[[float, tuple[float, ...]], bool] | None = None,
     samples: Sequence[float] = (),
+    fixed: frozenset[int] = frozenset(),
 ) -> tuple[list[float], np.ndarray, float, np.ndarray]:
     """Integrate rhs over t_span, recording every accepted step.
 
@@ -269,7 +284,10 @@ def adaptive_rk45(
     numpy's per-call overhead would cost more than the stages.  An
     OverflowError from the rhs (``**`` past the float range) is non-finite.
     The trial step and the dense output are generated for each state size
-    on first use (see :func:`_trial_step`).
+    and ``fixed`` set on first use (see :func:`_trial_step`).  ``fixed``
+    names entries whose rhs is exactly +0.0 or -0.0 at every state the
+    integration reaches and whose initial value is not -0.0; the step then
+    skips their arithmetic, and the result does not change by a bit.
     """
     control = _StepControl(t_span, rtol, atol, h0)
     t0, t1 = t_span
@@ -280,7 +298,7 @@ def adaptive_rk45(
         raise ValueError("samples must lie in t_span")
     y = tuple(map(float, y0))
     n = len(y)
-    trial_step = _trial_step(n)
+    trial_step = _trial_step(n, fixed)
     sampled = np.full((len(samples), n), math.nan)
     t = t0
     times = [t]
@@ -299,7 +317,7 @@ def adaptive_rk45(
                 ts, i = pending.pop()
                 sampled[i] = (
                     y_new if ts == t_new
-                    else _dense_output(n)(y, h, (ts - t) / h, k1, k3, k4, k5, k6, k7)
+                    else _dense_output(n, fixed)(y, h, (ts - t) / h, k1, k3, k4, k5, k6, k7)
                 )
             t = t_new
             y = y_new
@@ -494,7 +512,10 @@ class SurfaceSample:
     For each grid point, ``offsets`` holds (dx, dy) accumulated by the
     characteristic flow into the origin; the surface point is
     (-dx, -dy, z, w).  ``converged`` marks samples whose flow actually
-    reached rho < eps_cut with a negligible quadrature tail.
+    reached rho < eps_cut with a negligible quadrature tail.  ``failures``
+    maps the grid index of each sample whose flow raised IntegrationError
+    to the error's message; such a sample has NaN offsets and is not
+    converged.
     """
 
     grid: list[tuple[float, float]]
@@ -503,6 +524,7 @@ class SurfaceSample:
     eps_cut: float
     t_max: float
     skew_product: bool
+    failures: dict[int, str] = field(default_factory=dict)
 
     def surface_points(self) -> list[tuple[float, float, float, float]]:
         return [
@@ -566,7 +588,8 @@ def singular_surface(
     that translation invariance; user pairs whose characteristic components
     involve x or y are still integrated the same way but are flagged with
     ``skew_product=False``, and their offsets describe only the trajectory
-    from the (0, 0, z, w) base point.
+    from the (0, 0, z, w) base point.  A sample whose flow raises
+    IntegrationError is recorded in ``failures`` and the grid goes on.
     """
     if eps_cut <= 0 or t_max <= 0:
         raise ValueError("eps_cut and t_max must be positive")
@@ -577,18 +600,25 @@ def singular_surface(
     rho_fn = RHO.compile()
     offsets: list[tuple[float, float]] = []
     converged: list[bool] = []
+    failures: dict[int, str] = {}
     grid = [(float(z), float(w)) for z, w in grid]
-    for z, w in grid:
-        if z == 0.0 and w == 0.0:
-            raise ValueError("grid points must be nonzero")
-        traj = integrate(
-            fld,
-            (0.0, 0.0, z, w),
-            t_max,
-            rtol=rtol,
-            atol=atol,
-            stop_when=lambda t, y: rho_fn(*y) < eps_cut,
-        )
+    if (0.0, 0.0) in grid:
+        raise ValueError("grid points must be nonzero")
+    for i, (z, w) in enumerate(grid):
+        try:
+            traj = integrate(
+                fld,
+                (0.0, 0.0, z, w),
+                t_max,
+                rtol=rtol,
+                atol=atol,
+                stop_when=lambda t, y: rho_fn(*y) < eps_cut,
+            )
+        except IntegrationError as exc:
+            failures[i] = str(exc)
+            offsets.append((math.nan, math.nan))
+            converged.append(False)
+            continue
         end = traj.endpoint
         reached = rho_fn(*end) < eps_cut
         ok = False
@@ -604,4 +634,5 @@ def singular_surface(
         eps_cut=eps_cut,
         t_max=t_max,
         skew_product=skew,
+        failures=failures,
     )

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import engelkit
+from engelkit import cli
 from engelkit.cli import main
 from engelkit.distribution import CATALOG, resolve_model
 from engelkit.endpoint import ControlPath, horizontal_integrate
@@ -106,6 +111,82 @@ def test_surface_csv(tmp_path, capsys):
 
 def test_surface_rejects_zero_grid(capsys):
     assert main(["surface", "--model", "d224", "--grid", "0:0.1:2"]) == 2
+
+
+def test_surface_sample_whose_flow_fails_is_reported_and_the_grid_completes(tmp_path, capsys):
+    # The flow from (0, 0, 0.1, 0.01) underflows its step at t = 6.7; the
+    # other three samples integrate.
+    model = tmp_path / "user.json"
+    model.write_text(json.dumps({
+        "f": [[1, [0, 0, 2, 1]], ["1/3", [1, 0, 0, 1]], [-2, [0, 1, 1, 0]]],
+        "g": [[1, [0, 0, 1, 2]], ["3/2", [0, 0, 3, 0]], [1, [1, 1, 0, 0]]],
+    }))
+    out = tmp_path / "surf.csv"
+    assert main(["surface", "--model", str(model), "--grid=0.01:0.1:2", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "0/4 samples converged" in captured.out
+    (note,) = captured.err.splitlines()
+    assert note.startswith("note: surface sample (z, w) = (0.10000000000000001, 0.01) ")
+    assert "step size underflow (last reachable time 6.70742" in note
+    rows = out.read_text().splitlines()[5:]
+    assert len(rows) == 4
+    assert rows[2] == "0.10000000000000001,0.01,nan,nan,0"
+    assert all("nan" not in row for i, row in enumerate(rows) if i != 2)
+
+
+def test_the_reused_parser_carries_nothing_between_calls(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    assert main(["analyze", "--model", "d224", "--point", "0,0,0,0", "--point", "0,0,1,0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert main(["analyze", "--model", "d224", "--point", "0,0,1,0"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("point (0,0,1,0): growth (2,3,4)")
+    # an option given once falls back to its default on the next call
+    headers = []
+    for extra in (["--rank-tol", "0.001"], []):
+        out = tmp_path / "grid.csv"
+        argv = ["analyze", "--model", "d224", "--point", "0,0,0,0", "--out", str(out), *extra]
+        assert main(argv) == 0
+        headers.append(out.read_text().splitlines()[2])
+    assert "rank_tol=0.001" in headers[0] and "rank_tol=1e-09" in headers[1]
+    assert "point=['0,0,0,0'] " in headers[1]
+    # another subcommand gets none of the previous call's values
+    out = tmp_path / "char.json"
+    assert main(["char", "--model", "d2334a", "--out", str(out)]) == 0
+    header = json.loads(out.read_text())["_meta"]["header"]
+    assert header[2] == "params: command=char model=d2334a"
+
+
+def test_the_parser_works_after_a_usage_error_and_after_version(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "--model", "d224", "--no-such-flag"])
+    assert exit_info.value.code == 2
+    assert main(["analyze", "--model", "d224", "--point", "0,0,0,0"]) == 0
+    assert "growth (2,2,4)" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == f"engelkit {engelkit.__version__}\n"
+    assert main(["analyze", "--model", "d224", "--point", "0,0,1,0"]) == 0
+    assert "growth (2,3,4)" in capsys.readouterr().out
+
+
+def test_importing_the_cli_builds_no_parser_and_no_kernel():
+    # The parser and the generated kernels are built on first use, so that
+    # importing engelkit stays cheap.
+    probe = (
+        "import engelkit.cli\n"
+        "from engelkit import cli, codegen, endpoint, flow\n"
+        "caches = (cli._parser, codegen.kernel, flow._trial_step, flow._dense_output,\n"
+        "          endpoint._linearization, endpoint._default_samples)\n"
+        "print([c.cache_info().currsize for c in caches])\n"
+    )
+    src = str(Path(engelkit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[0, 0, 0, 0, 0, 0]\n"
 
 
 def test_endpoint_random_controls(tmp_path, capsys):

@@ -1,6 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from engelkit import endpoint
 from engelkit.distribution import CATALOG, PfaffianPair
 from engelkit.endpoint import (
     AMBIGUOUS,
@@ -16,14 +20,15 @@ from engelkit.endpoint import (
     horizontal_integrate,
     sard_sample,
     singular_score,
+    _RESTART,
     _ControlSystem,
     _sample_times,
     _sensitivity_pass,
 )
-from engelkit.flow import adaptive_rk45
+from engelkit.flow import IntegrationError, adaptive_rk45
 from engelkit.poly import VARS, Point4, SparsePoly, random_poly
 from reference_poly import reference_compile
-from reference_rk45 import reference_rk45
+from reference_rk45 import reference_rk45, reference_tuple_rk45
 
 ZERO_PAIR = PfaffianPair(SparsePoly.zero(), SparsePoly.zero())
 ORIGIN = Point4.origin()
@@ -417,3 +422,160 @@ def test_dense_transport_at_the_default_samples_matches_the_reference():
         for t, psi in zip(record.times, record.transports):
             phi = _reference_transition(pair, q0, ctrl, t)
             assert np.max(np.abs(psi.T @ phi - np.eye(4))) <= 1e-8, (t, pair)
+
+
+def _xy_pairs(seed, count):
+    """Seeded random pairs in which f or g depends on x or y."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        pair = PfaffianPair(random_poly(rng), random_poly(rng))
+        if any(p.degree_in(v) > 0 for p in (pair.f, pair.g) for v in ("x", "y")):
+            pairs.append(pair)
+    return pairs
+
+
+def _reference_pass(monkeypatch):
+    """Run the endpoint pass on the unfolded tuple loop, which steps every entry."""
+
+    def unfolded(rhs, y0, t_span, rtol, atol, h0=None, stop_when=None, samples=(), fixed=None):
+        return reference_tuple_rk45(rhs, y0, t_span, rtol, atol, h0, stop_when, samples)
+
+    monkeypatch.setattr(endpoint, "adaptive_rk45", unfolded)
+
+
+def test_fixed_entries_of_the_catalog_and_of_pairs_with_x_and_y_terms():
+    # The z and w rows of Phi and L's z-row column 5 and w-row column 4
+    # never move; on the catalog, where f and g depend on (z, w) only, nor
+    # do columns 0 and 1 of Phi's x and y rows, nor column 3 where f or g
+    # does not depend on w.
+    zw_rows = {16, 17, 18, 19, 21, 22, 23, 24, 25, 26}
+    for name, pair in CATALOG.items():
+        fixed = _ControlSystem(pair).fixed
+        assert fixed >= zw_rows | {4, 5, 10, 11}, name
+        assert len(fixed) in (15, 16), name
+    for pair in _xy_pairs(61, 12):
+        assert _ControlSystem(pair).fixed >= zw_rows
+
+
+def test_variational_rhs_is_zero_on_the_fixed_entries():
+    # At random states that keep the entries of the set that restart at 0.0
+    # there, and at random controls, every fixed entry's rhs is +0.0 or -0.0.
+    rng = np.random.default_rng(62)
+    for pair in [*CATALOG.values(), *_xy_pairs(63, 12)]:
+        sys = _ControlSystem(pair)
+        zero = [j for j in sys.fixed if _RESTART[j - 4] == 0.0]
+        for _ in range(20):
+            s = rng.uniform(-2.0, 2.0, 28)
+            s[zero] = 0.0
+            u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
+            value = sys.variational_rhs(u1, u2)(0.0, tuple(s.tolist()))
+            assert all(value[j] == 0.0 for j in sys.fixed), (pair, u1, u2)
+
+
+def test_unfolded_steps_never_move_a_fixed_entry():
+    # Integrated without the set, every accepted state and dense sample
+    # keeps each fixed entry bit for bit at its restart value.
+    rng = np.random.default_rng(64)
+    for pair in [*CATALOG.values(), *_xy_pairs(65, 6)]:
+        sys = _ControlSystem(pair)
+        fixed = sorted(sys.fixed)
+        for _ in range(3):
+            u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
+            y0 = (*rng.uniform(-0.5, 0.5, 4).tolist(), *_RESTART)
+            _, states, _, sampled = reference_tuple_rk45(
+                sys.variational_rhs(u1, u2), y0, (0.0, 0.5), 1e-10, 1e-12,
+                samples=rng.uniform(0.0, 0.5, 5),
+            )
+            restart = np.array([y0[j] for j in fixed])
+            for row in (*states, *sampled):
+                assert row[fixed].tobytes() == restart.tobytes(), (pair, u1, u2)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def test_folded_step_is_bit_identical_to_the_tuple_loop():
+    # One call per control segment, as the pass makes it: the folded step
+    # and dense output give the tuple loop's times, states, carried step and
+    # samples bit for bit.
+    rng = np.random.default_rng(66)
+    for pair in [*CATALOG.values(), *_xy_pairs(67, 6)]:
+        sys = _ControlSystem(pair)
+        for n in (1, 7, 32, 64):
+            u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
+            y0 = (*rng.uniform(-0.5, 0.5, 4).tolist(), *_RESTART)
+            t_span = (3 / n, 4 / n)
+            for h0 in (None, 0.3 / n):
+                args = (y0, t_span, 1e-10, 1e-12, h0, None, rng.uniform(*t_span, 3))
+                rhs = sys.variational_rhs(u1, u2)
+                got = adaptive_rk45(rhs, *args, fixed=sys.fixed)
+                want = reference_tuple_rk45(rhs, *args)
+                assert all(_bits(a) == _bits(b) for a, b in zip(got, want)), (pair, n)
+
+
+def test_folded_pass_is_bit_identical_to_the_unfolded_pass(monkeypatch):
+    # The whole variational pass on 1- to 64-segment controls from random
+    # base points, on the catalog and on pairs with x and y terms.
+    rng = np.random.default_rng(68)
+    cases = []
+    for pair in [*CATALOG.values(), *_xy_pairs(69, 4)]:
+        for n in (1, 2, 5, 13, 32, 64):
+            q0 = tuple(rng.uniform(-0.3, 0.3, 4).tolist())
+            cases.append((pair, q0, ControlPath(rng.uniform(-1.0, 1.0, (n, 2)))))
+
+    def passes():
+        return [
+            [_bits(a) for a in _sensitivity_pass(
+                _ControlSystem(pair), q0, ctrl, _sample_times(ctrl.n_segments, None),
+                1e-10, 1e-12,
+            )]
+            for pair, q0, ctrl in cases
+        ]
+
+    folded = passes()
+    _reference_pass(monkeypatch)
+    assert passes() == folded
+
+
+@pytest.mark.parametrize(
+    "f,q0",
+    [
+        # x' = -u2 x^4 overflows in a stage from 1e60 and blows up at t = 1/3 from -1
+        (SparsePoly({(4, 0, 0, 0): 1}), (1e60, 0.0, 0.0, 0.0)),
+        (SparsePoly({(4, 0, 0, 0): 1}), (-1.0, 0.0, 0.0, 0.0)),
+        # f stays finite at z = 34.6 but its z-derivative is inf, so the
+        # fixed x-row entries of Phi read inf * 0.0 = nan
+        (SparsePoly({(0, 0, 200, 0): 1}), (0.0, 0.0, 34.6, 0.0)),
+    ],
+    ids=["overflow", "blow-up", "nan-in-a-fixed-entry"],
+)
+def test_non_finite_pass_fails_like_the_unfolded_pass(f, q0, monkeypatch):
+    pair = PfaffianPair(f, SparsePoly.zero())
+    ctrl = ControlPath.constant(0.0, 1.0, 2)
+    with pytest.raises(IntegrationError) as got:
+        bryant_hsu_test(pair, q0, ctrl)
+    _reference_pass(monkeypatch)
+    with pytest.raises(IntegrationError) as want:
+        bryant_hsu_test(pair, q0, ctrl)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_default_samples_are_split_as_exact_fractions():
+    # The cached default split against the Fraction arithmetic it replaces;
+    # the split is immutable.
+    for n in range(1, 65):
+        samples = _sample_times(n, None)
+        m = max(16, 2 * n)
+        fractions = [Fraction(k, m - 1) for k in range(m)]
+        per_segment = [[] for _ in range(n)]
+        for t in fractions:
+            per_segment[max(math.ceil(t * n) - 1, 0)].append(float(t))
+        assert samples.times == tuple(float(t) for t in fractions)
+        assert samples.per_segment == tuple(map(tuple, per_segment))
+        assert _sample_times(n, None) is samples
+    given = _sample_times(5, [0.6 - 1e-16, 0.2, 0.93, 1.0])
+    assert given.times == (0.2, 0.6, 0.93, 1.0)
+    assert given.per_segment == ((0.2,), (), (0.6,), (), (0.93, 1.0))

@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -517,6 +518,21 @@ def test_surface_rejects_origin_and_bad_params():
         singular_surface("d224", [(0.0, 0.0)])
     with pytest.raises(ValueError):
         singular_surface("d224", [(0.1, 0.1)], eps_cut=0.0)
+
+
+def test_surface_sample_whose_flow_fails_does_not_stop_the_grid():
+    # the flow from (0, 0, 0.1, 0.01) underflows its step at t = 6.7
+    pair = PfaffianPair(
+        SparsePoly({(0, 0, 2, 1): 1, (1, 0, 0, 1): Fraction(1, 3), (0, 1, 1, 0): -2}),
+        SparsePoly({(0, 0, 1, 2): 1, (0, 0, 3, 0): Fraction(3, 2), (1, 1, 0, 0): 1}),
+    )
+    sample = singular_surface(pair, [(0.01, 0.01), (0.1, 0.01), (0.1, 0.1)])
+    assert list(sample.failures) == [1]
+    assert sample.failures[1].startswith("step size underflow (last reachable time 6.7")
+    assert sample.converged == [False, False, False]
+    assert all(math.isnan(v) for v in sample.offsets[1])
+    assert all(math.isfinite(v) for i in (0, 2) for v in sample.offsets[i])
+    assert singular_surface("d224", [(0.05, 0.1)]).failures == {}
 
 
 def test_surface_membership():
