@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +41,14 @@ class CliError(Exception):
     """Bad user input (exit code 2)."""
 
 
+def _non_finite(text: str) -> bool:
+    """Whether text reads as a NaN or infinite float ("nan", "-inf", "1e400")."""
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 def _parse_point(text: str) -> Point4:
     parts = text.split(",")
     if len(parts) != 4:
@@ -48,6 +57,8 @@ def _parse_point(text: str) -> Point4:
     rational = all(("." not in p) and ("e" not in p.lower()) for p in parts)
     for p in parts:
         p = p.strip()
+        if _non_finite(p):
+            raise CliError(f"bad coordinate {p!r}: coordinates must be finite")
         try:
             coords.append(Fraction(p) if rational else float(p))
         except (ValueError, ZeroDivisionError) as exc:
@@ -58,7 +69,11 @@ def _parse_point(text: str) -> Point4:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, count = text.split(":")
-        values = np.linspace(float(lo), float(hi), int(count))
+        lo, hi = float(lo), float(hi)
+        # NaN or infinite when either bound is, or when max - min overflows.
+        if not math.isfinite(hi - lo):
+            raise CliError(f"bad grid spec {text!r}: min, max and max - min must be finite")
+        values = np.linspace(lo, hi, int(count))
     except ValueError as exc:
         raise CliError(f"bad grid spec {text!r}; expected min:max:count") from exc
     if len(values) == 0:

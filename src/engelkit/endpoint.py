@@ -95,7 +95,14 @@ class ControlPath:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ControlPath":
-        return cls(np.asarray(data["u"], dtype=float))
+        """The control of a ``to_json_dict`` record; ``n_segments``, when
+        given, must equal the number of rows of ``u``."""
+        ctrl = cls(np.asarray(data["u"], dtype=float))
+        if "n_segments" in data and data["n_segments"] != ctrl.n_segments:
+            raise ValueError(
+                f"control has n_segments={data['n_segments']!r} but {ctrl.n_segments} rows in u"
+            )
+        return ctrl
 
 
 class _ControlSystem:
@@ -110,6 +117,12 @@ class _ControlSystem:
     def rhs(self, q: Sequence[float], u1: float, u2: float) -> tuple[float, float, float, float]:
         x, y, z, w = q
         return (-u2 * self._f(x, y, z, w), -u2 * self._g(x, y, z, w), u1, u2)
+
+    def frame(self, q: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(Z, W) at q, equal to rhs(q, 1.0, 0.0) and rhs(q, 0.0, 1.0) signed
+        zeros included, with f and g evaluated once."""
+        fv, gv = self._f(*q), self._g(*q)
+        return (-0.0 * fv, -0.0 * gv, 1.0, 0.0), (-1.0 * fv, -1.0 * gv, 0.0, 1.0)
 
     def variational_rhs(self, u1: float, u2: float):
         """rhs of (q, X) with X = [Phi | L] a 4x6 matrix stored row-major:
@@ -207,7 +220,7 @@ def horizontal_integrate(
     n = ctrl.n_segments
     y = _as_floats(q0)
     all_times = [0.0]
-    all_states = [np.array([y])]
+    all_states = [y]
     h_carry: float | None = None
     for j, (u1, u2) in enumerate(ctrl.u.tolist()):
         times, states, h_carry, _ = adaptive_rk45(
@@ -215,8 +228,8 @@ def horizontal_integrate(
         )
         y = states[-1]
         all_times += times[1:]
-        all_states.append(states[1:])
-    return Trajectory(times=np.array(all_times), states=np.vstack(all_states))
+        all_states += states[1:]
+    return Trajectory(times=all_times, states=all_states)
 
 
 class _Samples(NamedTuple):
@@ -288,41 +301,48 @@ def _sensitivity_pass(
     two control entries) restart at (I, 0) at every segment boundary; the
     Jacobian chains them backwards over the later segments.  Returns the
     endpoint, the 4 x 2n Jacobian, and at each sample the state and the
-    cumulative transition Phi(t) = Phi_loc(t) Phi(boundary).
+    cumulative transition Phi(t) = Phi_loc(t) Phi(boundary).  The segments
+    run on float tuples; numpy stacks the segment ends and the samples
+    once, after the last segment.
     """
     n = ctrl.n_segments
     per_segment = samples.per_segment if samples else ((),) * n
-    q = _as_floats(q0)
-    phi = np.eye(4)
-    transitions, local_cols, qs, phis = [], [], [], []
+    y = (*_as_floats(q0), *_RESTART)
+    ends: list[tuple[float, ...]] = []
+    sampled: list[tuple[float, ...]] = []
+    segment: list[int] = []
     h_carry: float | None = None
     for j, (u1, u2) in enumerate(ctrl.u.tolist()):
-        _, states, h_carry, sampled = adaptive_rk45(
-            sys.variational_rhs(u1, u2), (*q, *_RESTART), (j / n, (j + 1) / n), rtol, atol,
+        _, states, h_carry, at_samples = adaptive_rk45(
+            sys.variational_rhs(u1, u2), y, (j / n, (j + 1) / n), rtol, atol,
             h0=h_carry, samples=per_segment[j], fixed=sys.fixed,
         )
-        qs.append(sampled[:, :4])
-        phis.append(sampled[:, 4:].reshape(-1, 4, 6)[:, :, :4] @ phi)
-        q = states[-1][:4]
-        x_end = states[-1][4:].reshape(4, 6)
-        transitions.append(x_end[:, :4])
-        local_cols.append(x_end[:, 4:])
-        phi = transitions[j] @ phi
+        ends.append(states[-1])
+        sampled += at_samples
+        segment += [j] * len(at_samples)
+        y = (*states[-1][:4], *_RESTART)
 
-    jac = np.zeros((4, 2 * n))
-    suffix = np.eye(4)
-    for j in range(n - 1, -1, -1):
-        jac[:, 2 * j : 2 * j + 2] = suffix @ local_cols[j]
-        suffix = suffix @ transitions[j]
-    return q, jac, np.concatenate(qs), np.concatenate(phis)
+    # [Phi | L] at the end of each segment, and Phi(boundary j) and the
+    # product of the later transitions, chained one matmul at a time.
+    blocks = np.array(ends)[:, 4:].reshape(n, 4, 6)
+    transitions = blocks[:, :, :4]
+    prefix = np.empty((n, 4, 4))
+    suffix = np.empty((n, 4, 4))
+    prefix[0] = suffix[-1] = np.eye(4)
+    for j in range(1, n):
+        prefix[j] = transitions[j - 1] @ prefix[j - 1]
+        suffix[-1 - j] = suffix[-j] @ transitions[-j]
+    jac = (suffix @ blocks[:, :, 4:]).transpose(1, 0, 2).reshape(4, 2 * n)
+    at = np.array(sampled, dtype=float).reshape(-1, len(y))
+    phis = at[:, 4:].reshape(-1, 4, 6)[:, :, :4] @ prefix[segment]
+    return np.array(ends[-1][:4]), jac, at[:, :4], phis
 
 
 def _constraint_matrix(sys: _ControlSystem, states: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Rows (h1, h2) = (<lambda, Z>, <lambda, W>) at each sample, as linear
     functions of the initial covector.  The covector transport is
-    Phi(t)^{-T}, so the two rows at t are solve(Phi(t), [Z | W])^T; Z and
-    W are the control fields at unit controls (1, 0) and (0, 1)."""
-    frames = np.array([[sys.rhs(q, 1.0, 0.0), sys.rhs(q, 0.0, 1.0)] for q in states])
+    Phi(t)^{-T}, so the two rows at t are solve(Phi(t), [Z | W])^T."""
+    frames = np.array([sys.frame(q) for q in states.tolist()])
     return np.linalg.solve(phis, frames.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(-1, 4)
 
 
@@ -478,7 +498,7 @@ def bryant_hsu_test(
     samples = _sample_times(ctrl.n_segments, None)
     endpoint, jac, states, phis = _sensitivity_pass(sys, q0, ctrl, samples, rtol, atol)
     phi = _constraint_matrix(sys, states, phis)
-    _, sv, vt = np.linalg.svd(phi)
+    _, sv, vt = np.linalg.svd(phi, full_matrices=False)
     bh_smallest = float(sv[-1])
     kernel = vt[-1]
     pivot = int(np.argmax(np.abs(kernel)))

@@ -3,6 +3,9 @@
 One Dormand-Prince 4(5) integrator, :func:`adaptive_rk45`, serves every flow:
 an embedded Runge-Kutta pair with per-step error control on mixed absolute
 and relative tolerances and dense output, run on tuples of Python floats.
+It calls no numpy: it returns its accepted states and dense samples as
+lists of float tuples, and each caller converts them once where it needs
+arrays (the variational pass stacks a whole pass's in one array).
 It integrates the characteristic flows here and, in :mod:`engelkit.endpoint`,
 the control system, its variational pass and the characteristic controls.
 Its trial step and dense output are generated per state size, and the
@@ -267,11 +270,13 @@ def adaptive_rk45(
     stop_when: Callable[[float, tuple[float, ...]], bool] | None = None,
     samples: Sequence[float] = (),
     fixed: frozenset[int] = frozenset(),
-) -> tuple[list[float], np.ndarray, float, np.ndarray]:
+) -> tuple[list[float], list[tuple[float, ...]], float, list[tuple[float, ...]]]:
     """Integrate rhs over t_span, recording every accepted step.
 
     Returns (times, states, last_step_size, sampled); the last step lands
-    exactly on t1.  ``sampled[i]`` is the state at ``samples[i]`` (in
+    exactly on t1.  ``states`` and ``sampled`` are lists of float tuples,
+    built without numpy; callers convert them once where they need arrays.
+    ``sampled[i]`` is the state at ``samples[i]`` (in
     t_span) from the continuous extension of the step covering it, so
     samples add no steps; it is the stored state at a step's time and NaN
     past a ``stop_when`` break, which is checked at accepted steps only.
@@ -291,15 +296,19 @@ def adaptive_rk45(
     """
     control = _StepControl(t_span, rtol, atol, h0)
     t0, t1 = t_span
-    pending = [(math.inf, -1)] + sorted(
-        ((float(s), i) for i, s in enumerate(samples)), reverse=True
-    )
-    if not all(t0 <= s <= t1 for s, _ in pending[1:]):
+    times_at = list(map(float, samples))
+    pending = [(math.inf, -1), *sorted(zip(times_at, range(len(times_at))), reverse=True)]
+    # The sorted ends bound every sample; a NaN, which sorts anywhere,
+    # makes the sum NaN.
+    if times_at and not (
+        t0 <= pending[-1][0] and pending[1][0] <= t1 and not math.isnan(sum(times_at))
+    ):
         raise ValueError("samples must lie in t_span")
     y = tuple(map(float, y0))
     n = len(y)
     trial_step = _trial_step(n, fixed)
-    sampled = np.full((len(samples), n), math.nan)
+    dense_output = _dense_output(n, fixed) if times_at else None
+    sampled = [(math.nan,) * n] * len(times_at)
     t = t0
     times = [t]
     states = [y]
@@ -317,7 +326,7 @@ def adaptive_rk45(
                 ts, i = pending.pop()
                 sampled[i] = (
                     y_new if ts == t_new
-                    else _dense_output(n, fixed)(y, h, (ts - t) / h, k1, k3, k4, k5, k6, k7)
+                    else dense_output(y, h, (ts - t) / h, k1, k3, k4, k5, k6, k7)
                 )
             t = t_new
             y = y_new
@@ -329,7 +338,7 @@ def adaptive_rk45(
             control.accept(err)
         else:
             control.reject(err, non_finite)
-    return times, np.array(states), control.h, sampled
+    return times, states, control.h, sampled
 
 
 @dataclass
@@ -406,6 +415,7 @@ def integrate(
     times, states, _, _ = adaptive_rk45(
         fld.compile_rhs(), y0, (0.0, abs(t_end)), rtol, atol, stop_when=stop_when
     )
+    states = np.array(states)
     return Trajectory(
         times=np.array(times), states=states, monitors=_monitor_channels(monitors, states)
     )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -356,3 +357,45 @@ def test_verify_subset(capsys):
 
 def test_verify_rejects_unknown_criteria(capsys):
     assert main(["verify", "--criteria", "99"]) == 2
+
+
+def test_control_file_whose_n_segments_disagrees_with_u_is_a_usage_error(tmp_path, capsys):
+    ctrl_file = tmp_path / "ctrl.json"
+    ctrl_file.write_text(json.dumps({"n_segments": 5, "u": [[1, 0], [0, 1], [1, 1]]}))
+    assert main(["endpoint", "--model", "d224", "--controls", str(ctrl_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: control has n_segments=5 but 3 rows in u\n"
+    # without n_segments the rows are the segments
+    ctrl_file.write_text(json.dumps({"u": [[1, 0], [0, 1], [1, 1]]}))
+    assert main(["endpoint", "--model", "d224", "--controls", str(ctrl_file)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["surface", "--model", "d224", "--grid=nan:0.1:2"],
+         "error: bad grid spec 'nan:0.1:2': min, max and max - min must be finite"),
+        (["surface", "--model", "d224", "--grid=0.01:inf:2"],
+         "error: bad grid spec '0.01:inf:2': min, max and max - min must be finite"),
+        (["analyze", "--model", "d224", "--grid=-inf:0.1:2"],
+         "error: bad grid spec '-inf:0.1:2': min, max and max - min must be finite"),
+        (["surface", "--model", "d224", "--grid=-1e308:1e308:3"],
+         "error: bad grid spec '-1e308:1e308:3': min, max and max - min must be finite"),
+        (["endpoint", "--model", "d224", "--random", "1", "--q0=nan,0,0,0"],
+         "error: bad coordinate 'nan': coordinates must be finite"),
+        (["endpoint", "--model", "d224", "--random", "1", "--q0=0.5,0,1e400,0"],
+         "error: bad coordinate '1e400': coordinates must be finite"),
+        (["analyze", "--model", "d224", "--point", "0,-inf,0,0"],
+         "error: bad coordinate '-inf': coordinates must be finite"),
+    ],
+    ids=["grid-nan", "grid-inf", "analyze-grid", "grid-span", "q0-nan", "q0-overflow", "point-inf"],
+)
+def test_non_finite_numbers_on_the_command_line_are_usage_errors(argv, message, capsys):
+    # rejected before numpy sees them: a RuntimeWarning would fail the call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from engelkit.endpoint import (
 )
 from engelkit.flow import IntegrationError, adaptive_rk45
 from engelkit.poly import VARS, Point4, SparsePoly, random_poly
+import reference_endpoint
 from reference_poly import reference_compile
 from reference_rk45 import reference_rk45, reference_tuple_rk45
 
@@ -231,6 +233,7 @@ def test_adjoint_duality_pairing_is_conserved():
         lam0 = rng.normal(size=4)
         s0 = np.concatenate([np.array([0.0, 0.0, 0.3, 0.2]), dq0, lam0])
         _, states, _, _ = adaptive_rk45(rhs, s0, (0.0, 1.0), 1e-10, 1e-12)
+        states = np.array(states)
         pairings = [s[8:12] @ s[4:8] for s in states]
         assert max(abs(p - pairings[0]) for p in pairings) <= 1e-8
 
@@ -439,7 +442,10 @@ def _reference_pass(monkeypatch):
     """Run the endpoint pass on the unfolded tuple loop, which steps every entry."""
 
     def unfolded(rhs, y0, t_span, rtol, atol, h0=None, stop_when=None, samples=(), fixed=None):
-        return reference_tuple_rk45(rhs, y0, t_span, rtol, atol, h0, stop_when, samples)
+        times, states, h, sampled = reference_tuple_rk45(
+            rhs, y0, t_span, rtol, atol, h0, stop_when, samples
+        )
+        return times, list(map(tuple, states.tolist())), h, list(map(tuple, sampled.tolist()))
 
     monkeypatch.setattr(endpoint, "adaptive_rk45", unfolded)
 
@@ -579,3 +585,114 @@ def test_default_samples_are_split_as_exact_fractions():
     given = _sample_times(5, [0.6 - 1e-16, 0.2, 0.93, 1.0])
     assert given.times == (0.2, 0.6, 0.93, 1.0)
     assert given.per_segment == ((0.2,), (), (0.6,), (), (0.93, 1.0))
+
+
+def _stacked_pass_cases():
+    """Catalog pairs and pairs with x and y terms on 1- to 64-segment random
+    controls from the origin and from random base points, and the
+    characteristic arcs of the three degenerate models."""
+    rng = np.random.default_rng(70)
+    cases = []
+    for pair in [*CATALOG.values(), *_xy_pairs(71, 4)]:
+        for n in (1, 2, 5, 16, 32, 64):
+            for q0 in (ORIGIN, tuple(rng.uniform(-0.3, 0.3, 4).tolist())):
+                cases.append((pair, q0, ControlPath(rng.uniform(-1.0, 1.0, (n, 2)))))
+    for model, p0 in (
+        ("d224", Point4(-(0.1**3) / 3.0, -(0.1**3) / 3.0, 0.1, 0.1)),
+        ("d2334a", Point4(0, 0, 0.1, 0.1)),
+        ("d2334b", Point4(0, 0, 0.1, 0.0)),
+    ):
+        pair = CATALOG[model]
+        ctrl = char_control(pair, p0, endpoint.CHAR_ARC_DURATION[model], 64)
+        cases.append((pair, p0, ctrl))
+    return cases
+
+
+def _record_bits(record) -> list[bytes]:
+    """The bytes of every numeric field; strings and None are compared apart."""
+    values = (getattr(record, f.name) for f in dataclasses.fields(record))
+    return [_bits(v) for v in values if not isinstance(v, (str, type(None)))]
+
+
+def test_stacked_pass_is_bit_identical_to_the_per_segment_pass():
+    # The pass that stacks the segments once, the single frame evaluation
+    # per sample and the thin SVD against the per-segment pass they replace:
+    # every output of the three public functions is equal byte for byte.
+    sample_times = [0.0, 0.13, 0.5, 0.77, 1.0]
+    for pair, q0, ctrl in _stacked_pass_cases():
+        got = bryant_hsu_test(pair, q0, ctrl)
+        want = reference_endpoint.bryant_hsu_test(pair, q0, ctrl)
+        assert got.classification == want.classification
+        assert (got.witness is None) == (want.witness is None)
+        assert _record_bits(got) == _record_bits(want), (pair, q0, ctrl.n_segments)
+        got = endpoint_jacobian(pair, q0, ctrl)
+        want = reference_endpoint.endpoint_jacobian(pair, q0, ctrl)
+        assert _record_bits(got) == _record_bits(want), (pair, q0, ctrl.n_segments)
+        for times in (None, sample_times):
+            got = adjoint_transport(pair, q0, ctrl, sample_times=times)
+            want = reference_endpoint.adjoint_transport(pair, q0, ctrl, sample_times=times)
+            assert _record_bits(got) == _record_bits(want), (pair, q0, ctrl.n_segments)
+
+
+# Weights (a, b) of x and y under the dilations d_lam(x, y, z, w) =
+# (lam^a x, lam^b y, lam z, lam w), which preserve each catalog distribution.
+DILATION_WEIGHTS = {"engel_std": (2, 3), "d224": (3, 3), "d2334a": (2, 4), "d2334b": (2, 4)}
+
+
+def test_weighted_dilations_map_endpoints_jacobians_and_covector_rows():
+    # The control lam u from d_lam(q0) traces d_lam of the curve u traces
+    # from q0.  With D = diag(lam^a, lam^b, lam, lam), and with no reference
+    # solution: endpoint' = D endpoint, J' = D J / lam, and the covector
+    # rows C' = C D / lam (a covector l at q0 is D^-1 l at d_lam(q0), and
+    # d_lam pushes Z and W forward to lam Z and lam W).  On the catalog
+    # every integrand is a polynomial in t that the steps integrate exactly,
+    # so all three agree to round-off: at most 1.1e-15, 1.7e-16 and 1.7e-16
+    # relative to the largest entry, measured on these cases; the bound
+    # 1e-14 leaves 9x.  sigma_ratio and bh_smallest are not invariant under
+    # the anisotropic D: on one d2334a curve at lam = 0.34, bh went from
+    # 1.4e-3 to 5.4e-5 and sigma from 1.7e-4 to 6.7e-6, both from REGULAR
+    # to AMBIGUOUS.  So both detectors classify the dilated curve with D
+    # undone.
+    rng = np.random.default_rng(72)
+    for model, (a, b) in DILATION_WEIGHTS.items():
+        pair = CATALOG[model]
+        for n in (16, 32):
+            for _ in range(3):
+                lam = float(rng.uniform(0.3, 3.0))
+                scale = lam ** np.array([a, b, 1.0, 1.0])
+                q0 = rng.uniform(-0.3, 0.3, 4)
+                u = rng.uniform(-1.0, 1.0, (n, 2))
+                ctrl, dilated = ControlPath(u), ControlPath(lam * u)
+                verdict = bryant_hsu_test(pair, q0, ctrl)
+                end = endpoint_jacobian(pair, q0, ctrl)
+                end_dilated = endpoint_jacobian(pair, scale * q0, dilated)
+                rows = adjoint_transport(pair, q0, ctrl).constraint_matrix
+                rows_dilated = adjoint_transport(pair, scale * q0, dilated).constraint_matrix
+                jac_undone = end_dilated.matrix * lam / scale[:, None]
+                rows_undone = rows_dilated * lam / scale
+                for got, want in (
+                    (end_dilated.endpoint / scale, end.endpoint),
+                    (jac_undone, end.matrix),
+                    (rows_undone, rows),
+                ):
+                    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (model, lam)
+                bh_undone = float(np.linalg.svd(rows_undone, compute_uv=False)[-1])
+                assert classify_statistic(bh_undone) == verdict.classification, (model, lam)
+                sigma_undone = singular_score(jac_undone)
+                assert classify_statistic(sigma_undone) == verdict.jacobian_classification
+
+
+@pytest.mark.parametrize("model", ["d224", "d2334a", "d2334b"])
+def test_weighted_dilations_keep_characteristic_arcs_singular(model):
+    p0 = {
+        "d224": Point4(-(0.1**3) / 3.0, -(0.1**3) / 3.0, 0.1, 0.1),
+        "d2334a": Point4(0, 0, 0.1, 0.1),
+        "d2334b": Point4(0, 0, 0.1, 0.0),
+    }[model]
+    pair = CATALOG[model]
+    a, b = DILATION_WEIGHTS[model]
+    ctrl = char_control(pair, p0, endpoint.CHAR_ARC_DURATION[model], 64)
+    for lam in (0.3, 1.7, 3.0):
+        q0 = lam ** np.array([a, b, 1.0, 1.0]) * np.array(p0.as_floats())
+        verdict = bryant_hsu_test(pair, q0, ControlPath(lam * ctrl.u))
+        assert verdict.classification == verdict.jacobian_classification == SINGULAR, lam

@@ -313,6 +313,7 @@ def test_samples_add_no_steps_and_keep_one_rhs_call_saved_per_step():
     times, _, _, sampled = adaptive_rk45(
         _decay(calls), np.array([1.0, 0.0]), (0.0, 1.0), 1e-10, 1e-12, samples=samples
     )
+    sampled = np.array(sampled)
     # first-same-as-last: one rhs call to start, then six per step (no step
     # is rejected on this problem)
     assert calls[0] == 1 + 6 * (len(times) - 1)
@@ -326,6 +327,7 @@ def test_samples_at_the_ends_are_the_stored_states():
     times, states, _, sampled = adaptive_rk45(
         _decay([0]), np.array([1.0, 0.0]), (0.0, 0.7), 1e-10, 1e-12, samples=[0.7, 0.3, 0.0]
     )
+    states, sampled = np.array(states), np.array(sampled)
     assert sampled[0].tolist() == states[-1].tolist() and times[-1] == 0.7
     assert sampled[2].tolist() == states[0].tolist() == [1.0, 0.0]
     assert abs(sampled[1][0] - math.exp(-0.3)) <= 1e-9
@@ -333,9 +335,22 @@ def test_samples_at_the_ends_are_the_stored_states():
 
 @pytest.mark.parametrize("outside", [-1e-9, 1.0 + 1e-9, math.nan])
 def test_sample_outside_t_span_is_rejected(outside):
-    with pytest.raises(ValueError, match="t_span"):
-        adaptive_rk45(_decay([0]), np.array([1.0, 0.0]), (0.0, 1.0), 1e-10, 1e-12,
-                      samples=[0.5, outside])
+    for samples in ([0.5, outside], [0.9, outside, 0.1], [outside, 0.2, 0.7, 0.4]):
+        with pytest.raises(ValueError, match="t_span"):
+            adaptive_rk45(_decay([0]), np.array([1.0, 0.0]), (0.0, 1.0), 1e-10, 1e-12,
+                          samples=samples)
+
+
+def test_the_driver_calls_no_numpy(monkeypatch):
+    # States, samples and the sample check stay in Python floats: with
+    # flow's numpy gone, the driver still runs, samples included.
+    want = adaptive_rk45(lambda t, y: (-y[0], y[0]), (1.0, 0.0), (0.0, 1.0), 1e-10, 1e-12,
+                         samples=(0.7, 0.3, 1.0))
+    monkeypatch.setattr(flow, "np", None)
+    got = adaptive_rk45(lambda t, y: (-y[0], y[0]), (1.0, 0.0), (0.0, 1.0), 1e-10, 1e-12,
+                        samples=(0.7, 0.3, 1.0))
+    assert got == want
+    assert isinstance(got[1], list) and all(type(s) is tuple for s in (*got[1], *got[3]))
 
 
 def test_call_without_samples_keeps_its_step_sequence():
@@ -343,6 +358,7 @@ def test_call_without_samples_keeps_its_step_sequence():
     times, _, h, sampled = adaptive_rk45(
         _decay([0]), np.array([1.0, 0.0]), (0.0, 1.0), 1e-6, 1e-9
     )
+    sampled = np.array(sampled).reshape(len(sampled), 2)
     assert times == [
         0.0, 0.01, 0.060000000000000005, 0.20332359825311908, 0.38315797386466227,
         0.5868410389749562, 0.8073281076252028, 1.0,
