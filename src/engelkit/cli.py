@@ -233,7 +233,10 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
         data = json.loads(Path(args.controls).read_text(encoding="utf-8"))
         entries = data if isinstance(data, list) else [data]
         controls = [ControlPath.from_json_dict(entry) for entry in entries]
-    elif args.random:
+    elif args.random is not None:
+        for flag, count in (("--random", args.random), ("--n-segments", args.n_segments)):
+            if count < 1:
+                raise CliError(f"{flag} must be at least 1, got {count}")
         rng = np.random.default_rng(args.seed)
         controls = [
             ControlPath(rng.uniform(-1.0, 1.0, size=(args.n_segments, 2)))

@@ -197,10 +197,12 @@ def growth_vector(
     after level k is below 4.  At rational points the rank is exact
     (Gaussian elimination over Q) and ``rank_tol`` is ignored; otherwise
     the rank is the number of singular values above ``rank_tol`` relative
-    to the largest one.
+    to the largest one; ``rank_tol`` must lie in [0, 1) either way.
     """
     if max_step < 2:
         raise ValueError("max_step must be at least 2")
+    if not 0.0 <= rank_tol < 1.0:
+        raise ValueError(f"rank_tol must be finite and in [0, 1), got {rank_tol!r}")
     dims: list[int] = []
     exact = q.is_rational
     columns_exact: list[tuple[Fraction, ...]] = []

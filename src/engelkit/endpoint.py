@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .flow import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     FLOAT_FMT,
-    H_FLOOR,
     RHO,
     Trajectory,
     adaptive_rk45,
@@ -105,35 +103,33 @@ class ControlPath:
         return ctrl
 
 
+@dataclass(frozen=True)
 class _ControlSystem:
-    """Compiled dynamics of qdot = u1 Z + u2 W and its linearization."""
+    """Compiled dynamics of qdot = u1 Z + u2 W and its linearization.
 
-    def __init__(self, pair: PfaffianPair):
-        self.pair = pair
-        self._f = pair.f.compile()
-        self._g = pair.g.compile()
-        self._variational, self.fixed = _linearization(pair)
+    ``variational(u1, u2)`` is the rhs of (q, X) with X = [Phi | L] a 4x6
+    matrix stored row-major: qdot = u1 Z + u2 W, Xdot = A X + [0 | B(q)].
+
+    A = d(u1 Z + u2 W)/dq and B = [Z | W] vary only in their x and y
+    rows, so the z and w rows of Xdot are constant.  From the restart
+    (q, I, 0) of every segment, the entries in ``fixed`` keep their
+    value: their rhs is exactly +0.0 or -0.0.
+    """
+
+    f: Callable[..., float]
+    g: Callable[..., float]
+    variational: Callable[[float, float], Callable]
+    fixed: frozenset[int]
 
     def rhs(self, q: Sequence[float], u1: float, u2: float) -> tuple[float, float, float, float]:
         x, y, z, w = q
-        return (-u2 * self._f(x, y, z, w), -u2 * self._g(x, y, z, w), u1, u2)
+        return (-u2 * self.f(x, y, z, w), -u2 * self.g(x, y, z, w), u1, u2)
 
     def frame(self, q: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """(Z, W) at q, equal to rhs(q, 1.0, 0.0) and rhs(q, 0.0, 1.0) signed
         zeros included, with f and g evaluated once."""
-        fv, gv = self._f(*q), self._g(*q)
+        fv, gv = self.f(*q), self.g(*q)
         return (-0.0 * fv, -0.0 * gv, 1.0, 0.0), (-1.0 * fv, -1.0 * gv, 0.0, 1.0)
-
-    def variational_rhs(self, u1: float, u2: float):
-        """rhs of (q, X) with X = [Phi | L] a 4x6 matrix stored row-major:
-        qdot = u1 Z + u2 W, Xdot = A X + [0 | B(q)].
-
-        A = d(u1 Z + u2 W)/dq and B = [Z | W] vary only in their x and y
-        rows, so the z and w rows of Xdot are constant.  From the restart
-        (q, I, 0) of every segment, the entries in ``fixed`` keep their
-        value: their rhs is exactly +0.0 or -0.0.
-        """
-        return self._variational(u1, u2)
 
 
 # The variational pass restarts X = [Phi | L] at [I | 0] on every segment.
@@ -141,14 +137,19 @@ _RESTART = tuple(float(row == col) for row in range(4) for col in range(6))
 
 
 @lru_cache(maxsize=64)
-def _linearization(pair: PfaffianPair) -> tuple[Callable, frozenset[int]]:
-    """The generated ``variational(u1, u2)`` of the pair and its fixed entries."""
+def _control_system(pair: PfaffianPair) -> _ControlSystem:
+    """The compiled control system of the pair, built once per pair."""
     grads = [
         [(v, d) for v, name in enumerate(VARS) if not (d := poly.diff(name)).is_zero()]
         for poly in (pair.f, pair.g)
     ]
     support = [[v for v, _ in grad] for grad in grads]
-    return kernel(_variational_source(pair, grads), "variational"), _fixed_entries(support)
+    return _ControlSystem(
+        f=pair.f.compile(),
+        g=pair.g.compile(),
+        variational=kernel(_variational_source(pair, grads), "variational"),
+        fixed=_fixed_entries(support),
+    )
 
 
 def _fixed_entries(support: Sequence[Sequence[int]]) -> frozenset[int]:
@@ -181,11 +182,11 @@ def _fixed_entries(support: Sequence[Sequence[int]]) -> frozenset[int]:
 
 def _variational_source(pair: PfaffianPair, grads) -> str:
     """Source of ``variational(u1, u2)``, which returns the 28-state rhs of
-    :meth:`_ControlSystem.variational_rhs` for the pair.
+    :attr:`_ControlSystem.variational` for the pair.
 
     The x and y rows of A are -u2 times the gradients of f and g; only
     the entries that are not identically zero, ``grads`` as
-    :func:`_linearization` lists them, are written out.  Column 5 of B is
+    :func:`_control_system` lists them, are written out.  Column 5 of B is
     W, whose x and y entries are -f and -g.
     """
     rows = [[f"s{r}_{c}" for c in range(6)] for r in range(4)]
@@ -216,7 +217,7 @@ def horizontal_integrate(
     atol: float = DEFAULT_ATOL,
 ) -> Trajectory:
     """Integrate the control system segment by segment; endpoint = final state."""
-    sys = _ControlSystem(pair)
+    sys = _control_system(pair)
     n = ctrl.n_segments
     y = _as_floats(q0)
     all_times = [0.0]
@@ -232,70 +233,32 @@ def horizontal_integrate(
     return Trajectory(times=all_times, states=all_states)
 
 
-class _Samples(NamedTuple):
-    """Sample times of a pass: each as a float, and the same floats grouped
-    by the segment whose closed interval holds them (the first such)."""
-
-    times: tuple[float, ...]
-    per_segment: tuple[tuple[float, ...], ...]
-
-
-def _split_samples(n_segments: int, fractions: Iterable[tuple[int, int]]) -> _Samples:
-    """_Samples of the times num / den for (num, den) in ``fractions``.
-
-    Integer arithmetic only: ceil(num n / den) - 1 is the segment, and
-    num / den is the float that ``Fraction.__float__`` gives."""
-    n = n_segments
-    times = []
-    per_segment: list[list[float]] = [[] for _ in range(n)]
-    for num, den in fractions:
-        t = num / den
-        times.append(t)
-        per_segment[max(-(-num * n // den) - 1, 0)].append(t)
-    return _Samples(tuple(times), tuple(map(tuple, per_segment)))
-
-
 @lru_cache(maxsize=64)
-def _default_samples(n_segments: int) -> _Samples:
-    m = max(16, 2 * n_segments)
-    return _split_samples(n_segments, ((k, m - 1) for k in range(m)))
+def _default_samples(n_segments: int) -> tuple[tuple[float, ...], ...]:
+    """The covector sample times k / (m - 1), k < m = max(16, 2 n), grouped
+    by the segment whose closed interval holds them (the first such).
 
-
-def _sample_times(n_segments: int, sample_times: Sequence[float] | None) -> _Samples:
-    """Sorted sample times in [0, 1], placed exactly in their segments.
-
-    The default is m = max(16, 2 n) equispaced times k / (m - 1).  Times
-    within H_FLOOR are one instant up to rounding, so a given time that
-    close to a segment boundary is snapped onto it and one that close to
-    the previous time is dropped: rounding adds no constraint rows.
-    """
+    Integer arithmetic only: ceil(k n / (m - 1)) - 1 is the segment, and
+    k / (m - 1) is the float that ``Fraction.__float__`` gives."""
     n = n_segments
-    if sample_times is None:
-        return _default_samples(n)
-    times = sorted(float(t) for t in sample_times)
-    if not times:
-        raise ValueError("sample_times must hold at least one sample time")
-    out: list[Fraction] = []
-    for t in times:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("sample times must lie in [0, 1]")
-        j = round(t * n)
-        t = Fraction(j, n) if abs(t - j / n) <= H_FLOOR else Fraction(t)
-        if not out or t - out[-1] > H_FLOOR:
-            out.append(t)
-    return _split_samples(n, ((t.numerator, t.denominator) for t in out))
+    m = max(16, 2 * n)
+    per_segment: list[list[float]] = [[] for _ in range(n)]
+    for k in range(m):
+        per_segment[max(-(-k * n // (m - 1)) - 1, 0)].append(k / (m - 1))
+    return tuple(map(tuple, per_segment))
 
 
 def _sensitivity_pass(
     sys: _ControlSystem,
     q0,
     ctrl: ControlPath,
-    samples: _Samples | None,
+    samples: tuple[tuple[float, ...], ...] | None,
     rtol: float,
     atol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrate (q, Phi, L) once over the control, one integrator call per
-    segment, reading the sample times from the dense output.
+    segment, reading ``samples[j]``, the sample times of segment j, from
+    the dense output.
 
     Phi (the state-transition matrix) and L (the response to the segment's
     two control entries) restart at (I, 0) at every segment boundary; the
@@ -306,7 +269,7 @@ def _sensitivity_pass(
     once, after the last segment.
     """
     n = ctrl.n_segments
-    per_segment = samples.per_segment if samples else ((),) * n
+    per_segment = samples or ((),) * n
     y = (*_as_floats(q0), *_RESTART)
     ends: list[tuple[float, ...]] = []
     sampled: list[tuple[float, ...]] = []
@@ -314,7 +277,7 @@ def _sensitivity_pass(
     h_carry: float | None = None
     for j, (u1, u2) in enumerate(ctrl.u.tolist()):
         _, states, h_carry, at_samples = adaptive_rk45(
-            sys.variational_rhs(u1, u2), y, (j / n, (j + 1) / n), rtol, atol,
+            sys.variational(u1, u2), y, (j / n, (j + 1) / n), rtol, atol,
             h0=h_carry, samples=per_segment[j], fixed=sys.fixed,
         )
         ends.append(states[-1])
@@ -375,7 +338,7 @@ def endpoint_jacobian(
     With ``fd_check`` the matrix is compared entrywise against central
     finite differences of step ``FD_STEP``.
     """
-    endpoint, jac, _, _ = _sensitivity_pass(_ControlSystem(pair), q0, ctrl, None, rtol, atol)
+    endpoint, jac, _, _ = _sensitivity_pass(_control_system(pair), q0, ctrl, None, rtol, atol)
     fd_disc = None
     if fd_check:
         fd = np.zeros_like(jac)
@@ -436,20 +399,20 @@ def adjoint_transport(
     pair: PfaffianPair,
     q0,
     ctrl: ControlPath,
-    sample_times: Sequence[float] | None = None,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> AdjointRecord:
-    """Covector transport and frame pairings at the sample times.
+    """Covector transport and frame pairings at the sample times of
+    :func:`bryant_hsu_test`: k / (m - 1) for k < m = max(16, 2 n).
 
     The transport is the inverse transpose of the state-transition matrix
     from the variational pass, Psi(t) = Phi(t)^{-T}.
     """
-    sys = _ControlSystem(pair)
-    samples = _sample_times(ctrl.n_segments, sample_times)
+    sys = _control_system(pair)
+    samples = _default_samples(ctrl.n_segments)
     _, _, states, phis = _sensitivity_pass(sys, q0, ctrl, samples, rtol, atol)
     return AdjointRecord(
-        times=np.array(samples.times),
+        times=np.array([t for times in samples for t in times]),
         states=states,
         transports=np.linalg.solve(phis, np.broadcast_to(np.eye(4), phis.shape)).transpose(0, 2, 1),
         constraint_matrix=_constraint_matrix(sys, states, phis),
@@ -494,8 +457,8 @@ def bryant_hsu_test(
     covectors.  Both statistics and the endpoint come from one variational
     pass over the control.
     """
-    sys = _ControlSystem(pair)
-    samples = _sample_times(ctrl.n_segments, None)
+    sys = _control_system(pair)
+    samples = _default_samples(ctrl.n_segments)
     endpoint, jac, states, phis = _sensitivity_pass(sys, q0, ctrl, samples, rtol, atol)
     phi = _constraint_matrix(sys, states, phis)
     _, sv, vt = np.linalg.svd(phi, full_matrices=False)
@@ -603,7 +566,7 @@ class SardReport:
 
 def _detector_stats(
     pair: PfaffianPair,
-    starts: list[np.ndarray],
+    starts: Sequence[Sequence[float]],
     duration: float,
     rtol: float,
     atol: float,
@@ -649,19 +612,21 @@ def sard_sample(
     """
     if model not in CATALOG or model == "engel_std":
         raise ValueError(f"sard_sample expects a degenerate catalog model, got {model!r}")
+    if n_curves < 0:
+        raise ValueError(f"n_curves must be non-negative, got {n_curves}")
     pair = CATALOG[model]
     rng = np.random.default_rng(seed)
     if n_curves == 0:
         return SardReport(model, 0, seed, None, None, 1.0, 0)
     fld = char_field(pair, ORACLE)
-    rho_fn = RHO.compile()
-    duration = CHAR_ARC_DURATION[model]
+    endpoints: list[tuple[float, float, float, float]] = []
+    max_distance = min_dev = reaching = None
 
     if model == "d2334b":
-        endpoints: list[tuple[float, float, float, float]] = []
+        rho_fn = RHO.compile()
         min_dev = math.inf
         reaching = 0
-        starts: list[np.ndarray] = []
+        starts = []
         for _ in range(n_curves):
             theta = rng.uniform(0.0, 2.0 * math.pi)
             start = np.array([0.0, 0.0, 0.1 * math.cos(theta), 0.1 * math.sin(theta)])
@@ -672,58 +637,39 @@ def sard_sample(
             if rho.min() < 0.5 * rho[0]:
                 reaching += 1
             endpoints.append(tuple(traj.endpoint))
-        agreement, ambiguous, scores = _detector_stats(
-            pair, starts[: min(detector_subset, n_curves)], duration, rtol, atol
-        )
-        scores += [math.nan] * (n_curves - len(scores))
-        return SardReport(
-            model=model,
-            n_curves=n_curves,
-            seed=seed,
-            max_surface_distance=None,
-            min_rho_deviation=min_dev,
-            detector_agreement=agreement,
-            ambiguous_count=ambiguous,
-            endpoints=endpoints,
-            scores=scores,
-            origin_reaching_count=reaching,
-        )
+    else:
+        rho_start = 1e-7
+        for _ in range(n_curves):
+            if model == "d224":
+                theta = rng.uniform(0.0, 2.0 * math.pi)
+                direction = np.array([math.cos(theta), math.sin(theta)])
+            else:
+                # origin-convergent characteristic curves of the saddle model lie
+                # on the invariant axis w = 0
+                direction = np.array([rng.choice([-1.0, 1.0]), 0.0])
+            z_s, w_s = math.sqrt(rho_start) * direction
+            t_back = rng.uniform(1.75, 3.0)
+            back = integrate(fld, (0.0, 0.0, z_s, w_s), -t_back, rtol=rtol, atol=atol)
+            endpoints.append(tuple(back.endpoint))
+        sample = singular_surface(pair, [(p[2], p[3]) for p in endpoints], rtol=rtol, atol=atol)
+        max_distance = float(max(
+            max(abs(p[0] + dx), abs(p[1] + dy)) if ok else math.inf
+            for p, (dx, dy), ok in zip(endpoints, sample.offsets, sample.converged)
+        ))
+        starts = endpoints
 
-    rho_start = 1e-7
-    endpoints = []
-    for _ in range(n_curves):
-        if model == "d224":
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            direction = np.array([math.cos(theta), math.sin(theta)])
-        else:
-            # origin-convergent characteristic curves of the saddle model lie
-            # on the invariant axis w = 0
-            direction = np.array([rng.choice([-1.0, 1.0]), 0.0])
-        z_s, w_s = math.sqrt(rho_start) * direction
-        t_back = rng.uniform(1.75, 3.0)
-        back = integrate(fld, (0.0, 0.0, z_s, w_s), -t_back, rtol=rtol, atol=atol)
-        endpoints.append(tuple(back.endpoint))
-    sample = singular_surface(pair, [(p[2], p[3]) for p in endpoints], rtol=rtol, atol=atol)
-    residuals = [
-        max(abs(p[0] + dx), abs(p[1] + dy)) if ok else math.inf
-        for p, (dx, dy), ok in zip(endpoints, sample.offsets, sample.converged)
-    ]
     agreement, ambiguous, scores = _detector_stats(
-        pair,
-        [np.array(p) for p in endpoints[: min(detector_subset, n_curves)]],
-        duration,
-        rtol,
-        atol,
+        pair, starts[:detector_subset], CHAR_ARC_DURATION[model], rtol, atol
     )
-    scores += [math.nan] * (n_curves - len(scores))
     return SardReport(
         model=model,
         n_curves=n_curves,
         seed=seed,
-        max_surface_distance=float(max(residuals)),
-        min_rho_deviation=None,
+        max_surface_distance=max_distance,
+        min_rho_deviation=min_dev,
         detector_agreement=agreement,
         ambiguous_count=ambiguous,
         endpoints=endpoints,
-        scores=scores,
+        scores=scores + [math.nan] * (n_curves - len(scores)),
+        origin_reaching_count=reaching,
     )

@@ -111,10 +111,13 @@ class _StepControl:
         self, t_span: tuple[float, float], rtol: float, atol: float, h0: float | None
     ):
         t0, t1 = t_span
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise ValueError(f"t_span must be finite, got {t_span!r}")
         if t1 <= t0:
             raise ValueError("t_span must be increasing; reverse the field instead")
-        if rtol <= 0 or atol <= 0:
-            raise ValueError("rtol and atol must be positive")
+        if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+            raise ValueError(f"rtol and atol must be positive and finite, got rtol={rtol!r}, "
+                             f"atol={atol!r}")
         span = t1 - t0
         if span < H_FLOOR * max(1.0, abs(t0)):
             raise ValueError(
@@ -601,8 +604,9 @@ def singular_surface(
     from the (0, 0, z, w) base point.  A sample whose flow raises
     IntegrationError is recorded in ``failures`` and the grid goes on.
     """
-    if eps_cut <= 0 or t_max <= 0:
-        raise ValueError("eps_cut and t_max must be positive")
+    if not (0.0 < eps_cut < math.inf and 0.0 < t_max < math.inf):
+        raise ValueError(f"eps_cut and t_max must be positive and finite, got "
+                         f"eps_cut={eps_cut!r}, t_max={t_max!r}")
     pair = CATALOG[model_or_pair] if isinstance(model_or_pair, str) else model_or_pair
     fld = char_field(pair, ORACLE)
     skew = _is_skew_product(fld)

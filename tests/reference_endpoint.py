@@ -21,10 +21,10 @@ from engelkit.endpoint import (
     AdjointRecord,
     JacobianResult,
     SingularVerdict,
-    _ControlSystem,
     _RESTART,
     _as_floats,
-    _sample_times,
+    _control_system,
+    _default_samples,
     classify_statistic,
     singular_score,
 )
@@ -39,14 +39,14 @@ def _rk45_arrays(rhs, y0, t_span, rtol, atol, **kwargs):
 
 def sensitivity_pass(sys, q0, ctrl, samples, rtol, atol):
     n = ctrl.n_segments
-    per_segment = samples.per_segment if samples else ((),) * n
+    per_segment = samples or ((),) * n
     q = _as_floats(q0)
     phi = np.eye(4)
     transitions, local_cols, qs, phis = [], [], [], []
     h_carry = None
     for j, (u1, u2) in enumerate(ctrl.u.tolist()):
         _, states, h_carry, sampled = _rk45_arrays(
-            sys.variational_rhs(u1, u2), (*q, *_RESTART), (j / n, (j + 1) / n), rtol, atol,
+            sys.variational(u1, u2), (*q, *_RESTART), (j / n, (j + 1) / n), rtol, atol,
             h0=h_carry, samples=per_segment[j], fixed=sys.fixed,
         )
         qs.append(sampled[:, :4])
@@ -71,16 +71,16 @@ def constraint_matrix(sys, states, phis):
 
 
 def endpoint_jacobian(pair, q0, ctrl, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    endpoint, jac, _, _ = sensitivity_pass(_ControlSystem(pair), q0, ctrl, None, rtol, atol)
+    endpoint, jac, _, _ = sensitivity_pass(_control_system(pair), q0, ctrl, None, rtol, atol)
     return JacobianResult(matrix=jac, endpoint=endpoint)
 
 
-def adjoint_transport(pair, q0, ctrl, sample_times=None, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    sys = _ControlSystem(pair)
-    samples = _sample_times(ctrl.n_segments, sample_times)
+def adjoint_transport(pair, q0, ctrl, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    sys = _control_system(pair)
+    samples = _default_samples(ctrl.n_segments)
     _, _, states, phis = sensitivity_pass(sys, q0, ctrl, samples, rtol, atol)
     return AdjointRecord(
-        times=np.array(samples.times),
+        times=np.array([t for times in samples for t in times]),
         states=states,
         transports=np.linalg.solve(phis, np.broadcast_to(np.eye(4), phis.shape)).transpose(0, 2, 1),
         constraint_matrix=constraint_matrix(sys, states, phis),
@@ -89,8 +89,8 @@ def adjoint_transport(pair, q0, ctrl, sample_times=None, rtol=DEFAULT_RTOL, atol
 
 
 def bryant_hsu_test(pair, q0, ctrl, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    sys = _ControlSystem(pair)
-    samples = _sample_times(ctrl.n_segments, None)
+    sys = _control_system(pair)
+    samples = _default_samples(ctrl.n_segments)
     endpoint, jac, states, phis = sensitivity_pass(sys, q0, ctrl, samples, rtol, atol)
     phi = constraint_matrix(sys, states, phis)
     _, sv, vt = np.linalg.svd(phi)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -179,7 +180,7 @@ def test_importing_the_cli_builds_no_parser_and_no_kernel():
         "import engelkit.cli\n"
         "from engelkit import cli, codegen, endpoint, flow\n"
         "caches = (cli._parser, codegen.kernel, flow._trial_step, flow._dense_output,\n"
-        "          endpoint._linearization, endpoint._default_samples)\n"
+        "          endpoint._control_system, endpoint._default_samples)\n"
         "print([c.cache_info().currsize for c in caches])\n"
     )
     src = str(Path(engelkit.__file__).resolve().parent.parent)
@@ -399,3 +400,45 @@ def test_non_finite_numbers_on_the_command_line_are_usage_errors(argv, message, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message + "\n"
+
+
+FLOW = ["flow", "--model", "d224", "--start", "0,0,0.1,0.1"]
+SURFACE = ["surface", "--model", "d224", "--grid", "0.01:0.1:2"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([*FLOW, "--t", "1", "--rtol=nan"],
+         "rtol and atol must be positive and finite, got rtol=nan, atol=1e-12"),
+        ([*FLOW, "--t", "1", "--atol=inf"],
+         "rtol and atol must be positive and finite, got rtol=1e-10, atol=inf"),
+        ([*FLOW, "--t", "inf"], "t_span must be finite, got (0.0, inf)"),
+        ([*FLOW, "--t", "nan"], "t_span must be finite, got (0.0, nan)"),
+        ([*SURFACE, "--t-max=inf"],
+         "eps_cut and t_max must be positive and finite, got eps_cut=1e-10, t_max=inf"),
+        ([*SURFACE, "--t-max=nan"],
+         "eps_cut and t_max must be positive and finite, got eps_cut=1e-10, t_max=nan"),
+        ([*SURFACE, "--eps-cut=nan"],
+         "eps_cut and t_max must be positive and finite, got eps_cut=nan, t_max=30.0"),
+        (["endpoint", "--model", "d224", "--sard", "-5"], "n_curves must be non-negative, got -5"),
+        (["endpoint", "--model", "d224", "--random", "-1"], "--random must be at least 1, got -1"),
+        (["endpoint", "--model", "d224", "--random", "0"], "--random must be at least 1, got 0"),
+        (["endpoint", "--model", "d224", "--random", "2", "--n-segments", "-2"],
+         "--n-segments must be at least 1, got -2"),
+        (["analyze", "--model", "d224", "--point", "0,0,0.1,0.2", "--rank-tol=nan"],
+         "rank_tol must be finite and in [0, 1), got nan"),
+    ],
+    ids=["rtol-nan", "atol-inf", "t-inf", "t-nan", "t-max-inf", "t-max-nan", "eps-cut-nan",
+         "sard-negative", "random-negative", "random-zero", "n-segments-negative",
+         "rank-tol-nan"],
+)
+def test_out_of_range_numbers_are_usage_errors_that_name_the_value(argv, message, capsys):
+    # Each used to run on: to a misleading step underflow, a trajectory or
+    # a 0/N surface that exit 0, or seconds of steps up to the step budget.
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -193,6 +193,16 @@ def test_growth_vector_requires_two_steps():
         growth_vector(CATALOG["d224"], Point4.origin(), max_step=1)
 
 
+@pytest.mark.parametrize("rank_tol", [float("nan"), float("inf"), -1e-3, 1.0])
+def test_growth_vector_rejects_a_rank_tol_outside_zero_to_one(rank_tol):
+    # a NaN tolerance used to count no singular value and report growth
+    # (0,0,...) as not bracket generating
+    for q in (Point4(0.0, 0.0, 0.1, 0.2), Point4.origin()):
+        with pytest.raises(ValueError, match="rank_tol"):
+            growth_vector(CATALOG["d224"], q, rank_tol=rank_tol)
+    assert growth_vector(CATALOG["d224"], Point4(0.0, 0.0, 0.1, 0.2), rank_tol=0.0).dims[-1] == 4
+
+
 def test_growth_vector_shape_invariants():
     rng = np.random.default_rng(3)
     for model, pair in CATALOG.items():

@@ -22,7 +22,7 @@ from engelkit.flow import (
     lyapunov_report,
     singular_surface,
 )
-from engelkit.endpoint import _ControlSystem
+from engelkit.endpoint import _control_system
 from engelkit.poly import Point4, SparsePoly, random_poly
 from reference_rk45 import reference_rk45, reference_tuple_rk45
 
@@ -212,13 +212,13 @@ def test_variational_pass_takes_the_steps_of_the_reference(pair):
     # orderings move interior step times by up to about 2e-6 on random pairs
     # while the solution at fixed times agrees to about 1e-14.
     rng = np.random.default_rng(37)
-    sys = _ControlSystem(pair)
+    sys = _control_system(pair)
     restart = tuple(float(row == col) for row in range(4) for col in range(6))
     for _ in range(3):
         u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
         y0 = (*rng.uniform(-0.5, 0.5, 4).tolist(), *restart)
         samples = rng.uniform(0.25, 1.0, 6)
-        rhs = sys.variational_rhs(u1, u2)
+        rhs = sys.variational(u1, u2)
         args = ((0.25, 1.0), 1e-10, 1e-12, 0.01, None, samples)
         times, states, _, sampled = adaptive_rk45(rhs, y0, *args)
         ref_times, ref_states, _, ref_sampled = reference_rk45(rhs, np.array(y0), *args)
@@ -255,7 +255,7 @@ def _unrolled_cases():
         u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
         y0 = (*rng.uniform(-0.5, 0.5, 4).tolist(), *restart)
         cases.append(pytest.param(
-            _ControlSystem(pair).variational_rhs(u1, u2), y0, (0.25, 1.0), None,
+            _control_system(pair).variational(u1, u2), y0, (0.25, 1.0), None,
             id=f"n28-{name}",
         ))
     return cases
@@ -515,6 +515,28 @@ def test_surface_d224_matches_the_closed_form_up_to_the_cut():
         for got, ref in zip(offset, (z * z * w / 3.0, z * w * w / 3.0)):
             lo, hi = sorted((ref * (1.0 - shortfall), ref))
             assert lo - 1e-9 * abs(ref) <= got <= hi + 1e-9 * abs(ref), (z, w, got, ref)
+
+
+def test_surface_d224_offsets_scale_as_the_cube_of_the_dilation():
+    # d_lam(x, y, z, w) = (lam^3 x, lam^3 y, lam z, lam w) preserves d224,
+    # so without the cut the offsets at (lam z, lam w) are lam^3 times those
+    # at (z, w).  Each sample stops short by at most its cut truncation
+    # (eps_cut / rho)^{3/2}, the larger one at the smaller rho.  With the
+    # closed-form test's 1e-9 relative slack added, the worst sample measured
+    # used 0.71 of the bound, and none exceeded its truncation by more than
+    # 1.6e-12 relative.
+    rng = np.random.default_rng(2025)
+    grid, lams = [], rng.uniform(0.3, 3.0, 16).tolist()
+    for _ in range(16):
+        signs, mags = rng.choice([-1.0, 1.0], 2), 10.0 ** rng.uniform(-3.0, -1.0, 2)
+        grid.append(tuple((signs * mags).tolist()))
+    base = singular_surface("d224", grid)
+    dilated = singular_surface("d224", [(lam * z, lam * w) for lam, (z, w) in zip(lams, grid)])
+    assert base.converged == dilated.converged == [True] * 16
+    for lam, (z, w), offset, got in zip(lams, grid, base.offsets, dilated.offsets):
+        shortfall = (base.eps_cut / (min(1.0, lam * lam) * (z * z + w * w))) ** 1.5
+        for g, o in zip(got, offset):
+            assert abs(g - lam**3 * o) <= (shortfall + 1e-9) * abs(lam**3 * o), (lam, z, w)
 
 
 def test_surface_invariant_axis_is_exact():
