@@ -50,6 +50,8 @@ def _non_finite(text: str) -> bool:
 
 
 def _parse_point(text: str) -> Point4:
+    """Exact coordinates when none is a decimal; else every coordinate as the
+    float nearest its value, so "1/2" and "0.5" read alike."""
     parts = text.split(",")
     if len(parts) != 4:
         raise CliError(f"expected 4 comma-separated coordinates, got {text!r}")
@@ -60,8 +62,10 @@ def _parse_point(text: str) -> Point4:
         if _non_finite(p):
             raise CliError(f"bad coordinate {p!r}: coordinates must be finite")
         try:
-            coords.append(Fraction(p) if rational else float(p))
-        except (ValueError, ZeroDivisionError) as exc:
+            # float(text) and float(Fraction) both round correctly, so a
+            # decimal keeps its value; a "p/q" has integer parts only.
+            coords.append(Fraction(p) if rational else float(Fraction(p) if "/" in p else p))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise CliError(f"bad coordinate {p!r}: {exc}") from exc
     return Point4(*coords)
 
@@ -111,9 +115,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     points: list[Point4] = [_parse_point(p) for p in args.point or []]
     grid_rows = []
     if args.grid is not None:
-        for z in _parse_grid(args.grid):
-            for w in _parse_grid(args.grid):
-                points.append(Point4(0.0, 0.0, float(z), float(w)))
+        values = _parse_grid(args.grid)
+        points += [Point4(0.0, 0.0, float(z), float(w)) for z in values for w in values]
     if not points:
         raise CliError("give at least one --point or a --grid")
     for q in points:
@@ -365,7 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (CliError, KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except OverflowError as exc:
         print(f"error: float overflow: a value computed from the input is past the float "

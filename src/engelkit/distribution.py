@@ -81,7 +81,13 @@ class PfaffianPair:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PfaffianPair":
-        return cls(f=SparsePoly.from_json(data["f"]), g=SparsePoly.from_json(data["g"]))
+        polys = {}
+        for key in ("f", "g"):
+            try:
+                polys[key] = SparsePoly.from_json(data[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from exc
+        return cls(**polys)
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,37 @@ def lie_bracket(v1: PolyVectorField, v2: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(*out)
 
 
+def _planar(cx: SparsePoly, cy: SparsePoly) -> PolyVectorField:
+    zero = SparsePoly.zero()
+    return PolyVectorField(cx, cy, zero, zero)
+
+
+def _bracket_z(v: PolyVectorField) -> PolyVectorField:
+    """[Z, V] = dV/dz, as Z = d/dz is constant: (a_z, b_z, 0, 0) for a V with
+    x, y components (a, b) and constant z, w components (W, or any bracket)."""
+    return _planar(v.cx.diff("z"), v.cy.diff("z"))
+
+
+def _bracket_w(w_field: PolyVectorField, partials, v: PolyVectorField) -> PolyVectorField:
+    """[W, V] for W = d/dw - f d/dx - g d/dy and V = a d/dx + b d/dy, with
+    ``partials`` = ((f_x, f_y), (g_x, g_y)):
+
+        (a_w - f a_x - g a_y + a f_x + b f_y,  b_w - f b_x - g b_y + a g_x + b g_y, 0, 0).
+
+    Products with a zero factor add no term and are skipped.
+    """
+    a, b = v.cx, v.cy
+    out = []
+    for c, (p_x, p_y) in ((a, partials[0]), (b, partials[1])):
+        products = ((w_field.cx, c.diff("x")), (w_field.cy, c.diff("y")), (a, p_x), (b, p_y))
+        acc = c.diff("w")
+        for left, right in products:
+            if left and right:
+                acc = acc + left * right
+        out.append(acc)
+    return _planar(*out)
+
+
 @lru_cache(maxsize=64)
 def bracket_levels(pair: PfaffianPair, max_step: int) -> tuple[tuple[PolyVectorField, ...], ...]:
     """Iterated-bracket generations 1..max_step of the frame.
@@ -131,15 +168,24 @@ def bracket_levels(pair: PfaffianPair, max_step: int) -> tuple[tuple[PolyVectorF
     level k.  Left-normed brackets span each graded piece of the generated
     Lie algebra, so accumulating these levels spans the full flag.  Each
     call brackets only its last level onto the cached levels below it.
+
+    Every bracket from level 2 on is a d/dx + b d/dy, so the brackets are
+    built from the frame's form rather than by the general ``lie_bracket``:
+    [Z, W] = (-f_z, -g_z, 0, 0), then ``_bracket_z`` and ``_bracket_w``.
     """
     if max_step == 1:
         return (frame(pair),)
     levels = bracket_levels(pair, max_step - 1)
-    z_field, w_field = levels[0]
+    w_field = levels[0][1]
     if max_step == 2:
-        nxt = (lie_bracket(z_field, w_field),)
+        nxt = (_bracket_z(w_field),)
     else:
-        nxt = tuple(lie_bracket(basis, v) for v in levels[-1] for basis in (z_field, w_field))
+        partials = tuple((p.diff("x"), p.diff("y")) for p in (pair.f, pair.g))
+        nxt = tuple(
+            bracket
+            for v in levels[-1]
+            for bracket in (_bracket_z(v), _bracket_w(w_field, partials, v))
+        )
     return levels + (nxt,)
 
 
@@ -308,7 +354,10 @@ def load_pair(path: str | Path) -> PfaffianPair:
         data = json.load(fh)
     if not isinstance(data, dict) or "f" not in data or "g" not in data:
         raise ValueError(f"{path}: expected a JSON object with keys 'f' and 'g'")
-    return PfaffianPair.from_json_dict(data)
+    try:
+        return PfaffianPair.from_json_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def resolve_model(model_id: str) -> tuple[str, PfaffianPair]:

@@ -243,13 +243,17 @@ class SparsePoly:
         return out
 
     @classmethod
-    def from_json(cls, data: Iterable) -> "SparsePoly":
+    def from_json(cls, data: list) -> "SparsePoly":
+        """Decode :meth:`to_json`'s encoding.  Coefficients may be integers,
+        decimal floats or "p/q" strings; exponents must be integral (``1.0``
+        reads as 1).  A malformed term raises ValueError naming it."""
+        if not isinstance(data, (list, tuple)):
+            raise ValueError(f"expected a list of [coefficient, [ex, ey, ez, ew]] terms, "
+                             f"got {data!r}")
         terms: dict[Exponent, Fraction] = {}
         for entry in data:
-            coeff_raw, expo = entry
-            coeff = Fraction(coeff_raw) if isinstance(coeff_raw, str) else _as_fraction(coeff_raw)
-            key = tuple(int(e) for e in expo)
-            terms[key] = terms.get(key, Fraction(0)) + coeff  # type: ignore[index]
+            key, coeff = _json_term(entry)
+            terms[key] = terms.get(key, Fraction(0)) + coeff
         return cls(terms)
 
     # -- dunder plumbing ---------------------------------------------------
@@ -291,6 +295,29 @@ class SparsePoly:
                 parts.append(f"{coeff}*{body}")
         text = " + ".join(parts).replace("+ -", "- ")
         return text
+
+
+def _json_term(entry) -> tuple[Exponent, Fraction]:
+    """One ``[coeff, [ex, ey, ez, ew]]`` entry of :meth:`SparsePoly.from_json`.
+
+    Booleans are not numbers here, though Python counts them as ints."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+            and isinstance(entry[1], (list, tuple)) and len(entry[1]) == 4):
+        raise ValueError(f"bad term {entry!r}: expected [coefficient, [ex, ey, ez, ew]]")
+    coeff_raw, expo = entry
+    for e in expo:
+        integral = isinstance(e, int) or (isinstance(e, float) and e.is_integer())
+        if isinstance(e, bool) or not integral or e < 0:
+            raise ValueError(f"bad term {entry!r}: exponent {e!r} is not a non-negative integer")
+    if isinstance(coeff_raw, bool) or not isinstance(coeff_raw, (int, float, str)):
+        raise ValueError(f"bad term {entry!r}: coefficient {coeff_raw!r} is not a number "
+                         f"or a \"p/q\" string")
+    try:
+        coeff = _as_fraction(coeff_raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad term {entry!r}: coefficient {coeff_raw!r} is not a finite "
+                         f"rational") from exc
+    return tuple(int(e) for e in expo), coeff  # type: ignore[return-value]
 
 
 def _raw(terms: dict[Exponent, Fraction]) -> SparsePoly:

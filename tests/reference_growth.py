@@ -4,8 +4,12 @@ It brackets the frame up to ``max_step`` before it evaluates one column,
 then ranks the accumulated columns level by level, so a slip in
 ``engelkit.distribution.growth_vector``'s on-demand levels (a level built
 from the wrong one, or the rank taken before a level is complete) shows up
-as a different ``GrowthVector``.  The brackets and the ranks are the
-module's own ``lie_bracket``, ``rational_rank`` and ``_float_rank``.
+as a different ``GrowthVector``.  The ranks are the module's own
+``rational_rank`` and ``_float_rank``.  The brackets come from the general
+``lie_bracket``, which ``growth_vector`` no longer uses: its levels are
+built from the frame's form (``[Z, V] = dV/dz`` and a two-component
+``[W, V]``), so this reference is an independent route to the same
+polynomials.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from engelkit.distribution import (
     DEFAULT_RANK_TOL,
     GrowthVector,
     PfaffianPair,
+    PolyVectorField,
     _float_rank,
     frame,
     lie_bracket,
@@ -25,19 +30,24 @@ from engelkit.distribution import (
 from engelkit.poly import Point4
 
 
+def eager_levels(pair: PfaffianPair, max_step: int) -> list[tuple[PolyVectorField, ...]]:
+    """Bracket levels 1..max_step (at least 2) by the general ``lie_bracket``."""
+    z_field, w_field = frame(pair)
+    levels = [(z_field, w_field), (lie_bracket(z_field, w_field),)]
+    while len(levels) < max_step:
+        levels.append(tuple(lie_bracket(b, v) for v in levels[-1] for b in (z_field, w_field)))
+    return levels
+
+
 def eager_growth_vector(
     pair: PfaffianPair,
     q: Point4,
     max_step: int = DEFAULT_MAX_STEP,
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> GrowthVector:
-    z_field, w_field = frame(pair)
-    levels = [(z_field, w_field), (lie_bracket(z_field, w_field),)]
-    while len(levels) < max_step:
-        levels.append(tuple(lie_bracket(b, v) for v in levels[-1] for b in (z_field, w_field)))
     dims: list[int] = []
     columns = []
-    for level in levels:
+    for level in eager_levels(pair, max_step):
         if q.is_rational:
             columns += [field.eval_exact(q) for field in level]
             dims.append(rational_rank(columns))

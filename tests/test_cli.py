@@ -270,6 +270,55 @@ def test_model_file_round_trips_through_the_json_codec(tmp_path, capsys):
     assert '"1/3"' in (tmp_path / "d2334b.json").read_text()
 
 
+@pytest.mark.parametrize(
+    "model,message",
+    [
+        ({"f": [[1, [0, 0, 1.5, 0]]], "g": []},
+         "f: bad term [1, [0, 0, 1.5, 0]]: exponent 1.5 is not a non-negative integer"),
+        ({"f": [[True, [0, 0, 1, 0]]], "g": []},
+         "f: bad term [True, [0, 0, 1, 0]]: coefficient True is not a number or a \"p/q\" string"),
+        ({"f": [], "g": [[1, [0, 0, 1, True]]]},
+         "g: bad term [1, [0, 0, 1, True]]: exponent True is not a non-negative integer"),
+        ({"f": 3, "g": []},
+         "f: expected a list of [coefficient, [ex, ey, ez, ew]] terms, got 3"),
+        ({"f": [["1/0", [0, 0, 1, 0]]], "g": []},
+         "f: bad term ['1/0', [0, 0, 1, 0]]: coefficient '1/0' is not a finite rational"),
+    ],
+    ids=["fractional-exponent", "bool-coefficient", "bool-exponent", "terms-not-a-list",
+         "zero-denominator"],
+)
+def test_malformed_model_files_are_usage_errors_that_name_the_term(model, message, tmp_path,
+                                                                    capsys):
+    # each was read as another pair (int(1.5) is 1, True is 1) or crashed
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(model))
+    assert main(["char", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+def test_model_files_with_integral_floats_and_rational_strings_load(tmp_path, capsys):
+    path = tmp_path / "engel.json"
+    path.write_text(json.dumps({"f": [[1.0, [0, 0, 1.0, 0]]], "g": [["1/2", [0, 0, 2, 0.0]]]}))
+    assert resolve_model(str(path)) == ("user:engel.json", CATALOG["engel_std"])
+
+
+def test_unknown_model_message_is_printed_without_quotes(capsys):
+    assert main(["char", "--model", "x.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown model 'x.json' (not in catalog, not a file)\n"
+    )
+
+
+def test_a_point_mixing_a_fraction_and_decimals_reads_as_floats(capsys):
+    assert main(["analyze", "--model", "d224", "--point", "1/2,0.5,0,0"]) == 0
+    mixed = capsys.readouterr().out
+    assert main(["analyze", "--model", "d224", "--point", "0.5,0.5,0,0"]) == 0
+    assert mixed == capsys.readouterr().out
+    assert mixed.startswith("point (0.5,0.5,0.0,0.0): growth (2,2,4)")
+
+
 FILE_OUTPUT_ARGVS = [
     ["analyze", "--model", "d224", "--grid=-0.5:0.5:3", "--point", "1/2,0,1/3,-1",
      "--out", "out.csv"],

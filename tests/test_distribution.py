@@ -19,7 +19,7 @@ from engelkit.distribution import (
     sigma_check,
 )
 from engelkit.poly import Point4, SparsePoly, random_poly
-from reference_growth import eager_growth_vector
+from reference_growth import eager_growth_vector, eager_levels
 
 Z = SparsePoly.var("z")
 W = SparsePoly.var("w")
@@ -160,15 +160,34 @@ def test_growth_vector_matches_eager_reference():
                 ), (pair.to_json_dict(), q, max_step)
 
 
+def test_bracket_levels_equal_the_general_lie_bracket():
+    # the levels are built from the frame's form, a d/dx + b d/dy; the
+    # general bracket is the definition they must reproduce exactly.  The
+    # catalog pairs depend on (z, w) only; most random pairs have x or y
+    # terms, where [W, V] has all its terms.
+    rng = np.random.default_rng(21)
+    randoms = [PfaffianPair(random_poly(rng), random_poly(rng)) for _ in range(24)]
+    assert sum(any(p.degree_in(v) > 0 for p in (pr.f, pr.g) for v in "xy") for pr in randoms) >= 18
+    for pair in list(CATALOG.values()) + [PfaffianPair(ZERO, ZERO)] + randoms:
+        levels = bracket_levels(pair, 6)
+        assert len(levels) == 6
+        for step, (built, expected) in enumerate(zip(levels, eager_levels(pair, 6)), start=1):
+            assert built == expected, (pair.to_json_dict(), step)
+
+
 def _count_brackets(monkeypatch) -> list[int]:
     calls = [0]
 
-    def counted(v1, v2):
-        calls[0] += 1
-        return lie_bracket(v1, v2)
+    def counted(helper):
+        def wrapper(*args):
+            calls[0] += 1
+            return helper(*args)
+
+        return wrapper
 
     bracket_levels.cache_clear()
-    monkeypatch.setattr(distribution, "lie_bracket", counted)
+    for name in ("_bracket_z", "_bracket_w"):
+        monkeypatch.setattr(distribution, name, counted(getattr(distribution, name)))
     return calls
 
 
