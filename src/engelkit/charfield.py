@@ -32,6 +32,7 @@ term-map identities, not numeric approximations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .distribution import PfaffianPair, PolyVectorField, frame, lie_bracket
 from .poly import SparsePoly
@@ -145,7 +146,11 @@ def coeffs_oracle(pair: PfaffianPair) -> CharCoefficients:
 _COEFF_FUNCS = {PRINTED: coeffs_printed, CORRECTED: coeffs_corrected, ORACLE: coeffs_oracle}
 
 
+@lru_cache(maxsize=64)
 def coefficients(pair: PfaffianPair, variant: str = ORACLE) -> CharCoefficients:
+    """The coefficients (c, e) of one variant, computed once per (pair,
+    variant) while it stays among the last 64 asked for: the exact bracket
+    algebra does not change, and the frozen result is safe to share."""
     try:
         return _COEFF_FUNCS[variant](pair)
     except KeyError:

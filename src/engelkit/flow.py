@@ -3,11 +3,15 @@
 One Dormand-Prince 4(5) integrator, :func:`adaptive_rk45`, serves every flow:
 an embedded Runge-Kutta pair with per-step error control on mixed absolute
 and relative tolerances and dense output, run on tuples of Python floats.
-It calls no numpy: it returns its accepted states and dense samples as
-lists of float tuples, and each caller converts them once where it needs
-arrays (the variational pass stacks a whole pass's in one array).
-It integrates the characteristic flows here and, in :mod:`engelkit.endpoint`,
-the control system, its variational pass and the characteristic controls.
+Its step-size control (the standard controller of Hairer, Norsett and
+Wanner, Solving ODEs I, II.4) and guards are local variables of the
+driver's loop, not method calls.  It calls no numpy: it returns its
+accepted states and dense samples as lists of float tuples, and each
+caller converts them once where it needs arrays (the variational pass
+stacks a whole pass's in one array).  It integrates the characteristic
+flows here (:func:`singular_surface` calls it directly, with one compiled
+rhs per grid) and, in :mod:`engelkit.endpoint`, the control system, its
+variational pass and the characteristic controls.
 Its trial step and dense output are generated per state size, and the
 right-hand sides per field or pair, as straight-line code
 (:mod:`engelkit.codegen`) that does the loops' arithmetic in the loops'
@@ -92,84 +96,6 @@ _MAX_FACTOR = 5.0
 H_FLOOR = 1e-15
 # Step budget of one integrator call, counting rejected trial steps.
 MAX_STEPS = 1_000_000
-
-
-class _StepControl:
-    """Step-size control and guards of the Dormand-Prince integrator.
-
-    ``trial(t)`` returns the next trial step ``(h, t_new)``: the carried
-    step, clipped to land exactly on t1.  It raises IntegrationError when
-    MAX_STEPS trial steps have been taken, and StepSizeUnderflowError (or
-    NonFiniteStateError, when the last trial was non-finite) when the step
-    falls below H_FLOOR.  ``accept(err)`` or ``reject(err, non_finite)``
-    then resizes the step from the trial's error norm.
-    """
-
-    __slots__ = ("t1", "h", "proposal", "clipped", "non_finite", "accepted", "rejected", "h_min")
-
-    def __init__(
-        self, t_span: tuple[float, float], rtol: float, atol: float, h0: float | None
-    ):
-        t0, t1 = t_span
-        if not (math.isfinite(t0) and math.isfinite(t1)):
-            raise ValueError(f"t_span must be finite, got {t_span!r}")
-        if t1 <= t0:
-            raise ValueError("t_span must be increasing; reverse the field instead")
-        if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
-            raise ValueError(f"rtol and atol must be positive and finite, got rtol={rtol!r}, "
-                             f"atol={atol!r}")
-        span = t1 - t0
-        if span < H_FLOOR * max(1.0, abs(t0)):
-            raise ValueError(
-                f"t_span {t_span!r} is shorter than the step floor H_FLOOR={H_FLOOR!r} "
-                "relative to max(1, |t0|)"
-            )
-        self.t1 = t1
-        self.h = h0 if h0 is not None else min(span, max(1e-6, 1e-2 * span))
-        self.proposal = self.h
-        self.clipped = self.non_finite = False
-        self.accepted = self.rejected = 0
-        self.h_min = math.inf
-
-    def trial(self, t: float) -> tuple[float, float]:
-        if self.accepted + self.rejected >= MAX_STEPS:
-            raise IntegrationError(
-                f"step budget of MAX_STEPS={MAX_STEPS} steps exhausted: {self.accepted} "
-                f"accepted, {self.rejected} rejected, smallest step {self.h_min!r}",
-                t,
-            )
-        h = self.proposal = self.h
-        t1 = self.t1
-        # Stretch a step that would stop just short of t1 (Hairer-Norsett-
-        # Wanner's 1.01 rule), so no sliver step is left.
-        self.clipped = clipped = t + 1.01 * h >= t1
-        if clipped:
-            h = self.h = t1 - t
-        if h < H_FLOOR * max(1.0, abs(t)):
-            if self.non_finite:
-                raise NonFiniteStateError(
-                    "step size underflow while rejecting non-finite trial states", t
-                )
-            raise StepSizeUnderflowError("step size underflow", t)
-        if h < self.h_min:
-            self.h_min = h
-        return h, t1 if clipped else t + h
-
-    def accept(self, err: float) -> None:
-        self.accepted += 1
-        factor = _MAX_FACTOR if err == 0.0 else min(
-            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-        )
-        self.h *= factor
-        if self.clipped:
-            # The clip was set by t1, not by the error: carry on from the
-            # step the controller had proposed.
-            self.h = max(self.h, self.proposal)
-
-    def reject(self, err: float, non_finite: bool) -> None:
-        self.rejected += 1
-        self.non_finite = non_finite
-        self.h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
 
 
 def _names(prefix: str, n: int) -> list[str]:
@@ -297,8 +223,22 @@ def adaptive_rk45(
     integration reaches and whose initial value is not -0.0; the step then
     skips their arithmetic, and the result does not change by a bit.
     """
-    control = _StepControl(t_span, rtol, atol, h0)
     t0, t1 = t_span
+    # Read at call time, so a changed budget or floor applies to the next call.
+    max_steps, h_floor = MAX_STEPS, H_FLOOR
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got {t_span!r}")
+    if t1 <= t0:
+        raise ValueError("t_span must be increasing; reverse the field instead")
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise ValueError(f"rtol and atol must be positive and finite, got rtol={rtol!r}, "
+                         f"atol={atol!r}")
+    span = t1 - t0
+    if span < h_floor * max(1.0, abs(t0)):
+        raise ValueError(
+            f"t_span {t_span!r} is shorter than the step floor H_FLOOR={h_floor!r} "
+            "relative to max(1, |t0|)"
+        )
     times_at = list(map(float, samples))
     pending = [(math.inf, -1), *sorted(zip(times_at, range(len(times_at))), reverse=True)]
     # The sorted ends bound every sample; a NaN, which sorts anywhere,
@@ -319,9 +259,33 @@ def adaptive_rk45(
         k1 = rhs(t, y)
     except OverflowError:
         k1 = (math.inf,) * n
+    h = h0 if h0 is not None else min(span, max(1e-6, 1e-2 * span))
+    accepted = rejected = 0
+    h_min = math.inf
+    non_finite = False
     while t < t1:
-        h, t_new = control.trial(t)
-        y_new, k3, k4, k5, k6, k7, err, non_finite = trial_step(
+        if accepted + rejected >= max_steps:
+            raise IntegrationError(
+                f"step budget of MAX_STEPS={max_steps} steps exhausted: {accepted} "
+                f"accepted, {rejected} rejected, smallest step {h_min!r}",
+                t,
+            )
+        proposal = h
+        # Stretch a step that would stop just short of t1 (Hairer-Norsett-
+        # Wanner's 1.01 rule), so no sliver step is left.
+        clipped = t + 1.01 * h >= t1
+        if clipped:
+            h = t1 - t
+        if h < h_floor * max(1.0, abs(t)):
+            if non_finite:
+                raise NonFiniteStateError(
+                    "step size underflow while rejecting non-finite trial states", t
+                )
+            raise StepSizeUnderflowError("step size underflow", t)
+        if h < h_min:
+            h_min = h
+        t_new = t1 if clipped else t + h
+        y_new, k3, k4, k5, k6, k7, err, trial_non_finite = trial_step(
             rhs, t, h, t_new, y, k1, rtol, atol
         )
         if err <= 1.0:
@@ -338,10 +302,20 @@ def adaptive_rk45(
             states.append(y)
             if stop_when is not None and stop_when(t, y):
                 break
-            control.accept(err)
+            accepted += 1
+            h *= _MAX_FACTOR if err == 0.0 else min(
+                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+            )
+            if clipped:
+                # The clip was set by t1, not by the error: carry on from
+                # the step the controller had proposed.
+                h = max(h, proposal)
         else:
-            control.reject(err, non_finite)
-    return times, states, control.h, sampled
+            rejected += 1
+            # Only a rejection sets this: it names the cause of a later underflow.
+            non_finite = trial_non_finite
+            h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+    return times, states, h, sampled
 
 
 @dataclass
@@ -563,9 +537,12 @@ def _is_skew_product(fld: PolyVectorField) -> bool:
     )
 
 
-def _tail_bound(fld_xy, states: np.ndarray, times: np.ndarray) -> float:
-    """Bound on the remaining |dx| + |dy| quadrature past the cut point,
-    assuming the observed exponential decay rate of |C^x| + |C^y| persists."""
+def _tail_bound(
+    fld_xy, states: Sequence[tuple[float, ...]], times: Sequence[float]
+) -> float:
+    """Bound on the remaining |dx| + |dy| quadrature past the last of at
+    least four states, assuming the decay rate of |C^x| + |C^y| observed
+    over the last four persists."""
     fx, fy = fld_xy
     speed = [abs(fx(*s)) + abs(fy(*s)) for s in states[-4:]]
     dt = times[-1] - times[-4]
@@ -588,7 +565,9 @@ def singular_surface(
     """Reconstruct the singular-endpoint surface for a model.
 
     For each (z, w) on the grid, integrates the characteristic flow from
-    (0, 0, z, w) until rho = z^2 + w^2 < eps_cut or t_max elapses.  The x,
+    (0, 0, z, w) until rho = z^2 + w^2 < eps_cut or t_max elapses; the cut
+    is tested from the third accepted step on, so a sample that starts
+    inside it still has the four states the tail bound reads.  The x,
     y components of the state accumulate the offsets (the x, y dynamics of
     every catalog model depend on (z, w) only, so the flow from any base
     point differs from this one by a translation in x, y).  A sample
@@ -610,6 +589,7 @@ def singular_surface(
     pair = CATALOG[model_or_pair] if isinstance(model_or_pair, str) else model_or_pair
     fld = char_field(pair, ORACLE)
     skew = _is_skew_product(fld)
+    rhs = fld.compile_rhs()
     fx, fy = fld.cx.compile(), fld.cy.compile()
     rho_fn = RHO.compile()
     offsets: list[tuple[float, float]] = []
@@ -619,28 +599,31 @@ def singular_surface(
     if (0.0, 0.0) in grid:
         raise ValueError("grid points must be nonzero")
     for i, (z, w) in enumerate(grid):
+        # The tail bound reads the last four states, so the cut is tested
+        # from the third accepted step on: next() gives False twice, then True.
+        early = iter((False, False))
         try:
-            traj = integrate(
-                fld,
+            times, states, _, _ = adaptive_rk45(
+                rhs,
                 (0.0, 0.0, z, w),
-                t_max,
-                rtol=rtol,
-                atol=atol,
-                stop_when=lambda t, y: rho_fn(*y) < eps_cut,
+                (0.0, t_max),
+                rtol,
+                atol,
+                stop_when=lambda t, y: next(early, True) and rho_fn(*y) < eps_cut,
             )
         except IntegrationError as exc:
             failures[i] = str(exc)
             offsets.append((math.nan, math.nan))
             converged.append(False)
             continue
-        end = traj.endpoint
-        reached = rho_fn(*end) < eps_cut
-        ok = False
-        if reached and traj.times.size >= 4:
-            tail = _tail_bound((fx, fy), traj.states, traj.times)
-            ok = tail < TAIL_BOUND_LIMIT
-        offsets.append((float(end[0]), float(end[1])))
-        converged.append(bool(ok))
+        end = states[-1]
+        ok = (
+            rho_fn(*end) < eps_cut
+            and len(states) >= 4
+            and _tail_bound((fx, fy), states, times) < TAIL_BOUND_LIMIT
+        )
+        offsets.append((end[0], end[1]))
+        converged.append(ok)
     return SurfaceSample(
         grid=grid,
         offsets=offsets,

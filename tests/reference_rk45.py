@@ -3,15 +3,21 @@
 ``reference_rk45`` is a numpy stage loop.  It keeps its own copy of the
 Butcher tableau and evaluates each stage with numpy matrix products, so a
 slip in ``engelkit.flow``'s float tableau or stage sums shows up as a
-difference in steps or states.  The step-size control and guards are
-``flow._StepControl``, so both integrators take the same steps up to
-rounding and raise the same errors.  Same call and return as
+difference in steps or states.  Same call and return as
 ``flow.adaptive_rk45``, except that ``rhs`` and ``stop_when`` get the state
 as a numpy array.
 
 ``reference_tuple_rk45`` is the generic loop over tuples of floats that the
 generated trial step of ``flow.adaptive_rk45`` unrolls: the same stage sums
 in the same order, so the two agree bit for bit.
+
+Both take their step-size control and guards from ``_StepControl`` below,
+a copy of the controller that ``flow.adaptive_rk45`` runs inside its loop
+(Hairer, Norsett and Wanner, Solving ODEs I, II.4), kept here as methods
+so that a slip in the driver's inlined control shows up as a difference
+in steps, in the carried step or in an error.  Only the budget
+``flow.MAX_STEPS`` and the floor ``flow.H_FLOOR`` are read from flow, at
+call time, so that a test that changes them changes both.
 """
 
 from __future__ import annotations
@@ -21,7 +27,11 @@ import math
 import numpy as np
 
 from engelkit import flow
-from engelkit.flow import _StepControl
+from engelkit.flow import IntegrationError, NonFiniteStateError, StepSizeUnderflowError
+
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 5.0
 
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
@@ -48,6 +58,83 @@ _P = np.array([
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
+
+
+class _StepControl:
+    """Step-size control and guards of the Dormand-Prince integrator.
+
+    ``trial(t)`` returns the next trial step ``(h, t_new)``: the carried
+    step, clipped to land exactly on t1.  It raises IntegrationError when
+    MAX_STEPS trial steps have been taken, and StepSizeUnderflowError (or
+    NonFiniteStateError, when the last rejected trial was non-finite) when
+    the step falls below H_FLOOR.  ``accept(err)`` or ``reject(err,
+    non_finite)`` then resizes the step from the trial's error norm.
+    """
+
+    __slots__ = ("t1", "h", "proposal", "clipped", "non_finite", "accepted", "rejected",
+                 "h_min", "max_steps", "h_floor")
+
+    def __init__(self, t_span, rtol, atol, h0):
+        t0, t1 = t_span
+        self.max_steps, self.h_floor = flow.MAX_STEPS, flow.H_FLOOR
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise ValueError(f"t_span must be finite, got {t_span!r}")
+        if t1 <= t0:
+            raise ValueError("t_span must be increasing; reverse the field instead")
+        if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+            raise ValueError(f"rtol and atol must be positive and finite, got rtol={rtol!r}, "
+                             f"atol={atol!r}")
+        span = t1 - t0
+        if span < self.h_floor * max(1.0, abs(t0)):
+            raise ValueError(
+                f"t_span {t_span!r} is shorter than the step floor H_FLOOR={self.h_floor!r} "
+                "relative to max(1, |t0|)"
+            )
+        self.t1 = t1
+        self.h = h0 if h0 is not None else min(span, max(1e-6, 1e-2 * span))
+        self.proposal = self.h
+        self.clipped = self.non_finite = False
+        self.accepted = self.rejected = 0
+        self.h_min = math.inf
+
+    def trial(self, t):
+        if self.accepted + self.rejected >= self.max_steps:
+            raise IntegrationError(
+                f"step budget of MAX_STEPS={self.max_steps} steps exhausted: {self.accepted} "
+                f"accepted, {self.rejected} rejected, smallest step {self.h_min!r}",
+                t,
+            )
+        h = self.proposal = self.h
+        t1 = self.t1
+        # Stretch a step that would stop just short of t1 (the 1.01 rule).
+        self.clipped = clipped = t + 1.01 * h >= t1
+        if clipped:
+            h = self.h = t1 - t
+        if h < self.h_floor * max(1.0, abs(t)):
+            if self.non_finite:
+                raise NonFiniteStateError(
+                    "step size underflow while rejecting non-finite trial states", t
+                )
+            raise StepSizeUnderflowError("step size underflow", t)
+        if h < self.h_min:
+            self.h_min = h
+        return h, t1 if clipped else t + h
+
+    def accept(self, err):
+        self.accepted += 1
+        factor = _MAX_FACTOR if err == 0.0 else min(
+            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+        )
+        self.h *= factor
+        if self.clipped:
+            # The clip was set by t1, not by the error: carry on from the
+            # step the controller had proposed.
+            self.h = max(self.h, self.proposal)
+
+    def reject(self, err, non_finite):
+        self.rejected += 1
+        self.non_finite = non_finite
+        self.h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
 
 
 # A rejected non-finite trial step is handled below; numpy need not warn.

@@ -175,3 +175,23 @@ def test_assemble_field_components():
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         coefficients(CATALOG["d224"], "bogus")
+
+
+def test_coefficient_cache_is_transparent():
+    # coefficients keeps its last 64 (pair, variant) results: a cached value
+    # equals a fresh computation as exact polynomials, a second call returns
+    # the same object, and the shared object is left unchanged by its users.
+    rng = np.random.default_rng(19)
+    pairs = [*CATALOG.values(), *(PfaffianPair(random_poly(rng), random_poly(rng))
+                                  for _ in range(12))]
+    for pair in pairs:
+        for variant in VARIANTS:
+            cached = coefficients(pair, variant)
+            assert coefficients.__wrapped__(pair, variant) == cached
+            assert coefficients(pair, variant) is cached
+        fresh = coefficients.__wrapped__(pair, ORACLE)
+        char_field(pair, ORACLE)
+        cross_check(pair)
+        assert coefficients(pair, ORACLE) == fresh
+    with pytest.raises(ValueError, match="unknown variant"):
+        coefficients(CATALOG["d224"], "bogus")

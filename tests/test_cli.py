@@ -111,6 +111,15 @@ def test_surface_csv(tmp_path, capsys):
     assert header[4] == "z,w,x,y,converged"
 
 
+def test_surface_samples_inside_the_cut_converge(tmp_path, capsys):
+    # rho0 <= 8e-12 < eps_cut at every sample: each flow goes on until the
+    # tail bound has four states, and converges
+    out = tmp_path / "surf.csv"
+    assert main(["surface", "--model", "d224", "--grid=1e-6:2e-6:2", "--out", str(out)]) == 0
+    assert "4/4 samples converged" in capsys.readouterr().out
+    assert all(row.endswith(",1") for row in out.read_text().splitlines()[5:])
+
+
 def test_surface_rejects_zero_grid(capsys):
     assert main(["surface", "--model", "d224", "--grid", "0:0.1:2"]) == 2
 

@@ -299,6 +299,89 @@ def test_a_span_shorter_than_the_step_floor_is_rejected():
     assert times == [0.0, 2e-15]
 
 
+def _counted(rhs, calls):
+    """rhs, counting its calls and the calls whose value is not finite."""
+    def counted(t, y):
+        value = rhs(t, y)
+        calls[0] += 1
+        calls[1] += not all(map(math.isfinite, value))
+        return value
+
+    return counted
+
+
+def _controller_cases():
+    # y' = -y, defined only for y > 0: a stage that overshoots below zero is NaN
+    def positive_decay(t, y):
+        return (-y[0] if y[0] > 0.0 else math.nan, y[0] * math.cos(t))
+
+    def oscillator(t, y):
+        return (y[1], -4.0 * y[0] + 0.1 * math.sin(t))
+
+    # polynomial solutions of degree 3 and 4, which a trial step of any size
+    # integrates to rounding
+    def cubic(t, y):
+        return (1.0 + t * t, t ** 3 - y[0])
+
+    return [
+        # error-based rejections: a first step far too large for the tolerance
+        pytest.param(oscillator, (1.0, 0.0), (0.0, 3.0), 2.5, "rejected", id="large-h0"),
+        # a first trial whose stages leave the domain
+        pytest.param(positive_decay, (1.0, 0.0), (0.0, 3.0), 20.0, "non-finite",
+                     id="non-finite"),
+        # a step within 1 % of t1 stretched onto it
+        pytest.param(cubic, (1.0, 0.0), (0.0, 0.5), 0.4955, "stretched", id="stretch"),
+        # a step clipped by t1 hands on the larger step the controller proposed
+        pytest.param(cubic, (1.0, 0.0), (0.0, 0.02), 3.0, "carried", id="carried"),
+    ]
+
+
+@pytest.mark.parametrize("rhs,y0,t_span,h0,path", _controller_cases())
+def test_driver_step_control_is_bit_identical_to_the_reference_controller(
+    rhs, y0, t_span, h0, path
+):
+    # adaptive_rk45 runs its step control inside the loop; the reference
+    # keeps its own copy of the controller as methods.  Each case reaches
+    # one of its paths, and steps, states, samples and the carried step
+    # agree bit for bit.
+    samples = np.random.default_rng(53).uniform(*t_span, 5)
+    calls, ref_calls = [0, 0], [0, 0]
+    got = adaptive_rk45(_counted(rhs, calls), y0, t_span, 1e-10, 1e-12, h0, None, samples)
+    want = reference_tuple_rk45(_counted(rhs, ref_calls), y0, t_span, 1e-10, 1e-12, h0, None,
+                                samples)
+    assert calls == ref_calls
+    assert all(_bits(a) == _bits(b) for a, b in zip(got, want))
+    times, _, h, _ = got
+    # first-same-as-last: one call to start, six per trial step
+    rejected = (calls[0] - 1) // 6 - (len(times) - 1)
+    if path == "rejected":
+        assert rejected > 0 and calls[1] == 0
+    elif path == "non-finite":
+        assert rejected > 0 and calls[1] > 0
+    elif path == "stretched":
+        assert times == [0.0, 0.5] and rejected == 0
+    else:
+        assert times == [0.0, 0.02] and h == 3.0
+
+
+def test_carried_steps_across_segments_are_bit_identical_to_the_reference_controller():
+    # The endpoint passes carry each segment's last step into the next one;
+    # every segment ends on a clip.
+    def oscillator(t, y):
+        return (y[1], -4.0 * y[0] + 0.1 * math.sin(t))
+
+    y, h = (1.0, 0.0), None
+    ref_y, ref_h = y, h
+    for t0, t1 in zip(np.linspace(0.0, 2.0, 9), np.linspace(0.0, 2.0, 9)[1:]):
+        times, states, h, _ = adaptive_rk45(oscillator, y, (t0, t1), 1e-10, 1e-12, h)
+        ref_times, ref_states, ref_h, _ = reference_tuple_rk45(
+            oscillator, ref_y, (t0, t1), 1e-10, 1e-12, ref_h
+        )
+        assert times == ref_times and _bits(states) == _bits(ref_states)
+        assert _bits(h) == _bits(ref_h)
+        y, ref_y = states[-1], tuple(ref_states[-1])
+
+
 def _decay(calls):
     def rhs(t, y):
         calls[0] += 1
@@ -571,6 +654,84 @@ def test_surface_sample_whose_flow_fails_does_not_stop_the_grid():
     assert all(math.isnan(v) for v in sample.offsets[1])
     assert all(math.isfinite(v) for i in (0, 2) for v in sample.offsets[i])
     assert singular_surface("d224", [(0.05, 0.1)]).failures == {}
+
+
+def test_surface_samples_inside_the_cut_converge():
+    # rho0 = 2e-12 and 5e-12 are inside the cut eps_cut = 1e-10, and 1.28e-10
+    # falls inside it within the first two steps: the flow goes on until the
+    # tail bound has its four states.  The offsets are
+    # the closed form's z^2 w / 3, z w^2 / 3 up to the tail, which is below
+    # 1e-10; measured, they are 0.77 to 0.89 of the closed form.
+    sample = singular_surface("d224", [(1e-6, 1e-6), (8e-6, 8e-6), (-1e-6, 2e-6)])
+    assert sample.converged == [True, True, True]
+    for (z, w), (dx, dy) in zip(sample.grid, sample.offsets):
+        for got, ref in zip((dx, dy), (z * z * w / 3.0, z * w * w / 3.0)):
+            assert abs(got - ref) <= 1e-10
+            assert 0.5 * abs(ref) <= abs(got) <= abs(ref) and got * ref > 0.0
+
+
+def _surface_by_integrate(pair, grid, t_max):
+    """The per-sample route: integrate builds each flow's Trajectory and the
+    tail bound reads its numpy rows; the cut is tested from the third
+    accepted step on."""
+    fld = char_field(pair, ORACLE)
+    fx, fy = fld.cx.compile(), fld.cy.compile()
+    rho_fn = RHO.compile()
+    offsets, converged, failures = [], [], {}
+    for i, (z, w) in enumerate(grid):
+        steps = [0]
+
+        def cut(t, y):
+            steps[0] += 1
+            return steps[0] >= 3 and rho_fn(*y) < flow.DEFAULT_EPS_CUT
+
+        try:
+            traj = integrate(fld, (0.0, 0.0, z, w), t_max, stop_when=cut)
+        except IntegrationError as exc:
+            failures[i] = str(exc)
+            offsets.append((math.nan, math.nan))
+            converged.append(False)
+            continue
+        end = traj.endpoint
+        ok = False
+        if rho_fn(*end) < flow.DEFAULT_EPS_CUT and traj.times.size >= 4:
+            ok = flow._tail_bound((fx, fy), traj.states, traj.times) < flow.TAIL_BOUND_LIMIT
+        offsets.append((float(end[0]), float(end[1])))
+        converged.append(ok)
+    return offsets, converged, failures
+
+
+def _surface_route_cases():
+    rng = np.random.default_rng(61)
+    grid = [(0.08, 0.03), (-0.05, 0.1), (0.002, -0.004), (1e-6, 2e-6), (0.1, 0.0)]
+    cases = [pytest.param(CATALOG[name], grid, 30.0, id=name) for name in ("d224", "d2334a")]
+    cases.append(pytest.param(CATALOG["d2334b"], grid[:3], 5.0, id="d2334b"))
+    while len(cases) < 9:
+        pair = PfaffianPair(*(
+            SparsePoly({e: c for e, c in random_poly(rng).terms.items() if e[0] == e[1] == 0})
+            for _ in range(2)
+        ))
+        # pairs whose flow moves x, so the offsets are not all zero
+        if not char_field(pair, ORACLE).cx.is_zero():
+            cases.append(pytest.param(pair, grid, 3.0, id=f"skew{len(cases) - 3}"))
+    failing = PfaffianPair(
+        SparsePoly({(0, 0, 2, 1): 1, (1, 0, 0, 1): Fraction(1, 3), (0, 1, 1, 0): -2}),
+        SparsePoly({(0, 0, 1, 2): 1, (0, 0, 3, 0): Fraction(3, 2), (1, 1, 0, 0): 1}),
+    )
+    cases.append(pytest.param(failing, [(0.01, 0.01), (0.1, 0.01), (0.1, 0.1)], 30.0,
+                              id="failing"))
+    return cases
+
+
+@pytest.mark.parametrize("pair,grid,t_max", _surface_route_cases())
+def test_singular_surface_is_bit_identical_to_the_integrate_route(pair, grid, t_max):
+    # singular_surface compiles the rhs once per grid and calls the driver
+    # directly, on float tuples; the per-sample integrate route gives the
+    # same offsets, convergence and failure messages, bit for bit.
+    sample = singular_surface(pair, grid, t_max=t_max)
+    offsets, converged, failures = _surface_by_integrate(pair, grid, t_max)
+    assert _bits(sample.offsets) == _bits(offsets)
+    assert sample.converged == converged and sample.failures == failures
 
 
 def test_surface_membership():
