@@ -14,6 +14,7 @@ catalog: the standard Engel pair plus the three degenerate normal forms.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -230,6 +231,29 @@ def _float_rank(matrix: np.ndarray, rank_tol: float) -> int:
     return int(np.sum(sv > rank_tol * sv[0]))
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _float_column(field: PolyVectorField, xs: tuple[float, ...]) -> np.ndarray:
+    """The field at float coordinates ``xs``, each entry set to 0 within
+    twice the a-priori rounding bound of its evaluation, gamma_k * sum
+    |c| |x|^e with k = terms + degree + 2: there it may be the residue of an
+    exact 0, which ``_float_rank``'s unit scaling would count as a direction.
+    """
+    column = []
+    for c in field.components():
+        value = c.compile()(*xs)
+        terms = c.terms
+        k = len(terms) + c.degree() + 2
+        gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+        size = sum(
+            abs(float(coeff)) * math.prod(abs(x) ** e for x, e in zip(xs, expo))
+            for expo, coeff in terms.items()
+        )
+        column.append(0.0 if abs(value) <= 2.0 * gamma * size else value)
+    return np.array(column)
+
+
 def growth_vector(
     pair: PfaffianPair,
     q: Point4,
@@ -240,32 +264,49 @@ def growth_vector(
 
     Accumulates the bracket levels and reports the rank of the evaluated
     spanning set after each level; level k+1 is built only while the rank
-    after level k is below 4.  At rational points the rank is exact
-    (Gaussian elimination over Q) and ``rank_tol`` is ignored; otherwise
-    the rank is the number of singular values above ``rank_tol`` relative
-    to the largest one; ``rank_tol`` must lie in [0, 1) either way.
+    after level k is below 4.  ``rank_tol`` must lie in [0, 1).
+
+    At rational points the rank is exact and ``rank_tol`` is ignored: level 1
+    has rank 2, as the z, w parts of Z and W are (1, 0) and (0, 1), and every
+    later bracket is a d/dx + b d/dy, so then the rank is 2 plus the rank of
+    the (a, b) columns, found with one exact 2x2 minor per column against the
+    first nonzero one.  Otherwise the rank counts the singular values of the
+    unit 4-vector columns (``_float_column``) above ``rank_tol`` relative to
+    the largest one.
     """
     if max_step < 2:
         raise ValueError("max_step must be at least 2")
     if not 0.0 <= rank_tol < 1.0:
         raise ValueError(f"rank_tol must be finite and in [0, 1), got {rank_tol!r}")
+    if q.is_rational:
+        return _exact_growth_vector(pair, q.as_fractions(), max_step)
+    xs = q.as_floats()
     dims: list[int] = []
-    exact = q.is_rational
-    columns_exact: list[tuple[Fraction, ...]] = []
-    columns_float: list[np.ndarray] = []
+    columns: list[np.ndarray] = []
     for step in range(1, max_step + 1):
-        for field in bracket_levels(pair, step)[-1]:
-            if exact:
-                columns_exact.append(field.eval_exact(q))
-            else:
-                columns_float.append(field.eval(q))
-        if exact:
-            rank = rational_rank(columns_exact)
-        else:
-            rank = _float_rank(np.array(columns_float).T, rank_tol)
-        dims.append(rank)
-        if rank == 4:
+        columns += [_float_column(field, xs) for field in bracket_levels(pair, step)[-1]]
+        dims.append(_float_rank(np.array(columns).T, rank_tol))
+        if dims[-1] == 4:
             return GrowthVector(tuple(dims), True)
+    return GrowthVector(tuple(dims), False)
+
+
+def _exact_growth_vector(
+    pair: PfaffianPair, coords: tuple[Fraction, ...], max_step: int
+) -> GrowthVector:
+    """``growth_vector`` at exact coordinates, evaluating only a and b."""
+    dims = [2]
+    first = None
+    for step in range(2, max_step + 1):
+        for field in bracket_levels(pair, step)[-1]:
+            a = field.cx._eval_fractions(coords)
+            b = field.cy._eval_fractions(coords)
+            if first is None:
+                if a or b:
+                    first = (a, b)
+            elif a * first[1] != b * first[0]:
+                return GrowthVector(tuple(dims) + (4,), True)
+        dims.append(2 if first is None else 3)
     return GrowthVector(tuple(dims), False)
 
 

@@ -189,9 +189,11 @@ class SparsePoly:
 
     def eval_exact(self, point: "Point4") -> Fraction:
         """Value at a point with rational coordinates, as an exact Fraction."""
-        if not point.is_rational:
-            raise ValueError("eval_exact requires rational coordinates")
-        coords = [_as_fraction(c) for c in point.as_tuple()]
+        return self._eval_fractions(point.as_fractions())
+
+    def _eval_fractions(self, coords: tuple[Fraction, ...]) -> Fraction:
+        """The term loop of eval_exact at coordinates already converted, so
+        that many polynomials evaluated at one point convert it once."""
         total = Fraction(0)
         for expo, coeff in self._terms.items():
             term = coeff
@@ -365,6 +367,12 @@ class Point4:
 
     def as_floats(self) -> tuple[float, float, float, float]:
         return (float(self.x), float(self.y), float(self.z), float(self.w))
+
+    def as_fractions(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The exact coordinates of a rational point."""
+        if not self.is_rational:
+            raise ValueError("exact evaluation requires rational coordinates")
+        return tuple(_as_fraction(c) for c in self.as_tuple())  # type: ignore[return-value]
 
     @property
     def is_rational(self) -> bool:

@@ -4,12 +4,19 @@ It brackets the frame up to ``max_step`` before it evaluates one column,
 then ranks the accumulated columns level by level, so a slip in
 ``engelkit.distribution.growth_vector``'s on-demand levels (a level built
 from the wrong one, or the rank taken before a level is complete) shows up
-as a different ``GrowthVector``.  The ranks are the module's own
-``rational_rank`` and ``_float_rank``.  The brackets come from the general
-``lie_bracket``, which ``growth_vector`` no longer uses: its levels are
-built from the frame's form (``[Z, V] = dV/dz`` and a two-component
-``[W, V]``), so this reference is an independent route to the same
-polynomials.
+as a different ``GrowthVector``.
+
+At rational points this is an independent route: the brackets come from
+the general ``lie_bracket``, the columns are all four components from
+``PolyVectorField.eval_exact``, and ``rational_rank`` eliminates them.
+``growth_vector`` uses none of these: it builds its levels from the
+frame's form (``[Z, V] = dV/dz`` and a two-component ``[W, V]``),
+evaluates only the x and y components of brackets past the frame, and
+takes 2 plus the rank of those (a, b) columns.
+
+At float points it shares ``growth_vector``'s ``_float_column``, whose
+rounding-bound zero test decides which entries are exact zeros, and
+``_float_rank``.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from engelkit.distribution import (
     GrowthVector,
     PfaffianPair,
     PolyVectorField,
+    _float_column,
     _float_rank,
     frame,
     lie_bracket,
@@ -52,7 +60,7 @@ def eager_growth_vector(
             columns += [field.eval_exact(q) for field in level]
             dims.append(rational_rank(columns))
         else:
-            columns += [field.eval(q) for field in level]
+            columns += [_float_column(field, q.as_floats()) for field in level]
             dims.append(_float_rank(np.array(columns).T, rank_tol))
         if dims[-1] == 4:
             return GrowthVector(tuple(dims), True)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,10 @@ import pytest
 import engelkit
 from engelkit import cli
 from engelkit.cli import main
-from engelkit.distribution import CATALOG, resolve_model
+from engelkit.distribution import CATALOG, PfaffianPair, resolve_model
 from engelkit.endpoint import ControlPath, horizontal_integrate
+from engelkit.poly import Point4, random_poly
+from reference_growth import eager_growth_vector
 
 
 def test_analyze_single_point(capsys):
@@ -265,6 +268,33 @@ def test_user_model_file(tmp_path, capsys):
     model_file.write_text(json.dumps(CATALOG["d224"].to_json_dict()))
     assert main(["analyze", "--model", str(model_file), "--point", "0,0,0,0"]) == 0
     assert "growth (2,2,4)" in capsys.readouterr().out
+
+
+def test_analyze_growth_equals_the_eager_reference(tmp_path, capsys):
+    # the reference brackets by the general lie_bracket and ranks 4-vectors
+    # by elimination, sharing no code with analyze's rank on the (a, b) plane
+    rng = np.random.default_rng(16)
+    models = list(CATALOG)
+    for i in range(8):
+        path = tmp_path / f"pair{i}.json"
+        path.write_text(json.dumps(PfaffianPair(random_poly(rng), random_poly(rng)).to_json_dict()))
+        models.append(str(path))
+    out = tmp_path / "growth.csv"
+    for model in models:
+        pair = resolve_model(model)[1]
+        points = [Point4.origin()] + [
+            Point4(*(Fraction(int(n), int(d))
+                     for n, d in zip(rng.integers(-6, 7, size=4), rng.integers(1, 5, size=4))))
+            for _ in range(3)
+        ]
+        point_args = ["--point=" + ",".join(str(c) for c in q.as_tuple()) for q in points]
+        assert main(["analyze", "--model", model, *point_args, "--out", str(out)]) == 0
+        expected = [eager_growth_vector(pair, q) for q in points]
+        printed = [line.split(": growth ")[1].split(", certificate")[0]
+                   for line in capsys.readouterr().out.splitlines()]
+        assert printed == [str(gv) for gv in expected], model
+        rows = [line.split(",") for line in out.read_text().splitlines()[5:]]
+        assert [row[4] for row in rows] == ["-".join(map(str, gv.dims)) for gv in expected], model
 
 
 def test_model_file_round_trips_through_the_json_codec(tmp_path, capsys):

@@ -8,6 +8,7 @@ from engelkit import distribution
 from engelkit.distribution import (
     CATALOG,
     DEGENERATE_MODELS,
+    GrowthVector,
     PfaffianPair,
     PolyVectorField,
     bracket_levels,
@@ -141,6 +142,68 @@ def test_float_growth_vector_matches_exact_at_tiny_coordinates(t):
             approx = growth_vector(pair, Point4(*map(float, q)))
             assert exact == approx, (model, q)
     assert growth_vector(CATALOG["d224"], Point4(0.0, 0.0, t, 0.0)).dims == (2, 3, 4)
+
+
+def test_float_rank_drops_the_rounding_residue_of_an_exact_zero():
+    # a level-6 bracket of this pair is exactly 0 at the point; in floats it
+    # read -7.3e-12, and scaled to a unit column it lifted the rank to 3
+    pair = PfaffianPair.from_json_dict(
+        {"f": [], "g": [[-4, [0, 0, 0, 2]], ["-4/3", [0, 1, 0, 2]], [-2, [1, 0, 1, 0]],
+                        ["1/2", [2, 0, 1, 0]]]}
+    )
+    exact = growth_vector(pair, Point4(4, 2, Fraction(-7, 4), Fraction(-5, 2)))
+    approx = growth_vector(pair, Point4(4.0, 2.0, -1.75, -2.5))
+    assert exact == approx == GrowthVector((2, 2, 2, 2, 2, 2), False)
+
+
+def test_exact_and_float_growth_vectors_agree_at_dyadic_points():
+    # dyadic coordinates are floats exactly, so both routes rank the same
+    # point.  Without the rounding-bound zero test, two of these cases
+    # (seed 15) read a higher float rank from an exactly zero bracket.
+    rng = np.random.default_rng(15)
+    pairs = list(CATALOG.values())
+    pairs += [PfaffianPair(random_poly(rng), random_poly(rng)) for _ in range(300)]
+    for pair in pairs:
+        for _ in range(2):
+            nums, shifts = rng.integers(-8, 9, size=4), rng.integers(0, 3, size=4)
+            q = Point4(*(Fraction(int(n), 2 ** int(k)) for n, k in zip(nums, shifts)))
+            assert growth_vector(pair, q) == growth_vector(pair, Point4(*q.as_floats())), (
+                pair.to_json_dict(), q
+            )
+
+
+def _pair(f, g):
+    return PfaffianPair.from_json_dict({"f": f, "g": g})
+
+
+@pytest.mark.parametrize(
+    "pair, q, dims",
+    [
+        # [Z, W] = (-2z, -w) is 0 at the origin, before two columns that span
+        (CATALOG["d224"], Point4.origin(), (2, 2, 4)),
+        # every column of levels 2 and 3 is parallel to [Z, W] = (-1, 0)
+        (CATALOG["d2334a"], Point4.origin(), (2, 3, 3, 4)),
+        # level 4 reads (0, -2), 0, 0, (0, -2): its first spanning column
+        # follows a zero column of level 3
+        (CATALOG["d2334b"], Point4.origin(), (2, 3, 3, 4)),
+        # two zero levels, then two parallel ones, then a spanning column
+        (_pair([[-2, [0, 0, 3, 0]], [1, [1, 0, 0, 2]]], [["4/3", [1, 0, 0, 1]]]),
+         Point4.origin(), (2, 2, 2, 3, 3, 4)),
+        # the first column not parallel to [Z, W] comes at level 6
+        (_pair([[1, [0, 1, 1, 0]], ["4/3", [2, 0, 0, 1]]],
+               [["-2/3", [0, 0, 0, 2]], [-1, [1, 0, 1, 0]]]),
+         Point4(0, 1, -1, 0), (2, 3, 3, 3, 3, 4)),
+        # parallel columns up to max_step: not bracket generating
+        (_pair([[4, [0, 0, 2, 1]]], []), Point4(0, 1, 0, -1), (2, 2, 3, 3, 3, 3)),
+    ],
+    ids=["zero-first", "parallel", "zero-then-spanning", "late-parallel", "late-spanning",
+         "plateau"],
+)
+def test_exact_rank_on_the_ab_plane_edge_cases(pair, q, dims):
+    gv = growth_vector(pair, q)
+    assert gv == GrowthVector(dims, dims[-1] == 4)
+    assert gv == eager_growth_vector(pair, q)
+    assert growth_vector(pair, Point4(*q.as_floats())) == gv
 
 
 def test_growth_vector_matches_eager_reference():
