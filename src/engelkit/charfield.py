@@ -26,7 +26,8 @@ coefficients (c, e) by three independent routes and cross-validates them:
 ``corrected`` and ``oracle`` agree as exact polynomials for every pair;
 ``printed`` agrees with them whenever the x/y mixed partials vanish (in
 particular on all four catalog models).  All equalities here are exact
-term-map identities, not numeric approximations.
+term-map identities, not numeric approximations.  Both closed forms take
+e = f_z*g_zz - g_z*f_zz as the negated ``distribution.engel_certificate``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .distribution import PfaffianPair, PolyVectorField, frame, lie_bracket
+from .distribution import PfaffianPair, PolyVectorField, engel_certificate, frame, lie_bracket
 from .poly import SparsePoly
 
 PRINTED = "printed"
@@ -70,12 +71,6 @@ def char_covector(pair: PfaffianPair) -> CharCovector:
     return CharCovector(lambda1=pair.g.diff("z"), lambda2=-pair.f.diff("z"))
 
 
-def _e_coefficient(pair: PfaffianPair) -> SparsePoly:
-    f_z = pair.f.diff("z")
-    g_z = pair.g.diff("z")
-    return f_z * g_z.diff("z") - g_z * f_z.diff("z")
-
-
 def coeffs_printed(pair: PfaffianPair) -> CharCoefficients:
     """Closed-form coefficients with bare mixed partials.
 
@@ -94,7 +89,7 @@ def coeffs_printed(pair: PfaffianPair) -> CharCoefficients:
         + f_z * f.diff("x")
     )
     h = g_z.diff("y") - g_z.diff("w") + g_z.diff("x") - f_z * g.diff("x")
-    return CharCoefficients(c=g_z * k + f_z * h, e=_e_coefficient(pair), variant=PRINTED)
+    return CharCoefficients(c=g_z * k + f_z * h, e=-engel_certificate(pair), variant=PRINTED)
 
 
 def coeffs_corrected(pair: PfaffianPair) -> CharCoefficients:
@@ -118,7 +113,7 @@ def coeffs_corrected(pair: PfaffianPair) -> CharCoefficients:
         + f_z * f.diff("x")
     )
     h = g * g_z.diff("y") - g_z.diff("w") + f * g_z.diff("x") - f_z * g.diff("x")
-    return CharCoefficients(c=g_z * k + f_z * h, e=_e_coefficient(pair), variant=CORRECTED)
+    return CharCoefficients(c=g_z * k + f_z * h, e=-engel_certificate(pair), variant=CORRECTED)
 
 
 def _pair_with_covector(cov: CharCovector, field: PolyVectorField) -> SparsePoly:

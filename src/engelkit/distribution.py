@@ -6,9 +6,11 @@ kernel of the 1-forms
     theta1 = dx + f dw,      theta2 = dy + g dw,
 
 which is framed by the vector fields Z = d/dz and W = d/dw - f d/dx - g d/dy.
-This module computes Lie brackets, growth vectors (with exact rational rank
-at rational points), the polynomial Engel certificate, and hosts the model
-catalog: the standard Engel pair plus the three degenerate normal forms.
+Every bracket of the frame is a d/dx + b d/dy and is held as its (a, b)
+pair.  This module computes Lie brackets, growth vectors (2 plus the rank
+of the (a, b) columns, exact at rational points), the polynomial Engel
+certificate, and hosts the model catalog: the standard Engel pair plus the
+three degenerate normal forms.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ class PolyVectorField:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components())
-
-    def eval_exact(self, q: Point4) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return tuple(c.eval_exact(q) for c in self.components())  # type: ignore[return-value]
 
     def eval(self, q: Point4) -> np.ndarray:
         return np.array([c.eval(q) for c in self.components()], dtype=float)
@@ -130,63 +129,59 @@ def lie_bracket(v1: PolyVectorField, v2: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(*out)
 
 
-def _planar(cx: SparsePoly, cy: SparsePoly) -> PolyVectorField:
-    zero = SparsePoly.zero()
-    return PolyVectorField(cx, cy, zero, zero)
+# A bracket past the frame, a d/dx + b d/dy, as its pair (a, b).
+Bracket = tuple[SparsePoly, SparsePoly]
 
 
-def _bracket_z(v: PolyVectorField) -> PolyVectorField:
-    """[Z, V] = dV/dz, as Z = d/dz is constant: (a_z, b_z, 0, 0) for a V with
-    x, y components (a, b) and constant z, w components (W, or any bracket)."""
-    return _planar(v.cx.diff("z"), v.cy.diff("z"))
+def _bracket_z(v: Bracket) -> Bracket:
+    """[Z, V] = dV/dz = (a_z, b_z), as Z = d/dz is constant; on W's x, y part
+    (-f, -g) it gives [Z, W]."""
+    return (v[0].diff("z"), v[1].diff("z"))
 
 
-def _bracket_w(w_field: PolyVectorField, partials, v: PolyVectorField) -> PolyVectorField:
-    """[W, V] for W = d/dw - f d/dx - g d/dy and V = a d/dx + b d/dy, with
-    ``partials`` = ((f_x, f_y), (g_x, g_y)):
+def _bracket_w(w_xy: Bracket, partials, v: Bracket) -> Bracket:
+    """[W, V] for W = d/dw - f d/dx - g d/dy and V = (a, b), with ``w_xy`` =
+    (-f, -g) and ``partials`` = ((f_x, f_y), (g_x, g_y)):
 
-        (a_w - f a_x - g a_y + a f_x + b f_y,  b_w - f b_x - g b_y + a g_x + b g_y, 0, 0).
+        (a_w - f a_x - g a_y + a f_x + b f_y,  b_w - f b_x - g b_y + a g_x + b g_y).
 
     Products with a zero factor add no term and are skipped.
     """
-    a, b = v.cx, v.cy
+    a, b = v
     out = []
     for c, (p_x, p_y) in ((a, partials[0]), (b, partials[1])):
-        products = ((w_field.cx, c.diff("x")), (w_field.cy, c.diff("y")), (a, p_x), (b, p_y))
+        products = ((w_xy[0], c.diff("x")), (w_xy[1], c.diff("y")), (a, p_x), (b, p_y))
         acc = c.diff("w")
         for left, right in products:
             if left and right:
                 acc = acc + left * right
         out.append(acc)
-    return _planar(*out)
+    return tuple(out)
 
 
 @lru_cache(maxsize=64)
-def bracket_levels(pair: PfaffianPair, max_step: int) -> tuple[tuple[PolyVectorField, ...], ...]:
-    """Iterated-bracket generations 1..max_step of the frame.
+def bracket_levels(pair: PfaffianPair, max_step: int) -> tuple[tuple[Bracket, ...], ...]:
+    """Iterated-bracket generations 2..max_step of the frame (Z, W).
 
-    Level 1 is (Z, W); level k+1 holds [Z, V] and [W, V] for every V of
+    Level 2 is [Z, W]; level k+1 holds [Z, V] and [W, V] for every V of
     level k.  Left-normed brackets span each graded piece of the generated
-    Lie algebra, so accumulating these levels spans the full flag.  Each
+    Lie algebra, so with the frame these levels span the full flag.  Each
     call brackets only its last level onto the cached levels below it.
 
-    Every bracket from level 2 on is a d/dx + b d/dy, so the brackets are
-    built from the frame's form rather than by the general ``lie_bracket``:
-    [Z, W] = (-f_z, -g_z, 0, 0), then ``_bracket_z`` and ``_bracket_w``.
+    The brackets are built from the frame's form rather than by the general
+    ``lie_bracket``: [Z, W] = (-f_z, -g_z), then ``_bracket_z`` and
+    ``_bracket_w``.
     """
-    if max_step == 1:
-        return (frame(pair),)
-    levels = bracket_levels(pair, max_step - 1)
-    w_field = levels[0][1]
+    w_xy = (-pair.f, -pair.g)
     if max_step == 2:
-        nxt = (_bracket_z(w_field),)
-    else:
-        partials = tuple((p.diff("x"), p.diff("y")) for p in (pair.f, pair.g))
-        nxt = tuple(
-            bracket
-            for v in levels[-1]
-            for bracket in (_bracket_z(v), _bracket_w(w_field, partials, v))
-        )
+        return ((_bracket_z(w_xy),),)
+    levels = bracket_levels(pair, max_step - 1)
+    partials = tuple((p.diff("x"), p.diff("y")) for p in (pair.f, pair.g))
+    nxt = tuple(
+        bracket
+        for v in levels[-1]
+        for bracket in (_bracket_z(v), _bracket_w(w_xy, partials, v))
+    )
     return levels + (nxt,)
 
 
@@ -218,9 +213,10 @@ def rational_rank(columns: list[tuple[Fraction, ...]]) -> int:
 
 def _float_rank(matrix: np.ndarray, rank_tol: float) -> int:
     # Unit columns keep the rank; unscaled, deep brackets ~1e10 long would
-    # lift the relative threshold above the frame's unit singular values.
-    # Scaling each column by a power of two first is exact and keeps the
-    # squares in the norm from underflowing (entries below ~1e-162).
+    # lift the relative threshold above the unit singular values of the
+    # first brackets.  Scaling each column by a power of two first is exact
+    # and keeps the squares in the norm from underflowing (entries below
+    # ~1e-162).
     _, exponents = np.frexp(np.abs(matrix).max(axis=0))
     matrix = np.ldexp(matrix, -exponents)
     norms = np.linalg.norm(matrix, axis=0)
@@ -234,24 +230,21 @@ def _float_rank(matrix: np.ndarray, rank_tol: float) -> int:
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _float_column(field: PolyVectorField, xs: tuple[float, ...]) -> np.ndarray:
-    """The field at float coordinates ``xs``, each entry set to 0 within
-    twice the a-priori rounding bound of its evaluation, gamma_k * sum
-    |c| |x|^e with k = terms + degree + 2: there it may be the residue of an
-    exact 0, which ``_float_rank``'s unit scaling would count as a direction.
+def _float_value(poly: SparsePoly, xs: tuple[float, ...]) -> float:
+    """``poly`` at float coordinates ``xs``, set to 0 within twice the
+    a-priori rounding bound of its evaluation, gamma_k * sum |c| |x|^e with
+    k = terms + degree + 2: there it may be the residue of an exact 0, which
+    ``_float_rank``'s unit scaling would count as a direction.
     """
-    column = []
-    for c in field.components():
-        value = c.compile()(*xs)
-        terms = c.terms
-        k = len(terms) + c.degree() + 2
-        gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-        size = sum(
-            abs(float(coeff)) * math.prod(abs(x) ** e for x, e in zip(xs, expo))
-            for expo, coeff in terms.items()
-        )
-        column.append(0.0 if abs(value) <= 2.0 * gamma * size else value)
-    return np.array(column)
+    value = poly.compile()(*xs)
+    terms = poly.terms
+    k = len(terms) + poly.degree() + 2
+    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    size = sum(
+        abs(float(coeff)) * math.prod(abs(x) ** e for x, e in zip(xs, expo))
+        for expo, coeff in terms.items()
+    )
+    return 0.0 if abs(value) <= 2.0 * gamma * size else value
 
 
 def growth_vector(
@@ -262,17 +255,16 @@ def growth_vector(
 ) -> GrowthVector:
     """Growth vector of the distribution at a point.
 
-    Accumulates the bracket levels and reports the rank of the evaluated
-    spanning set after each level; level k+1 is built only while the rank
-    after level k is below 4.  ``rank_tol`` must lie in [0, 1).
+    Level 1, the frame, has rank 2, as the z, w parts of Z and W are (1, 0)
+    and (0, 1); every later bracket is a d/dx + b d/dy, so after level k the
+    rank is 2 plus the rank of the (a, b) columns of levels 2..k.  Level k+1
+    is built only while that rank is below 4.  ``rank_tol`` must lie in
+    [0, 1).
 
-    At rational points the rank is exact and ``rank_tol`` is ignored: level 1
-    has rank 2, as the z, w parts of Z and W are (1, 0) and (0, 1), and every
-    later bracket is a d/dx + b d/dy, so then the rank is 2 plus the rank of
-    the (a, b) columns, found with one exact 2x2 minor per column against the
-    first nonzero one.  Otherwise the rank counts the singular values of the
-    unit 4-vector columns (``_float_column``) above ``rank_tol`` relative to
-    the largest one.
+    At rational points the rank is exact and ``rank_tol`` is ignored: one
+    exact 2x2 minor per column against the first nonzero one.  Otherwise it
+    counts the singular values of the unit (a, b) columns (each entry from
+    ``_float_value``) above ``rank_tol`` relative to the largest one.
     """
     if max_step < 2:
         raise ValueError("max_step must be at least 2")
@@ -281,11 +273,13 @@ def growth_vector(
     if q.is_rational:
         return _exact_growth_vector(pair, q.as_fractions(), max_step)
     xs = q.as_floats()
-    dims: list[int] = []
-    columns: list[np.ndarray] = []
-    for step in range(1, max_step + 1):
-        columns += [_float_column(field, xs) for field in bracket_levels(pair, step)[-1]]
-        dims.append(_float_rank(np.array(columns).T, rank_tol))
+    dims = [2]
+    columns: list[tuple[float, float]] = []
+    for step in range(2, max_step + 1):
+        columns += [
+            (_float_value(a, xs), _float_value(b, xs)) for a, b in bracket_levels(pair, step)[-1]
+        ]
+        dims.append(2 + _float_rank(np.array(columns).T, rank_tol))
         if dims[-1] == 4:
             return GrowthVector(tuple(dims), True)
     return GrowthVector(tuple(dims), False)
@@ -294,13 +288,13 @@ def growth_vector(
 def _exact_growth_vector(
     pair: PfaffianPair, coords: tuple[Fraction, ...], max_step: int
 ) -> GrowthVector:
-    """``growth_vector`` at exact coordinates, evaluating only a and b."""
+    """``growth_vector`` at exact coordinates."""
     dims = [2]
     first = None
     for step in range(2, max_step + 1):
-        for field in bracket_levels(pair, step)[-1]:
-            a = field.cx._eval_fractions(coords)
-            b = field.cy._eval_fractions(coords)
+        for a_poly, b_poly in bracket_levels(pair, step)[-1]:
+            a = a_poly._eval_fractions(coords)
+            b = b_poly._eval_fractions(coords)
             if first is None:
                 if a or b:
                     first = (a, b)
@@ -310,9 +304,11 @@ def _exact_growth_vector(
     return GrowthVector(tuple(dims), False)
 
 
+@lru_cache(maxsize=64)
 def engel_certificate(pair: PfaffianPair) -> SparsePoly:
-    """Polynomial certificate g_z*f_zz - f_z*g_zz; nonzero value at a point
-    is sufficient for growth (2,3,4) there."""
+    """Polynomial certificate g_z*f_zz - f_z*g_zz, -e of the characteristic
+    field C = c*Z + e*W; a nonzero value at a point is sufficient for growth
+    (2,3,4) there."""
     f_z = pair.f.diff("z")
     g_z = pair.g.diff("z")
     return g_z * f_z.diff("z") - f_z * g_z.diff("z")

@@ -6,20 +6,22 @@ then ranks the accumulated columns level by level, so a slip in
 from the wrong one, or the rank taken before a level is complete) shows up
 as a different ``GrowthVector``.
 
-At rational points this is an independent route: the brackets come from
-the general ``lie_bracket``, the columns are all four components from
-``PolyVectorField.eval_exact``, and ``rational_rank`` eliminates them.
-``growth_vector`` uses none of these: it builds its levels from the
-frame's form (``[Z, V] = dV/dz`` and a two-component ``[W, V]``),
-evaluates only the x and y components of brackets past the frame, and
-takes 2 plus the rank of those (a, b) columns.
+It is an independent route: the brackets come from the general
+``lie_bracket``, the columns are all four components of the frame and of
+every bracket, and the rank is that of those 4-vectors, by
+``rational_rank`` at rational points and by the SVD of the unit columns
+(``_float_rank`` here) at float points.  ``growth_vector`` uses none of
+these: it builds its levels as (a, b) pairs from the frame's form
+(``[Z, V] = dV/dz`` and a two-component ``[W, V]``) and takes 2 plus the
+rank of the (a, b) columns.
 
-At float points it shares ``growth_vector``'s ``_float_column``, whose
-rounding-bound zero test decides which entries are exact zeros, and
-``_float_rank``.
+At float points it shares only ``growth_vector``'s ``_float_value``, whose
+rounding-bound zero test decides which entries are exact zeros.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,8 +31,7 @@ from engelkit.distribution import (
     GrowthVector,
     PfaffianPair,
     PolyVectorField,
-    _float_column,
-    _float_rank,
+    _float_value,
     frame,
     lie_bracket,
     rational_rank,
@@ -47,6 +48,24 @@ def eager_levels(pair: PfaffianPair, max_step: int) -> list[tuple[PolyVectorFiel
     return levels
 
 
+def _eval_exact(field: PolyVectorField, q: Point4) -> tuple[Fraction, ...]:
+    return tuple(c.eval_exact(q) for c in field.components())
+
+
+def _float_rank(matrix: np.ndarray, rank_tol: float) -> int:
+    """Rank of 4 x k float columns: the singular values of the unit columns
+    above ``rank_tol`` relative to the largest.  Each column is first scaled
+    by a power of two, which is exact and keeps the norm from underflowing."""
+    _, exponents = np.frexp(np.abs(matrix).max(axis=0))
+    matrix = np.ldexp(matrix, -exponents)
+    norms = np.linalg.norm(matrix, axis=0)
+    columns = matrix[:, norms > 0.0] / norms[norms > 0.0]
+    if columns.size == 0:
+        return 0
+    sv = np.linalg.svd(columns, compute_uv=False)
+    return int(np.sum(sv > rank_tol * sv[0]))
+
+
 def eager_growth_vector(
     pair: PfaffianPair,
     q: Point4,
@@ -57,10 +76,11 @@ def eager_growth_vector(
     columns = []
     for level in eager_levels(pair, max_step):
         if q.is_rational:
-            columns += [field.eval_exact(q) for field in level]
+            columns += [_eval_exact(field, q) for field in level]
             dims.append(rational_rank(columns))
         else:
-            columns += [_float_column(field, q.as_floats()) for field in level]
+            xs = q.as_floats()
+            columns += [[_float_value(c, xs) for c in field.components()] for field in level]
             dims.append(_float_rank(np.array(columns).T, rank_tol))
         if dims[-1] == 4:
             return GrowthVector(tuple(dims), True)

@@ -21,7 +21,15 @@ from engelkit.charfield import (
     vanishes_on_sigma,
     _pair_with_covector,
 )
-from engelkit.distribution import CATALOG, DEGENERATE_MODELS, PfaffianPair, PolyVectorField, frame, lie_bracket
+from engelkit.distribution import (
+    CATALOG,
+    DEGENERATE_MODELS,
+    PfaffianPair,
+    PolyVectorField,
+    engel_certificate,
+    frame,
+    lie_bracket,
+)
 from engelkit.poly import Point4, SparsePoly, random_poly
 
 X = SparsePoly.var("x")
@@ -113,11 +121,14 @@ def test_covector_annihilates_first_bracket():
 
 
 def test_e_is_shared_by_all_variants():
+    # the closed forms take e from the Engel certificate; the oracle pairs
+    # the covector with [Z, [Z, W]], so it checks that e = -certificate
     rng = np.random.default_rng(13)
-    for _ in range(10):
-        pair = PfaffianPair(f=random_poly(rng), g=random_poly(rng))
+    pairs = list(CATALOG.values())
+    pairs += [PfaffianPair(f=random_poly(rng), g=random_poly(rng)) for _ in range(10)]
+    for pair in pairs:
         es = {v: coefficients(pair, v).e for v in VARIANTS}
-        assert es[PRINTED] == es[CORRECTED] == es[ORACLE]
+        assert es[PRINTED] == es[CORRECTED] == es[ORACLE] == -engel_certificate(pair)
 
 
 def test_variants_define_the_same_line_field():

@@ -52,7 +52,7 @@ def test_bad_point_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv,cause",
     [
-        (["analyze", "--model", "d224", "--point", "0,0,1e300,0"],
+        (["analyze", "--model", "d2334b", "--point", "0,0,1e300,0"],
          "error: float overflow: a value computed from the input is past the float range"),
         (["flow", "--model", "d224", "--start", "0,0,1e200,0", "--t", "1"],
          "error: integration failed: step size underflow while rejecting non-finite trial "
@@ -66,6 +66,22 @@ def test_float_range_failures_are_reported_errors(argv, cause, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(cause) and "internal error" not in err
+
+
+@pytest.mark.parametrize("z, w", [(3e4, 3e4), (1e5, 1e5), (1e50, 1e50), (1e300, 0.0)])
+def test_analyze_far_float_points_read_the_exact_growth(z, w, capsys):
+    # W = (-f, -g, 0, 1) scaled to a unit column lost its w entry below
+    # rank_tol once |f| passed ~1e9, and (0,0,3e4,3e4) read (2,3,3,3,3,3);
+    # at (0,0,1e300,0), f = z^2 overflowed.  The growth is 2 plus the rank
+    # of the (a, b) columns, so f is never evaluated.
+    exact = ",".join(str(int(Fraction(c))) for c in (0.0, 0.0, z, w))
+    lines = []
+    for point in (f"0,0,{z!r},{w!r}", exact):
+        assert main(["analyze", "--model", "d224", "--point", point]) == 0
+        lines.append(capsys.readouterr().out.split("): ", 1)[1])
+    assert lines[0] == lines[1]
+    assert lines[0].startswith("growth (2,3,4), ")
+    assert ("disagree" in lines[0]) == (w == 0.0)  # the certificate 2w vanishes on w = 0
 
 
 def test_analyze_grid_csv(tmp_path, capsys):
@@ -186,13 +202,15 @@ def test_the_parser_works_after_a_usage_error_and_after_version(capsys):
 
 
 def test_importing_the_cli_builds_no_parser_and_no_kernel():
-    # The parser and the generated kernels are built on first use, so that
-    # importing engelkit stays cheap.
+    # The parser, the generated kernels and the exact bracket algebra are
+    # built on first use, so that importing engelkit stays cheap.
     probe = (
         "import engelkit.cli\n"
-        "from engelkit import cli, codegen, endpoint, flow\n"
+        "from engelkit import charfield, cli, codegen, distribution, endpoint, flow\n"
         "caches = (cli._parser, codegen.kernel, flow._trial_step, flow._dense_output,\n"
-        "          endpoint._control_system, endpoint._default_samples)\n"
+        "          endpoint._control_system, endpoint._default_samples,\n"
+        "          distribution.bracket_levels, distribution.engel_certificate,\n"
+        "          charfield.coefficients)\n"
         "print([c.cache_info().currsize for c in caches])\n"
     )
     src = str(Path(engelkit.__file__).resolve().parent.parent)
@@ -200,7 +218,7 @@ def test_importing_the_cli_builds_no_parser_and_no_kernel():
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout == "[0, 0, 0, 0, 0, 0]\n"
+    assert result.stdout == "[0, 0, 0, 0, 0, 0, 0, 0, 0]\n"
 
 
 def test_endpoint_random_controls(tmp_path, capsys):
