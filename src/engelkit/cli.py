@@ -120,7 +120,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not points:
         raise CliError("give at least one --point or a --grid")
     for q in points:
-        rep = sigma_check(pair, q, rank_tol=args.rank_tol)
+        rep = sigma_check(pair, q)
         grid_rows.append((q, rep))
         flag = " [certificate and growth disagree]" if rep.tests_disagree else ""
         coords = ",".join(str(c) for c in q.as_tuple())
@@ -235,7 +235,7 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
     if args.controls:
         data = json.loads(Path(args.controls).read_text(encoding="utf-8"))
         entries = data if isinstance(data, list) else [data]
-        controls = [ControlPath.from_json_dict(entry) for entry in entries]
+        controls = [ControlPath.from_json_dict(entry, i) for i, entry in enumerate(entries)]
     elif args.random is not None:
         for flag, count in (("--random", args.random), ("--n-segments", args.n_segments)):
             if count < 1:
@@ -310,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="growth vector, certificate and locus membership")
     common(p)
     p.add_argument("--point", action="append",
-                   help="x,y,z,w (rational entries like 1/2 use exact rank)")
+                   help="x,y,z,w as integers, p/q or decimals (all ranked exactly; 0.1 "
+                   "reads as 1/10)")
     p.add_argument("--grid", help="min:max:count over z and w at x=y=0")
-    p.add_argument("--rank-tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("char", help="characteristic coefficients, three variants")

@@ -7,8 +7,8 @@ kernel of the 1-forms
 
 which is framed by the vector fields Z = d/dz and W = d/dw - f d/dx - g d/dy.
 Every bracket of the frame is a d/dx + b d/dy and is held as its (a, b)
-pair.  This module computes Lie brackets, growth vectors (2 plus the rank
-of the (a, b) columns, exact at rational points), the polynomial Engel
+pair.  This module computes Lie brackets, growth vectors (2 plus the exact
+rank of the (a, b) columns at every point), the polynomial Engel
 certificate, and hosts the model catalog: the standard Engel pair plus the
 three degenerate normal forms.
 """
@@ -16,7 +16,6 @@ three degenerate normal forms.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +26,6 @@ import numpy as np
 from .codegen import function_source, kernel, tuple_source
 from .poly import Point4, SparsePoly, VARS
 
-DEFAULT_RANK_TOL = 1e-9
 DEFAULT_MAX_STEP = 6
 
 
@@ -211,84 +209,20 @@ def rational_rank(columns: list[tuple[Fraction, ...]]) -> int:
     return rank
 
 
-def _float_rank(matrix: np.ndarray, rank_tol: float) -> int:
-    # Unit columns keep the rank; unscaled, deep brackets ~1e10 long would
-    # lift the relative threshold above the unit singular values of the
-    # first brackets.  Scaling each column by a power of two first is exact
-    # and keeps the squares in the norm from underflowing (entries below
-    # ~1e-162).
-    _, exponents = np.frexp(np.abs(matrix).max(axis=0))
-    matrix = np.ldexp(matrix, -exponents)
-    norms = np.linalg.norm(matrix, axis=0)
-    columns = matrix[:, norms > 0.0] / norms[norms > 0.0]
-    if columns.size == 0:
-        return 0
-    sv = np.linalg.svd(columns, compute_uv=False)
-    return int(np.sum(sv > rank_tol * sv[0]))
-
-
-_UNIT_ROUNDOFF = 2.0**-53
-
-
-def _float_value(poly: SparsePoly, xs: tuple[float, ...]) -> float:
-    """``poly`` at float coordinates ``xs``, set to 0 within twice the
-    a-priori rounding bound of its evaluation, gamma_k * sum |c| |x|^e with
-    k = terms + degree + 2: there it may be the residue of an exact 0, which
-    ``_float_rank``'s unit scaling would count as a direction.
-    """
-    value = poly.compile()(*xs)
-    terms = poly.terms
-    k = len(terms) + poly.degree() + 2
-    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-    size = sum(
-        abs(float(coeff)) * math.prod(abs(x) ** e for x, e in zip(xs, expo))
-        for expo, coeff in terms.items()
-    )
-    return 0.0 if abs(value) <= 2.0 * gamma * size else value
-
-
-def growth_vector(
-    pair: PfaffianPair,
-    q: Point4,
-    max_step: int = DEFAULT_MAX_STEP,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> GrowthVector:
-    """Growth vector of the distribution at a point.
+def growth_vector(pair: PfaffianPair, q: Point4, max_step: int = DEFAULT_MAX_STEP) -> GrowthVector:
+    """Exact growth vector of the distribution at a point.
 
     Level 1, the frame, has rank 2, as the z, w parts of Z and W are (1, 0)
     and (0, 1); every later bracket is a d/dx + b d/dy, so after level k the
-    rank is 2 plus the rank of the (a, b) columns of levels 2..k.  Level k+1
-    is built only while that rank is below 4.  ``rank_tol`` must lie in
-    [0, 1).
-
-    At rational points the rank is exact and ``rank_tol`` is ignored: one
-    exact 2x2 minor per column against the first nonzero one.  Otherwise it
-    counts the singular values of the unit (a, b) columns (each entry from
-    ``_float_value``) above ``rank_tol`` relative to the largest one.
+    rank is 2 plus the rank of the (a, b) columns of levels 2..k, taken at
+    the exact coordinates ``q.as_fractions()`` (a float at the decimal value
+    of its repr, so 0.1 and 1/10 read alike): one 2x2 minor per column
+    against the first nonzero one.  Level k+1 is built only while that rank
+    is below 4.
     """
     if max_step < 2:
         raise ValueError("max_step must be at least 2")
-    if not 0.0 <= rank_tol < 1.0:
-        raise ValueError(f"rank_tol must be finite and in [0, 1), got {rank_tol!r}")
-    if q.is_rational:
-        return _exact_growth_vector(pair, q.as_fractions(), max_step)
-    xs = q.as_floats()
-    dims = [2]
-    columns: list[tuple[float, float]] = []
-    for step in range(2, max_step + 1):
-        columns += [
-            (_float_value(a, xs), _float_value(b, xs)) for a, b in bracket_levels(pair, step)[-1]
-        ]
-        dims.append(2 + _float_rank(np.array(columns).T, rank_tol))
-        if dims[-1] == 4:
-            return GrowthVector(tuple(dims), True)
-    return GrowthVector(tuple(dims), False)
-
-
-def _exact_growth_vector(
-    pair: PfaffianPair, coords: tuple[Fraction, ...], max_step: int
-) -> GrowthVector:
-    """``growth_vector`` at exact coordinates."""
+    coords = q.as_fractions()
     dims = [2]
     first = None
     for step in range(2, max_step + 1):
@@ -340,16 +274,12 @@ class SigmaReport:
         return self.certificate_nonzero != self.is_engel_by_growth
 
 
-def sigma_check(
-    pair: PfaffianPair,
-    q: Point4,
-    max_step: int = DEFAULT_MAX_STEP,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> SigmaReport:
-    """Evaluate the Engel certificate and the growth vector at one point."""
-    cert = engel_certificate(pair)
-    value = float(cert.eval_exact(q)) if q.is_rational else cert.eval(q)
-    growth = growth_vector(pair, q, max_step=max_step, rank_tol=rank_tol)
+def sigma_check(pair: PfaffianPair, q: Point4, max_step: int = DEFAULT_MAX_STEP) -> SigmaReport:
+    """Evaluate the Engel certificate and the growth vector at one point,
+    both exactly at ``q.as_fractions()``; the certificate is then rounded
+    to a float."""
+    value = float(engel_certificate(pair).eval_exact(q))
+    growth = growth_vector(pair, q, max_step=max_step)
     return SigmaReport(
         point=q,
         certificate_value=value,

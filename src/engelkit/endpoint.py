@@ -92,10 +92,23 @@ class ControlPath:
         return {"n_segments": self.n_segments, "u": self.u.tolist()}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ControlPath":
-        """The control of a ``to_json_dict`` record; ``n_segments``, when
-        given, must equal the number of rows of ``u``."""
-        ctrl = cls(np.asarray(data["u"], dtype=float))
+    def from_json_dict(cls, data: dict, index: int = 0) -> "ControlPath":
+        """The control of a ``to_json_dict`` record, entry ``index`` of its
+        file; ``n_segments``, when given, must equal the number of rows of
+        ``u``.  Booleans, strings and nulls in ``u`` are not numbers here."""
+        if not isinstance(data, dict):
+            raise ValueError(f"control {index}: expected an object {{n_segments, u}}, got {data!r}")
+        if "u" not in data:
+            raise ValueError(f"control {index}: missing 'u'")
+        rows = data["u"]
+        if not (isinstance(rows, list)
+                and all(isinstance(row, list) and len(row) == 2 for row in rows)):
+            raise ValueError(f"control {index}: u must be a list of [u1, u2] rows")
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row):
+                if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+                    raise ValueError(f"control {index}: u[{i}][{j}] is {cell!r}, not a number")
+        ctrl = cls(np.asarray(rows, dtype=float))
         if "n_segments" in data and data["n_segments"] != ctrl.n_segments:
             raise ValueError(
                 f"control has n_segments={data['n_segments']!r} but {ctrl.n_segments} rows in u"

@@ -188,7 +188,7 @@ class SparsePoly:
     # -- evaluation -------------------------------------------------------
 
     def eval_exact(self, point: "Point4") -> Fraction:
-        """Value at a point with rational coordinates, as an exact Fraction."""
+        """Exact value at ``point.as_fractions()``, as a Fraction."""
         return self._eval_fractions(point.as_fractions())
 
     def _eval_fractions(self, coords: tuple[Fraction, ...]) -> Fraction:
@@ -348,8 +348,10 @@ ONE = SparsePoly.const(1)
 class Point4:
     """A point of the chart, with float or exact rational coordinates.
 
-    Rational coordinates (int or Fraction) enable the exact evaluation and
-    exact-rank code paths; floats fall back to floating arithmetic.
+    Exact evaluation (``as_fractions``, ``SparsePoly.eval_exact``, the growth
+    vector) reads a float coordinate at the decimal value of its repr, as
+    ``SparsePoly`` reads float coefficients; ``SparsePoly.eval`` uses float
+    arithmetic unless every coordinate is an int or a Fraction.
     """
 
     x: Scalar
@@ -369,13 +371,14 @@ class Point4:
         return (float(self.x), float(self.y), float(self.z), float(self.w))
 
     def as_fractions(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """The exact coordinates of a rational point."""
-        if not self.is_rational:
-            raise ValueError("exact evaluation requires rational coordinates")
+        """The exact coordinates, a float at the decimal value of its repr
+        (0.1 is 1/10)."""
         return tuple(_as_fraction(c) for c in self.as_tuple())  # type: ignore[return-value]
 
     @property
     def is_rational(self) -> bool:
+        """Whether every coordinate is an int or a Fraction, so that
+        ``SparsePoly.eval`` takes the exact route."""
         return all(isinstance(c, (int, Fraction)) for c in self.as_tuple())
 
     @classmethod

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -52,7 +54,7 @@ def test_bad_point_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv,cause",
     [
-        (["analyze", "--model", "d2334b", "--point", "0,0,1e300,0"],
+        (["analyze", "--model", "d2334b", "--point", "0,0,1e308,0"],
          "error: float overflow: a value computed from the input is past the float range"),
         (["flow", "--model", "d224", "--start", "0,0,1e200,0", "--t", "1"],
          "error: integration failed: step size underflow while rejecting non-finite trial "
@@ -70,18 +72,49 @@ def test_float_range_failures_are_reported_errors(argv, cause, capsys):
 
 @pytest.mark.parametrize("z, w", [(3e4, 3e4), (1e5, 1e5), (1e50, 1e50), (1e300, 0.0)])
 def test_analyze_far_float_points_read_the_exact_growth(z, w, capsys):
-    # W = (-f, -g, 0, 1) scaled to a unit column lost its w entry below
-    # rank_tol once |f| passed ~1e9, and (0,0,3e4,3e4) read (2,3,3,3,3,3);
-    # at (0,0,1e300,0), f = z^2 overflowed.  The growth is 2 plus the rank
-    # of the (a, b) columns, so f is never evaluated.
+    # An SVD rank with a relative tolerance read d224 at (0,0,3e4,3e4) and
+    # engel_std at (0,0,1e10,1e10) as (2,3,3,3,3,3), and f = z^2
+    # overflowed at (0,0,1e300,0).
     exact = ",".join(str(int(Fraction(c))) for c in (0.0, 0.0, z, w))
+    for model in ("d224", "engel_std"):
+        lines = []
+        for point in (f"0,0,{z!r},{w!r}", exact):
+            assert main(["analyze", "--model", model, "--point", point]) == 0
+            lines.append(capsys.readouterr().out.split("): ", 1)[1])
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("growth (2,3,4), ")
+        # d224's certificate 2w vanishes on w = 0; engel_std's is -1
+        assert ("disagree" in lines[0]) == (model == "d224" and w == 0.0)
+
+
+P5 = {"f": [[-7, [0, 0, 0, 1]], [-3, [0, 1, 2, 0]], [-1, [2, 0, 0, 1]], ["3/2", [2, 1, 0, 0]]],
+      "g": [[4, [0, 0, 0, 3]], [-3, [0, 0, 1, 1]], [-1, [0, 0, 1, 2]], ["-1/2", [0, 1, 0, 1]],
+            ["3/2", [2, 0, 0, 1]]]}
+P6 = {"f": [], "g": [["4/3", [0, 1, 2, 0]], [2, [2, 0, 0, 1]]]}
+
+
+@pytest.mark.parametrize(
+    "model,point,exact,growth",
+    [
+        # ranked at the binary value of 0.1 and 0.2, it would read (2,3,4)
+        (P5, "0,0,0.1,0.2", "0,0,1/10,1/5", "(2,3,3,4)"),
+        # its float brackets overflowed: exit 2 with "float overflow".  As
+        # f = 0, every (a, b) column is (0, b) and the rank stays 3.
+        (P6, "1e50,-1e50,1e50,1e50", f"{10**50},{-10**50},{10**50},{10**50}",
+         "(2,3,3,3,3,3,... (not bracket generating))"),
+    ],
+    ids=["p5-decimal", "p6-far"],
+)
+def test_analyze_reads_a_float_point_at_its_decimal_value(model, point, exact, growth, tmp_path,
+                                                          capsys):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(model))
     lines = []
-    for point in (f"0,0,{z!r},{w!r}", exact):
-        assert main(["analyze", "--model", "d224", "--point", point]) == 0
+    for p in (point, exact):
+        assert main(["analyze", "--model", str(path), "--point", p]) == 0
         lines.append(capsys.readouterr().out.split("): ", 1)[1])
     assert lines[0] == lines[1]
-    assert lines[0].startswith("growth (2,3,4), ")
-    assert ("disagree" in lines[0]) == (w == 0.0)  # the certificate 2w vanishes on w = 0
+    assert lines[0].startswith(f"growth {growth}, ")
 
 
 def test_analyze_grid_csv(tmp_path, capsys):
@@ -173,13 +206,13 @@ def test_the_reused_parser_carries_nothing_between_calls(tmp_path, capsys):
     assert line.startswith("point (0,0,1,0): growth (2,3,4)")
     # an option given once falls back to its default on the next call
     headers = []
-    for extra in (["--rank-tol", "0.001"], []):
+    for extra in (["--grid=0:1:2"], []):
         out = tmp_path / "grid.csv"
         argv = ["analyze", "--model", "d224", "--point", "0,0,0,0", "--out", str(out), *extra]
         assert main(argv) == 0
         headers.append(out.read_text().splitlines()[2])
-    assert "rank_tol=0.001" in headers[0] and "rank_tol=1e-09" in headers[1]
-    assert "point=['0,0,0,0'] " in headers[1]
+    assert "grid=0:1:2" in headers[0] and "grid=" not in headers[1]
+    assert headers[1].endswith("point=['0,0,0,0']")
     # another subcommand gets none of the previous call's values
     out = tmp_path / "char.json"
     assert main(["char", "--model", "d2334a", "--out", str(out)]) == 0
@@ -286,6 +319,26 @@ def test_user_model_file(tmp_path, capsys):
     model_file.write_text(json.dumps(CATALOG["d224"].to_json_dict()))
     assert main(["analyze", "--model", str(model_file), "--point", "0,0,0,0"]) == 0
     assert "growth (2,2,4)" in capsys.readouterr().out
+
+
+def test_readme_lists_the_flags_of_every_subcommand():
+    # the "Flags per subcommand" bullets, each joined with its continuation
+    # lines, against the long options of each subparser (without --help)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Flags per subcommand", 1)[1].split("\n\n", 2)[1]
+    listed = {}
+    for bullet in section.replace("\n  ", " ").splitlines():
+        command, flags = re.fullmatch(r"\* `(\w+)`: (.*)", bullet).groups()
+        listed[command] = re.findall(r"`(--[\w-]+)`", flags)
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    expected = {
+        command: [opt for action in parser._actions
+                  if not isinstance(action, argparse._HelpAction)
+                  for opt in action.option_strings if opt.startswith("--")]
+        for command, parser in subparsers.choices.items()
+    }
+    assert listed == expected
 
 
 def test_analyze_growth_equals_the_eager_reference(tmp_path, capsys):
@@ -479,6 +532,31 @@ def test_control_file_whose_n_segments_disagrees_with_u_is_a_usage_error(tmp_pat
 
 
 @pytest.mark.parametrize(
+    "data,message",
+    [
+        (5, "control 0: expected an object {n_segments, u}, got 5"),
+        ([[1, 2], [3, 4]], "control 0: expected an object {n_segments, u}, got [1, 2]"),
+        ({"n_segments": 1}, "control 0: missing 'u'"),
+        ([{"u": [[1, 0]]}, {"u": [[1, 0], [0, True]]}], "control 1: u[1][1] is True, not a number"),
+        ({"u": [["1", 0]]}, "control 0: u[0][0] is '1', not a number"),
+        ({"u": [[0, None]]}, "control 0: u[0][1] is None, not a number"),
+        ({"u": [[1, 0], [1]]}, "control 0: u must be a list of [u1, u2] rows"),
+    ],
+    ids=["number", "list-of-lists", "no-u", "bool", "string", "null", "short-row"],
+)
+def test_malformed_control_files_are_usage_errors_that_name_the_entry(data, message, tmp_path,
+                                                                      capsys):
+    # the first three exited 1 or printed a bare "error: u"; a bool or a
+    # numeric string was read as a number
+    ctrl_file = tmp_path / "ctrl.json"
+    ctrl_file.write_text(json.dumps(data))
+    assert main(["endpoint", "--model", "d224", "--controls", str(ctrl_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (["surface", "--model", "d224", "--grid=nan:0.1:2"],
@@ -532,12 +610,9 @@ SURFACE = ["surface", "--model", "d224", "--grid", "0.01:0.1:2"]
         (["endpoint", "--model", "d224", "--random", "0"], "--random must be at least 1, got 0"),
         (["endpoint", "--model", "d224", "--random", "2", "--n-segments", "-2"],
          "--n-segments must be at least 1, got -2"),
-        (["analyze", "--model", "d224", "--point", "0,0,0.1,0.2", "--rank-tol=nan"],
-         "rank_tol must be finite and in [0, 1), got nan"),
     ],
     ids=["rtol-nan", "atol-inf", "t-inf", "t-nan", "t-max-inf", "t-max-nan", "eps-cut-nan",
-         "sard-negative", "random-negative", "random-zero", "n-segments-negative",
-         "rank-tol-nan"],
+         "sard-negative", "random-negative", "random-zero", "n-segments-negative"],
 )
 def test_out_of_range_numbers_are_usage_errors_that_name_the_value(argv, message, capsys):
     # Each used to run on: to a misleading step underflow, a trajectory or

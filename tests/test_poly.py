@@ -63,9 +63,12 @@ def test_eval_examples():
     assert cubic.eval_exact(Point4(0, 0, 1, 1)) == Fraction(4, 3)
 
 
-def test_eval_exact_requires_rational_point():
-    with pytest.raises(ValueError):
-        Z.eval_exact(Point4(0.0, 0.0, 1.0, 0.0))
+def test_eval_exact_reads_a_float_at_its_decimal_value():
+    # 0.1 is 1/10, not the binary 3602879701896397/2**55
+    assert Z.eval_exact(Point4(0.0, 0.0, 0.1, 0.0)) == Fraction(1, 10)
+    assert Point4(0.5, -1e50, 2, Fraction(1, 3)).as_fractions() == (
+        Fraction(1, 2), Fraction(-(10**50)), Fraction(2), Fraction(1, 3)
+    )
 
 
 def test_subs_restricts_variable():
