@@ -82,13 +82,10 @@ class _Checks:
 
 
 def _rational_points(rng, count: int) -> list[Point4]:
-    pts = []
-    for _ in range(count):
-        coords = [
-            Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 9))) for _ in range(4)
-        ]
-        pts.append(Point4(*coords))
-    return pts
+    return [
+        Point4(*(Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 9))) for _ in range(4)))
+        for _ in range(count)
+    ]
 
 
 def criterion_1() -> CriterionResult:
@@ -218,13 +215,9 @@ def criterion_5() -> CriterionResult:
 
 
 def _surface_grid(magnitudes: tuple[float, ...]) -> list[tuple[float, float]]:
-    grid = []
-    for mz in magnitudes:
-        for mw in magnitudes:
-            for sz in (1.0, -1.0):
-                for sw in (1.0, -1.0):
-                    grid.append((sz * mz, sw * mw))
-    return grid
+    signs = (1.0, -1.0)
+    return [(sz * mz, sw * mw)
+            for mz in magnitudes for mw in magnitudes for sz in signs for sw in signs]
 
 
 def criterion_6() -> CriterionResult:
@@ -384,18 +377,10 @@ def criterion_10() -> CriterionResult:
     return ck.result(10, "singular endpoint sampling (2-disc vs single point)")
 
 
-CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-}
+CRITERIA = dict(enumerate((
+    criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
+    criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
+), start=1))
 
 
 def run_all(numbers: list[int] | None = None) -> list[CriterionResult]:

@@ -187,15 +187,8 @@ def cmd_surface(args: argparse.Namespace) -> int:
     magnitudes = _parse_grid(args.grid)
     if np.any(magnitudes == 0.0):
         raise CliError("surface grid magnitudes must be nonzero")
-    signs = [(1.0, 1.0)]
-    if args.signed:
-        signs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
-    grid = [
-        (sz * z, sw * w)
-        for z in magnitudes
-        for w in magnitudes
-        for sz, sw in signs
-    ]
+    signs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] if args.signed else [(1.0, 1.0)]
+    grid = [(sz * z, sw * w) for z in magnitudes for w in magnitudes for sz, sw in signs]
     sample = singular_surface(
         pair, grid, eps_cut=args.eps_cut, t_max=args.t_max,
         rtol=args.rtol, atol=args.atol,

@@ -214,24 +214,28 @@ def growth_vector(pair: PfaffianPair, q: Point4, max_step: int = DEFAULT_MAX_STE
 
     Level 1, the frame, has rank 2, as the z, w parts of Z and W are (1, 0)
     and (0, 1); every later bracket is a d/dx + b d/dy, so after level k the
-    rank is 2 plus the rank of the (a, b) columns of levels 2..k, taken at
-    the exact coordinates ``q.as_fractions()`` (a float at the decimal value
-    of its repr, so 0.1 and 1/10 read alike): one 2x2 minor per column
-    against the first nonzero one.  Level k+1 is built only while that rank
-    is below 4.
+    rank is 2 plus the rank of the (a, b) columns of levels 2..k at the
+    exact point ``q.powers()`` (a float at the decimal value of its repr, so
+    0.1 and 1/10 read alike): one 2x2 minor per column against the first
+    nonzero one.  Each column is taken in integers by ``eval_integer``,
+    scaled by L_a*L_b*D^max(m_a, m_b) > 0, which keeps the rank.  Level k+1
+    is built only while that rank is below 4.
     """
     if max_step < 2:
         raise ValueError("max_step must be at least 2")
-    coords = q.as_fractions()
+    powers = q.powers()
     dims = [2]
     first = None
     for step in range(2, max_step + 1):
         for a_poly, b_poly in bracket_levels(pair, step)[-1]:
-            a = a_poly._eval_fractions(coords)
-            b = b_poly._eval_fractions(coords)
+            a, l_a, m_a = a_poly.eval_integer(powers)
+            b, l_b, m_b = b_poly.eval_integer(powers)
+            if not (a or b):
+                continue
+            m, pd = max(m_a, m_b), powers[4]
+            a, b = a * l_b * pd[m - m_a], b * l_a * pd[m - m_b]
             if first is None:
-                if a or b:
-                    first = (a, b)
+                first = (a, b)
             elif a * first[1] != b * first[0]:
                 return GrowthVector(tuple(dims) + (4,), True)
         dims.append(2 if first is None else 3)
@@ -276,8 +280,7 @@ class SigmaReport:
 
 def sigma_check(pair: PfaffianPair, q: Point4, max_step: int = DEFAULT_MAX_STEP) -> SigmaReport:
     """Evaluate the Engel certificate and the growth vector at one point,
-    both exactly at ``q.as_fractions()``; the certificate is then rounded
-    to a float."""
+    both exactly; the certificate is then rounded to a float."""
     value = float(engel_certificate(pair).eval_exact(q))
     growth = growth_vector(pair, q, max_step=max_step)
     return SigmaReport(

@@ -43,7 +43,7 @@ def _as_fraction(value: Scalar | str) -> Fraction:
 class SparsePoly:
     """Immutable sparse polynomial over Q in the fixed variables x, y, z, w."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_ints")
 
     def __init__(self, terms: Mapping[Exponent, Scalar] | None = None):
         clean: dict[Exponent, Fraction] = {}
@@ -57,6 +57,7 @@ class SparsePoly:
                     clean[expo] = frac  # type: ignore[index]
         self._terms = clean
         self._hash: int | None = None
+        self._ints: tuple | None = None
 
     # -- constructors ----------------------------------------------------
 
@@ -188,24 +189,33 @@ class SparsePoly:
     # -- evaluation -------------------------------------------------------
 
     def eval_exact(self, point: "Point4") -> Fraction:
-        """Exact value at ``point.as_fractions()``, as a Fraction."""
-        return self._eval_fractions(point.as_fractions())
+        """Exact value at ``point.as_fractions()``: N / (L·D^m) of ``eval_integer``."""
+        powers = point.powers()
+        value, lcm, m = self.eval_integer(powers)
+        return Fraction(value, lcm * powers[4][m])
 
-    def _eval_fractions(self, coords: tuple[Fraction, ...]) -> Fraction:
-        """The term loop of eval_exact at coordinates already converted, so
-        that many polynomials evaluated at one point convert it once."""
-        total = Fraction(0)
-        for expo, coeff in self._terms.items():
-            term = coeff
-            for c, e in zip(coords, expo):
-                if e:
-                    term *= c**e
-            total += term
-        return total
+    def eval_integer(self, powers: tuple[list[int], ...]) -> tuple[int, int, int]:
+        """(N, L, m) at the point P/D of ``Point4.powers``, whose rows it grows
+        to m: L is the lcm of the coefficient denominators, m the degree (0 for
+        the zero polynomial) and N = value·L·D^m.  The integer form (L, m and
+        per term n·L/d, e and the padding m − |e|) is built once and kept."""
+        if self._ints is None:
+            lcm = math.lcm(*(c.denominator for c in self._terms.values()))
+            m = max(self.degree(), 0)
+            self._ints = lcm, m, tuple((c.numerator * (lcm // c.denominator), *e, m - sum(e))
+                                       for e, c in self._terms.items())
+        lcm, m, terms = self._ints
+        if len(powers[4]) <= m:
+            for row in powers:
+                row += [row[1] ** k for k in range(len(row), m + 1)]
+        px, py, pz, pw, pd = powers
+        total = 0
+        for c, ex, ey, ez, ew, pad in terms:
+            total += c * px[ex] * py[ey] * pz[ez] * pw[ew] * pd[pad]
+        return total, lcm, m
 
     def eval(self, point: "Point4") -> float:
-        """Value at a point as a float (exact arithmetic throughout when the
-        coordinates are rational)."""
+        """Value at a point as a float, rounded from ``eval_exact`` when it is rational."""
         if point.is_rational:
             return float(self.eval_exact(point))
         return self.compile()(*(float(c) for c in point.as_tuple()))
@@ -327,6 +337,7 @@ def _raw(terms: dict[Exponent, Fraction]) -> SparsePoly:
     poly = SparsePoly.__new__(SparsePoly)
     poly._terms = terms
     poly._hash = None
+    poly._ints = None
     return poly
 
 
@@ -348,7 +359,7 @@ ONE = SparsePoly.const(1)
 class Point4:
     """A point of the chart, with float or exact rational coordinates.
 
-    Exact evaluation (``as_fractions``, ``SparsePoly.eval_exact``, the growth
+    Exact evaluation (``as_fractions``, ``powers``, ``eval_exact``, the growth
     vector) reads a float coordinate at the decimal value of its repr, as
     ``SparsePoly`` reads float coefficients; ``SparsePoly.eval`` uses float
     arithmetic unless every coordinate is an int or a Fraction.
@@ -374,6 +385,14 @@ class Point4:
         """The exact coordinates, a float at the decimal value of its repr
         (0.1 is 1/10)."""
         return tuple(_as_fraction(c) for c in self.as_tuple())  # type: ignore[return-value]
+
+    def powers(self) -> tuple[list[int], ...]:
+        """The exact coordinates as integer numerators P over their least common
+        denominator D: rows [1, P_x], [1, P_y], [1, P_z], [1, P_w], [1, D] of
+        powers, grown by ``SparsePoly.eval_integer`` for every polynomial."""
+        ratios = [c.as_integer_ratio() for c in self.as_fractions()]
+        den = math.lcm(*[d for _, d in ratios])
+        return (*[[1, n * (den // d)] for n, d in ratios], [1, den])
 
     @property
     def is_rational(self) -> bool:

@@ -8,11 +8,13 @@ as a different ``GrowthVector``.
 
 It is an independent route: the brackets come from the general
 ``lie_bracket``, the columns are all four components of the frame and of
-every bracket, taken by ``eval_exact`` at ``q``, and the rank is that of those
-4-vectors by the Gaussian elimination of ``rational_rank``.
-``growth_vector`` uses none of these: it builds its levels as (a, b) pairs
-from the frame's form (``[Z, V] = dV/dz`` and a two-component ``[W, V]``)
-and takes 2 plus the rank of the (a, b) columns by 2x2 minors.
+every bracket, taken as Fractions at ``q`` by the term loop
+``reference_eval_exact``, and the rank is that of those 4-vectors by the
+Gaussian elimination of ``rational_rank``.  ``growth_vector`` uses none of
+these: it builds its levels as (a, b) pairs from the frame's form
+(``[Z, V] = dV/dz`` and a two-component ``[W, V]``), evaluates them in
+integers over the point's common denominator and takes 2 plus the rank of
+the (a, b) columns by 2x2 minors.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from engelkit.distribution import (
     rational_rank,
 )
 from engelkit.poly import Point4
+from reference_poly import reference_eval_exact
 
 
 def eager_levels(pair: PfaffianPair, max_step: int) -> list[tuple[PolyVectorField, ...]]:
@@ -44,7 +47,9 @@ def eager_growth_vector(
     dims: list[int] = []
     columns = []
     for level in eager_levels(pair, max_step):
-        columns += [tuple(c.eval_exact(q) for c in field.components()) for field in level]
+        columns += [
+            tuple(reference_eval_exact(c, q) for c in field.components()) for field in level
+        ]
         dims.append(rational_rank(columns))
         if dims[-1] == 4:
             return GrowthVector(tuple(dims), True)

@@ -15,10 +15,12 @@ import pytest
 import engelkit
 from engelkit import cli
 from engelkit.cli import main
+from engelkit import distribution
 from engelkit.distribution import CATALOG, PfaffianPair, resolve_model
 from engelkit.endpoint import ControlPath, horizontal_integrate
-from engelkit.poly import Point4, random_poly
+from engelkit.poly import Point4, SparsePoly, random_poly
 from reference_growth import eager_growth_vector
+from reference_poly import reference_eval_exact
 
 
 def test_analyze_single_point(capsys):
@@ -366,6 +368,50 @@ def test_analyze_growth_equals_the_eager_reference(tmp_path, capsys):
         assert printed == [str(gv) for gv in expected], model
         rows = [line.split(",") for line in out.read_text().splitlines()[5:]]
         assert [row[4] for row in rows] == ["-".join(map(str, gv.dims)) for gv in expected], model
+
+
+def _analyze_and_char_outputs(tmp_path, capsys, models, points) -> list:
+    outputs = []
+    for i, model in enumerate(models):
+        csv, report = tmp_path / f"m{i}.csv", tmp_path / f"m{i}.json"
+        argv = ["analyze", "--model", model, *(f"--point={p}" for p in points), "--out", str(csv)]
+        assert main(argv) == 0
+        assert main(["char", "--model", model, "--out", str(report)]) == 0
+        outputs.append((capsys.readouterr(), csv.read_bytes(), report.read_bytes()))
+    return outputs
+
+
+def test_analyze_and_char_outputs_equal_those_of_the_reference_evaluators(tmp_path, capsys,
+                                                                          monkeypatch):
+    # Run once as shipped and once with every exact value taken by the
+    # Fraction term loop and every growth vector by the eager reference:
+    # stdout, the analyze CSV and the char JSON must not change by a byte.
+    rng = np.random.default_rng(19)
+    models = list(CATALOG)
+    for i in range(6):
+        path = tmp_path / f"pair{i}.json"
+        pair = PfaffianPair(random_poly(rng, max_degree=4), random_poly(rng))
+        path.write_text(json.dumps(pair.to_json_dict()))
+        models.append(str(path))
+    points = ["0,0,0,0", "1/2,-3/4,5/3,-7/2", "0,0,1e50,1e50", "0,0,5e-324,5e-324",
+              "5e-324,1e50,-0.0,0.1", "0.1,0.2,0.3,0.4", "123456789/1000,1,-1,1/7",
+              ",".join(repr(float(c)) for c in rng.uniform(-3.0, 3.0, size=4))]
+    shipped = _analyze_and_char_outputs(tmp_path, capsys, models, points)
+    monkeypatch.setattr(SparsePoly, "eval_exact", reference_eval_exact)
+    monkeypatch.setattr(distribution, "growth_vector", eager_growth_vector)
+    assert _analyze_and_char_outputs(tmp_path, capsys, models, points) == shipped
+    assert "1e+50" in shipped[0][0].out and "5e-324" in shipped[0][0].out
+
+
+def test_certificate_past_the_float_range_is_a_usage_error(tmp_path, capsys):
+    # f = z^2, g = z^3 w^3: the certificate -6 z^2 w^3 is about -6e500 here
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"f": [[1, [0, 0, 2, 0]]], "g": [[1, [0, 0, 3, 3]]]}))
+    assert main(["analyze", "--model", str(path), "--point=0,0,1e100,1e100"]) == 2
+    assert capsys.readouterr().err == (
+        "error: float overflow: a value computed from the input is past the float range "
+        "(integer division result too large for a float)\n"
+    )
 
 
 def test_model_file_round_trips_through_the_json_codec(tmp_path, capsys):

@@ -232,9 +232,18 @@ def _pair(f, g):
          Point4(0, 1, -1, 0), (2, 3, 3, 3, 3, 4)),
         # parallel columns up to max_step: not bracket generating
         (_pair([[4, [0, 0, 2, 1]]], []), Point4(0, 1, 0, -1), (2, 2, 3, 3, 3, 3)),
+        # D = 4 and the a, b of a column differ in degree: columns scaled
+        # without D^(m - m_a) and D^(m - m_b) read (2,3,3,4) here and (2,3,4)
+        # in the next case
+        (_pair([[-3, [1, 0, 0, 1]], ["1/3", [1, 1, 1, 0]]],
+               [[4, [0, 0, 0, 1]], ["-2/3", [1, 1, 1, 0]]]),
+         Point4(1, 1, Fraction(1, 2), Fraction(-3, 4)), (2, 3, 4)),
+        (_pair([[1, [0, 0, 0, 2]], ["1/2", [0, 0, 2, 1]]],
+               [["-2/3", [0, 0, 2, 1]], ["-3/2", [3, 0, 0, 0]]]),
+         Point4(0, Fraction(1, 4), Fraction(3, 2), 1), (2, 3, 3, 3, 4)),
     ],
     ids=["zero-first", "parallel", "zero-then-spanning", "late-parallel", "late-spanning",
-         "plateau"],
+         "plateau", "padded-spanning", "padded-parallel"],
 )
 def test_exact_rank_on_the_ab_plane_edge_cases(pair, q, dims):
     gv = growth_vector(pair, q)
@@ -258,6 +267,21 @@ def test_growth_vector_matches_eager_reference():
                 assert growth_vector(pair, q, max_step) == eager_growth_vector(
                     pair, q, max_step
                 ), (pair.to_json_dict(), q, max_step)
+
+
+def test_growth_vector_matches_eager_reference_at_float_points_with_large_denominators():
+    # 17-digit decimals, tiny and huge coordinates: the common denominator D
+    # runs to 10**20 and past, and its powers pad every column's terms
+    rng = np.random.default_rng(19)
+    pairs = [PfaffianPair(random_poly(rng, max_degree=4), random_poly(rng)) for _ in range(10)]
+    for pair in list(CATALOG.values()) + pairs:
+        points = [
+            Point4(*(float(c) for c in rng.uniform(-2.0, 2.0, size=4))),
+            Point4(*(float(c) for c in rng.uniform(-1e-7, 1e-7, size=4))),
+            Point4(float(rng.uniform(-1e8, 1e8)), 5e-324, -0.0, float(rng.uniform(-3.0, 3.0))),
+        ]
+        for q in points:
+            assert growth_vector(pair, q) == eager_growth_vector(pair, q), (pair.to_json_dict(), q)
 
 
 def test_bracket_levels_equal_the_general_lie_bracket():

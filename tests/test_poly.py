@@ -10,7 +10,7 @@ from engelkit.charfield import ORACLE, char_field
 from engelkit.codegen import kernel
 from engelkit.distribution import CATALOG
 from engelkit.poly import Point4, SparsePoly, VARS, random_poly
-from reference_poly import reference_compile
+from reference_poly import reference_compile, reference_eval_exact
 
 X = SparsePoly.var("x")
 Y = SparsePoly.var("y")
@@ -69,6 +69,18 @@ def test_eval_exact_reads_a_float_at_its_decimal_value():
     assert Point4(0.5, -1e50, 2, Fraction(1, 3)).as_fractions() == (
         Fraction(1, 2), Fraction(-(10**50)), Fraction(2), Fraction(1, 3)
     )
+
+
+def test_powers_are_integer_numerators_over_the_least_common_denominator():
+    q = Point4(0.5, -1e50, 2, Fraction(1, 3))
+    rows = q.powers()
+    assert [row[:2] for row in rows] == [[1, 3], [1, -6 * 10**50], [1, 12], [1, 2], [1, 6]]
+    cubic = SparsePoly({(0, 0, 3, 0): Fraction(1, 3), (0, 0, 1, 2): Fraction(1, 2)})
+    # value 8/3 + 1/9 = 25/9, L = 6, m = 3, D = 6: N = 25/9 * 6 * 6**3
+    assert cubic.eval_integer(rows) == (3600, 6, 3)
+    assert [len(row) for row in rows] == [4] * 5  # grown to the degree read
+    assert cubic.eval_exact(q) == Fraction(25, 9)
+    assert SparsePoly.zero().eval_integer(rows) == (0, 1, 0)
 
 
 def test_subs_restricts_variable():
@@ -195,3 +207,43 @@ def test_kernel_cache_is_bounded_and_shared_by_equal_sources():
     second = char_field(CATALOG["d224"], ORACLE).compile_rhs()
     assert first is second
     assert kernel.cache_info().misses == 1
+
+
+def _signed_floats(lo, hi):
+    return st.builds(lambda x, neg: -x if neg else x, st.floats(lo, hi), st.booleans())
+
+
+COORDS = st.one_of(
+    st.fractions(max_denominator=10**6).filter(lambda c: abs(c) < 10**12),
+    st.integers(-(10**30), 10**30),
+    _signed_floats(5e-324, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1e50]),
+)
+
+
+EVAL_POLYS = st.one_of(
+    polys(max_terms=6, max_degree=7),
+    st.fractions(max_denominator=100).map(SparsePoly.const),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EVAL_POLYS, st.tuples(COORDS, COORDS, COORDS, COORDS))
+def test_eval_exact_equals_the_fraction_term_loop(p, coords):
+    # the zero polynomial, constants and degree >= 6 are all drawn; the
+    # coordinates mix ints, Fractions and floats from 5e-324 to 1e300
+    q = Point4(*coords)
+    exact, reference = p.eval_exact(q), reference_eval_exact(p, q)
+    assert exact == reference
+    assert _outcome(float, (exact,)) == _outcome(float, (reference,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(EVAL_POLYS, st.tuples(COORDS, COORDS, COORDS, COORDS))
+def test_the_cached_integer_form_changes_no_observable_of_a_polynomial(p, coords):
+    fresh = SparsePoly(p.terms)
+    before = (p.terms, hash(p), repr(p), p.to_json())
+    p.eval_exact(Point4(*coords))
+    assert (p.terms, hash(p), repr(p), p.to_json()) == before
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    assert p.to_json() == fresh.to_json()
