@@ -217,9 +217,9 @@ def growth_vector(pair: PfaffianPair, q: Point4, max_step: int = DEFAULT_MAX_STE
     rank is 2 plus the rank of the (a, b) columns of levels 2..k at the
     exact point ``q.powers()`` (a float at the decimal value of its repr, so
     0.1 and 1/10 read alike): one 2x2 minor per column against the first
-    nonzero one.  Each column is taken in integers by ``eval_integer``,
-    scaled by L_a*L_b*D^max(m_a, m_b) > 0, which keeps the rank.  Level k+1
-    is built only while that rank is below 4.
+    nonzero one.  Each column is taken in integers by ``eval_integer`` as
+    (a/s_a, b/s_b) and scaled by s_a*s_b > 0, which keeps the rank.  Level
+    k+1 is built only while that rank is below 4.
     """
     if max_step < 2:
         raise ValueError("max_step must be at least 2")
@@ -228,12 +228,11 @@ def growth_vector(pair: PfaffianPair, q: Point4, max_step: int = DEFAULT_MAX_STE
     first = None
     for step in range(2, max_step + 1):
         for a_poly, b_poly in bracket_levels(pair, step)[-1]:
-            a, l_a, m_a = a_poly.eval_integer(powers)
-            b, l_b, m_b = b_poly.eval_integer(powers)
+            a, s_a = a_poly.eval_integer(powers)
+            b, s_b = b_poly.eval_integer(powers)
             if not (a or b):
                 continue
-            m, pd = max(m_a, m_b), powers[4]
-            a, b = a * l_b * pd[m - m_a], b * l_a * pd[m - m_b]
+            a, b = a * s_b, b * s_a
             if first is None:
                 first = (a, b)
             elif a * first[1] != b * first[0]:
@@ -280,7 +279,8 @@ class SigmaReport:
 
 def sigma_check(pair: PfaffianPair, q: Point4, max_step: int = DEFAULT_MAX_STEP) -> SigmaReport:
     """Evaluate the Engel certificate and the growth vector at one point,
-    both exactly; the certificate is then rounded to a float."""
+    both exactly on its one table ``q.powers()``; the certificate is then
+    rounded to a float."""
     value = float(engel_certificate(pair).eval_exact(q))
     growth = growth_vector(pair, q, max_step=max_step)
     return SigmaReport(

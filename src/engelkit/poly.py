@@ -1,14 +1,15 @@
 """Exact sparse polynomial arithmetic in the coordinates (x, y, z, w).
 
-A polynomial is a map from exponent 4-tuples to rational coefficients:
+A polynomial is a map from exponent 4-tuples to rational coefficients, held
+as one positive integer denominator and an int numerator per term:
 
-    z**2*w + 3  ->  {(0, 0, 2, 1): Fraction(1), (0, 0, 0, 0): Fraction(3)}
+    z**2*w + 3/2  ->  den 2, {(0, 0, 2, 1): 2, (0, 0, 0, 0): 3}
 
-Coefficients are `fractions.Fraction`, so arithmetic, differentiation and
-identity tests are exact: two polynomials are equal iff their term maps are
-identical.  The zero polynomial is the empty map.  Instances are immutable
-and hashable; every operation returns a new canonical polynomial (no stored
-zero coefficients).
+The form is canonical: the denominator and the numerators have gcd 1, no
+numerator is zero, and the zero polynomial is the empty map over 1.  Sums,
+products, derivatives and substitutions run on ints and normalise once, by
+one gcd; two polynomials are equal iff their forms are identical.  ``terms``
+gives the coefficients as Fractions.  Instances are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _as_fraction(value: Scalar | str) -> Fraction:
 class SparsePoly:
     """Immutable sparse polynomial over Q in the fixed variables x, y, z, w."""
 
-    __slots__ = ("_terms", "_hash", "_ints")
+    __slots__ = ("_den", "_nums", "_hash", "_degrees")
 
     def __init__(self, terms: Mapping[Exponent, Scalar] | None = None):
         clean: dict[Exponent, Fraction] = {}
@@ -55,9 +56,11 @@ class SparsePoly:
                 frac = _as_fraction(coeff)
                 if frac != 0:
                     clean[expo] = frac  # type: ignore[index]
-        self._terms = clean
+        # over the lcm of reduced denominators the numerators share no factor with it
+        self._den = math.lcm(*(c.denominator for c in clean.values()))
+        self._nums = {e: c.numerator * (self._den // c.denominator) for e, c in clean.items()}
         self._hash: int | None = None
-        self._ints: tuple | None = None
+        self._degrees: tuple[int, ...] | None = None
 
     # -- constructors ----------------------------------------------------
 
@@ -83,42 +86,41 @@ class SparsePoly:
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
-        """Copy of the term map (canonical: no zero coefficients)."""
-        return dict(self._terms)
+        """The term map with Fraction coefficients, built on each call
+        (canonical: no zero coefficients)."""
+        return {e: Fraction(n, self._den) for e, n in self._nums.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._nums:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(sum(e) for e in self._nums)
 
     def degree_in(self, name: str) -> int:
         """Degree in a single variable; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._nums:
             return -1
         i = _VAR_INDEX[name]
-        return max(e[i] for e in self._terms)
+        return max(e[i] for e in self._nums)
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other: "SparsePoly | Scalar") -> "SparsePoly":
         other = _coerce(other)
-        out = dict(self._terms)
-        for expo, coeff in other._terms.items():
-            acc = out.get(expo, Fraction(0)) + coeff
-            if acc:
-                out[expo] = acc
-            else:
-                out.pop(expo, None)
-        return _raw(out)
+        den = math.lcm(self._den, other._den)
+        ka, kb = den // self._den, den // other._den
+        out = {e: n * ka for e, n in self._nums.items()}
+        for e, n in other._nums.items():
+            out[e] = out.get(e, 0) + n * kb
+        return _canonical(den, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SparsePoly":
-        return _raw({e: -c for e, c in self._terms.items()})
+        return _canonical(self._den, {e: -n for e, n in self._nums.items()})
 
     def __sub__(self, other: "SparsePoly | Scalar") -> "SparsePoly":
         return self + (-_coerce(other))
@@ -128,16 +130,13 @@ class SparsePoly:
 
     def __mul__(self, other: "SparsePoly | Scalar") -> "SparsePoly":
         other = _coerce(other)
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                expo = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
-                acc = out.get(expo, Fraction(0)) + ca * cb
-                if acc:
-                    out[expo] = acc
-                else:
-                    out.pop(expo, None)
-        return _raw(out)
+        out: dict[Exponent, int] = {}
+        get = out.get
+        for (a0, a1, a2, a3), na in self._nums.items():
+            for (b0, b1, b2, b3), nb in other._nums.items():
+                expo = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                out[expo] = get(expo, 0) + na * nb
+        return _canonical(self._den * other._den, out)
 
     __rmul__ = __mul__
 
@@ -158,61 +157,47 @@ class SparsePoly:
     def diff(self, name: str) -> "SparsePoly":
         """Exact partial derivative with respect to x, y, z or w."""
         i = _VAR_INDEX[name]
-        out: dict[Exponent, Fraction] = {}
-        for expo, coeff in self._terms.items():
-            if expo[i] == 0:
-                continue
-            lowered = list(expo)
-            lowered[i] -= 1
-            out[tuple(lowered)] = coeff * expo[i]
-        return _raw(out)
+        out: dict[Exponent, int] = {}
+        for expo, n in self._nums.items():
+            if expo[i]:
+                out[expo[:i] + (expo[i] - 1,) + expo[i + 1:]] = n * expo[i]
+        return _canonical(self._den, out)
 
     def subs(self, name: str, value: Rational) -> "SparsePoly":
-        """Exact substitution of a rational value for one variable."""
+        """Exact substitution of a rational value p/q for one variable, over
+        the denominator q^m with m the degree in that variable."""
         i = _VAR_INDEX[name]
-        value = _as_fraction(value)
-        out: dict[Exponent, Fraction] = {}
-        for expo, coeff in self._terms.items():
-            scaled = coeff * value ** expo[i]
-            if not scaled:
-                continue
-            reduced = list(expo)
-            reduced[i] = 0
-            key = tuple(reduced)
-            acc = out.get(key, Fraction(0)) + scaled
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return _raw(out)
+        p, q = _as_fraction(value).as_integer_ratio()
+        m = max(self.degree_in(name), 0)
+        out: dict[Exponent, int] = {}
+        for expo, n in self._nums.items():
+            key = expo[:i] + (0,) + expo[i + 1:]
+            out[key] = out.get(key, 0) + n * p ** expo[i] * q ** (m - expo[i])
+        return _canonical(self._den * q**m, out)
 
     # -- evaluation -------------------------------------------------------
 
     def eval_exact(self, point: "Point4") -> Fraction:
-        """Exact value at ``point.as_fractions()``: N / (L·D^m) of ``eval_integer``."""
-        powers = point.powers()
-        value, lcm, m = self.eval_integer(powers)
-        return Fraction(value, lcm * powers[4][m])
+        """Exact value at ``point.as_fractions()``: N / S of ``eval_integer``."""
+        return Fraction(*self.eval_integer(point.powers()))
 
-    def eval_integer(self, powers: tuple[list[int], ...]) -> tuple[int, int, int]:
-        """(N, L, m) at the point P/D of ``Point4.powers``, whose rows it grows
-        to m: L is the lcm of the coefficient denominators, m the degree (0 for
-        the zero polynomial) and N = value·L·D^m.  The integer form (L, m and
-        per term n·L/d, e and the padding m − |e|) is built once and kept."""
-        if self._ints is None:
-            lcm = math.lcm(*(c.denominator for c in self._terms.values()))
-            m = max(self.degree(), 0)
-            self._ints = lcm, m, tuple((c.numerator * (lcm // c.denominator), *e, m - sum(e))
-                                       for e, c in self._terms.items())
-        lcm, m, terms = self._ints
-        if len(powers[4]) <= m:
-            for row in powers:
-                row += [row[1] ** k for k in range(len(row), m + 1)]
-        px, py, pz, pw, pd = powers
+    def eval_integer(self, powers: tuple[tuple[dict, ...], dict]) -> tuple[int, int]:
+        """(N, S) with S > 0 and N / S the value at the point of
+        ``Point4.powers``, from its rows for the polynomial's degrees (m_x,
+        m_y, m_z, m_w), which it adds if they are missing: S is the
+        denominator times d^m per coordinate p/d, and each term adds its
+        numerator times p^e d^(m-e) per coordinate."""
+        nums, (coords, by_degrees) = self._nums, powers
+        if self._degrees is None:
+            self._degrees = tuple(map(max, zip(*nums))) if nums else (0, 0, 0, 0)
+        rows = by_degrees.get(self._degrees)
+        if rows is None:
+            rows = by_degrees[self._degrees] = tuple(map(_row, coords, self._degrees))
+        rx, ry, rz, rw = rows
         total = 0
-        for c, ex, ey, ez, ew, pad in terms:
-            total += c * px[ex] * py[ey] * pz[ez] * pw[ew] * pd[pad]
-        return total, lcm, m
+        for (ex, ey, ez, ew), n in nums.items():
+            total += n * rx[ex] * ry[ey] * rz[ez] * rw[ew]
+        return total, self._den * rx[0] * ry[0] * rz[0] * rw[0]
 
     def eval(self, point: "Point4") -> float:
         """Value at a point as a float, rounded from ``eval_exact`` when it is rational."""
@@ -222,11 +207,12 @@ class SparsePoly:
 
     def float_source(self) -> str:
         """Python expression of the float value at (x, y, z, w): the terms in
-        exponent order summed onto 0.0, each its coefficient times the powers
-        ``v**e`` (a first power is the coordinate itself)."""
+        exponent order summed onto 0.0, each its coefficient (n / den, the
+        correctly rounded float of the Fraction) times the powers ``v**e`` (a
+        first power is the coordinate itself)."""
         parts = ["0.0"]
-        for expo, coeff in sorted(self._terms.items()):
-            factors = [repr(float(coeff))]
+        for expo, n in sorted(self._nums.items()):
+            factors = [repr(n / self._den)]
             for name, e in zip(VARS, expo):
                 if e:
                     factors.append(name if e == 1 else f"{name}**{e}")
@@ -248,10 +234,15 @@ class SparsePoly:
         """Encode as ``[[coeff, [ex, ey, ez, ew]], ...]`` with integer
         coefficients as JSON numbers and non-integers as "p/q" strings.
         Entries are sorted by exponent so the encoding is canonical."""
+        return [[coeff, list(expo)] for expo, coeff in self._coefficients()]
+
+    def _coefficients(self) -> list[tuple[Exponent, int | str]]:
+        """Each term's exponent and coefficient in lowest terms, an int or a
+        "p/q" string, in exponent order."""
         out = []
-        for expo, coeff in sorted(self._terms.items()):
-            enc = int(coeff) if coeff.denominator == 1 else f"{coeff.numerator}/{coeff.denominator}"
-            out.append([enc, list(expo)])
+        for expo, n in sorted(self._nums.items()):
+            g = math.gcd(n, self._den)
+            out.append((expo, n // g if g == self._den else f"{n // g}/{self._den // g}"))
         return out
 
     @classmethod
@@ -271,25 +262,25 @@ class SparsePoly:
     # -- dunder plumbing ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, SparsePoly):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == SparsePoly.const(other)._terms
+            other = SparsePoly.const(other)
+        if isinstance(other, SparsePoly):
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._nums.items())))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
         parts = []
-        for expo, coeff in sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0])):
+        for expo, coeff in sorted(self._coefficients(), key=lambda t: (sum(t[0]), t[0])):
             factors = []
             for name, e in zip(VARS, expo):
                 if e == 1:
@@ -332,12 +323,17 @@ def _json_term(entry) -> tuple[Exponent, Fraction]:
     return tuple(int(e) for e in expo), coeff  # type: ignore[return-value]
 
 
-def _raw(terms: dict[Exponent, Fraction]) -> SparsePoly:
-    """Build from an already-canonical term dict without re-validation."""
+def _canonical(den: int, nums: dict[Exponent, int]) -> SparsePoly:
+    """Build from a positive denominator and int numerators: zero numerators
+    are dropped and one gcd of den and the numerators divided out."""
+    if 0 in nums.values():
+        nums = {e: n for e, n in nums.items() if n}
+    g = math.gcd(den, *nums.values()) if den != 1 else 1
+    if g != 1:
+        den //= g
+        nums = {e: n // g for e, n in nums.items()}
     poly = SparsePoly.__new__(SparsePoly)
-    poly._terms = terms
-    poly._hash = None
-    poly._ints = None
+    poly._den, poly._nums, poly._hash, poly._degrees = den, nums, None, None
     return poly
 
 
@@ -345,6 +341,15 @@ def _coerce(value: "SparsePoly | Scalar") -> SparsePoly:
     if isinstance(value, SparsePoly):
         return value
     return SparsePoly.const(value)
+
+
+def _row(rows: dict[int, list[int]], m: int) -> list[int]:
+    """Row m of one coordinate's table in ``Point4.powers``, built from row m - 1."""
+    row = rows.get(m)
+    if row is None:
+        (d, p), prev = rows[1], _row(rows, m - 1)
+        row = rows[m] = [r * d for r in prev] + [prev[-1] * p]
+    return row
 
 
 X = SparsePoly.var("x")
@@ -386,13 +391,18 @@ class Point4:
         (0.1 is 1/10)."""
         return tuple(_as_fraction(c) for c in self.as_tuple())  # type: ignore[return-value]
 
-    def powers(self) -> tuple[list[int], ...]:
-        """The exact coordinates as integer numerators P over their least common
-        denominator D: rows [1, P_x], [1, P_y], [1, P_z], [1, P_w], [1, D] of
-        powers, grown by ``SparsePoly.eval_integer`` for every polynomial."""
-        ratios = [c.as_integer_ratio() for c in self.as_fractions()]
-        den = math.lcm(*[d for _, d in ratios])
-        return (*[[1, n * (den // d)] for n, d in ratios], [1, den])
+    def powers(self) -> tuple[tuple[dict[int, list[int]], ...], dict]:
+        """The exact coordinates, each an integer numerator p over its own
+        denominator d, as one table per point: per coordinate, degree m -> the
+        row [p^e d^(m-e) for e = 0..m]; and degrees (m_x, m_y, m_z, m_w) -> the
+        four rows.  Built on the first call and kept, so every polynomial
+        evaluated at the point shares it; ``SparsePoly.eval_integer`` adds the
+        rows it reads."""
+        if "_powers" not in self.__dict__:
+            ratios = (c.as_integer_ratio() for c in self.as_fractions())
+            coords = tuple({0: [1], 1: [d, p]} for p, d in ratios)
+            object.__setattr__(self, "_powers", (coords, {}))
+        return self.__dict__["_powers"]
 
     @property
     def is_rational(self) -> bool:

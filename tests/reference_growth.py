@@ -13,8 +13,8 @@ every bracket, taken as Fractions at ``q`` by the term loop
 Gaussian elimination of ``rational_rank``.  ``growth_vector`` uses none of
 these: it builds its levels as (a, b) pairs from the frame's form
 (``[Z, V] = dV/dz`` and a two-component ``[W, V]``), evaluates them in
-integers over the point's common denominator and takes 2 plus the rank of
-the (a, b) columns by 2x2 minors.
+integers over each coordinate's own denominator and takes 2 plus the rank
+of the (a, b) columns by 2x2 minors.
 """
 
 from __future__ import annotations

@@ -15,12 +15,21 @@ import pytest
 import engelkit
 from engelkit import cli
 from engelkit.cli import main
-from engelkit import distribution
+from engelkit import charfield, distribution
 from engelkit.distribution import CATALOG, PfaffianPair, resolve_model
 from engelkit.endpoint import ControlPath, horizontal_integrate
 from engelkit.poly import Point4, SparsePoly, random_poly
 from reference_growth import eager_growth_vector
-from reference_poly import reference_eval_exact
+from reference_poly import (
+    reference_add,
+    reference_diff,
+    reference_eval_exact,
+    reference_mul,
+    reference_neg,
+    reference_rsub,
+    reference_sub,
+    reference_subs,
+)
 
 
 def test_analyze_single_point(capsys):
@@ -384,8 +393,9 @@ def _analyze_and_char_outputs(tmp_path, capsys, models, points) -> list:
 def test_analyze_and_char_outputs_equal_those_of_the_reference_evaluators(tmp_path, capsys,
                                                                           monkeypatch):
     # Run once as shipped and once with every exact value taken by the
-    # Fraction term loop and every growth vector by the eager reference:
-    # stdout, the analyze CSV and the char JSON must not change by a byte.
+    # Fraction term loop, every sum, product and derivative by the Fraction
+    # term-map loops and every growth vector by the eager reference: stdout,
+    # the analyze CSV and the char JSON must not change by a byte.
     rng = np.random.default_rng(19)
     models = list(CATALOG)
     for i in range(6):
@@ -396,10 +406,32 @@ def test_analyze_and_char_outputs_equal_those_of_the_reference_evaluators(tmp_pa
     points = ["0,0,0,0", "1/2,-3/4,5/3,-7/2", "0,0,1e50,1e50", "0,0,5e-324,5e-324",
               "5e-324,1e50,-0.0,0.1", "0.1,0.2,0.3,0.4", "123456789/1000,1,-1,1/7",
               ",".join(repr(float(c)) for c in rng.uniform(-3.0, 3.0, size=4))]
+    caches = (distribution.bracket_levels, distribution.engel_certificate, charfield.coefficients)
+    for cache in caches:
+        cache.cache_clear()
     shipped = _analyze_and_char_outputs(tmp_path, capsys, models, points)
-    monkeypatch.setattr(SparsePoly, "eval_exact", reference_eval_exact)
+    for cache in caches:
+        cache.cache_clear()
+    called = set()
+
+    def counted(name, fn):
+        def reference(*args):
+            called.add(name)
+            return fn(*args)
+        return reference
+
+    references = {"__add__": reference_add, "__radd__": reference_add,
+                  "__sub__": reference_sub, "__rsub__": reference_rsub,
+                  "__neg__": reference_neg, "__mul__": reference_mul,
+                  "__rmul__": reference_mul, "diff": reference_diff, "subs": reference_subs,
+                  "eval_exact": reference_eval_exact}
+    for name, fn in references.items():
+        monkeypatch.setattr(SparsePoly, name, counted(name, fn))
     monkeypatch.setattr(distribution, "growth_vector", eager_growth_vector)
     assert _analyze_and_char_outputs(tmp_path, capsys, models, points) == shipped
+    assert {"__add__", "__sub__", "__neg__", "__mul__", "diff", "eval_exact"} <= called
+    for cache in caches:
+        cache.cache_clear()
     assert "1e+50" in shipped[0][0].out and "5e-324" in shipped[0][0].out
 
 

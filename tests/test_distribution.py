@@ -21,6 +21,7 @@ from engelkit.distribution import (
 )
 from engelkit.poly import Point4, SparsePoly, random_poly
 from reference_growth import eager_growth_vector, eager_levels
+from reference_poly import reference_eval_exact
 
 Z = SparsePoly.var("z")
 W = SparsePoly.var("w")
@@ -232,18 +233,25 @@ def _pair(f, g):
          Point4(0, 1, -1, 0), (2, 3, 3, 3, 3, 4)),
         # parallel columns up to max_step: not bracket generating
         (_pair([[4, [0, 0, 2, 1]]], []), Point4(0, 1, 0, -1), (2, 2, 3, 3, 3, 3)),
-        # D = 4 and the a, b of a column differ in degree: columns scaled
-        # without D^(m - m_a) and D^(m - m_b) read (2,3,3,4) here and (2,3,4)
-        # in the next case
+        # the a, b of a column differ in degree: over one denominator D for
+        # the whole point (here 4), columns scaled without D^(m - m_a) and
+        # D^(m - m_b) read (2,3,3,4) here and (2,3,4) in the next case
         (_pair([[-3, [1, 0, 0, 1]], ["1/3", [1, 1, 1, 0]]],
                [[4, [0, 0, 0, 1]], ["-2/3", [1, 1, 1, 0]]]),
          Point4(1, 1, Fraction(1, 2), Fraction(-3, 4)), (2, 3, 4)),
         (_pair([[1, [0, 0, 0, 2]], ["1/2", [0, 0, 2, 1]]],
                [["-2/3", [0, 0, 2, 1]], ["-3/2", [3, 0, 0, 0]]]),
          Point4(0, Fraction(1, 4), Fraction(3, 2), 1), (2, 3, 3, 3, 4)),
+        # a column is (a/s_a, b/s_b) with s_a != s_b: minors of the unscaled
+        # (a, b) in place of (a*s_b, b*s_a) read (2,3,3,4) here and (2,3,4)
+        # in the next case
+        (_pair([[-1, [1, 0, 2, 0]]], [["-1/2", [0, 0, 3, 0]]]),
+         Point4(Fraction(1, 2), -1, 1, -1), (2, 3, 4)),
+        (_pair([[-3, [0, 0, 0, 2]], ["3/2", [2, 0, 1, 0]]], [[1, [2, 0, 1, 0]]]),
+         Point4(3, Fraction(-1, 3), -2, Fraction(1, 4)), (2, 3, 3, 3, 3, 3)),
     ],
     ids=["zero-first", "parallel", "zero-then-spanning", "late-parallel", "late-spanning",
-         "plateau", "padded-spanning", "padded-parallel"],
+         "plateau", "padded-spanning", "padded-parallel", "scaled-spanning", "scaled-parallel"],
 )
 def test_exact_rank_on_the_ab_plane_edge_cases(pair, q, dims):
     gv = growth_vector(pair, q)
@@ -270,8 +278,8 @@ def test_growth_vector_matches_eager_reference():
 
 
 def test_growth_vector_matches_eager_reference_at_float_points_with_large_denominators():
-    # 17-digit decimals, tiny and huge coordinates: the common denominator D
-    # runs to 10**20 and past, and its powers pad every column's terms
+    # 17-digit decimals, tiny and huge coordinates: a coordinate's
+    # denominator runs to 10**20 and past, and its powers pad every term
     rng = np.random.default_rng(19)
     pairs = [PfaffianPair(random_poly(rng, max_degree=4), random_poly(rng)) for _ in range(10)]
     for pair in list(CATALOG.values()) + pairs:
@@ -381,6 +389,25 @@ def test_sigma_check_builds_the_certificate_once_per_pair():
     for q in (Point4.origin(), Point4(0, 0, 0, 1), Point4(0.0, 0.0, 1.0, 0.0)):
         sigma_check(CATALOG["d224"], q)
     assert engel_certificate.cache_info().misses == 1
+
+
+def test_sigma_check_evaluates_the_certificate_and_the_growth_on_one_table(monkeypatch):
+    # the point's table of powers is built on the first call and kept: the
+    # certificate (through eval_exact) and every growth column read it
+    tables = []
+    eval_integer = SparsePoly.eval_integer
+
+    def recording(self, powers):
+        tables.append(powers)
+        return eval_integer(self, powers)
+
+    monkeypatch.setattr(SparsePoly, "eval_integer", recording)
+    pair, q = CATALOG["d2334b"], Point4(0.1, -2.5, Fraction(1, 3), 7)
+    report = sigma_check(pair, q)
+    assert len(tables) > 2 and all(table is q.powers() for table in tables)
+    assert sigma_check(pair, q) == sigma_check(pair, Point4(*q.as_tuple())) == report
+    assert report.growth == eager_growth_vector(pair, q)
+    assert report.certificate_value == float(reference_eval_exact(engel_certificate(pair), q))
 
 
 def test_certificate_sufficiency_on_grid():

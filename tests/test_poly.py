@@ -1,3 +1,4 @@
+import math
 import struct
 from fractions import Fraction
 
@@ -10,7 +11,17 @@ from engelkit.charfield import ORACLE, char_field
 from engelkit.codegen import kernel
 from engelkit.distribution import CATALOG
 from engelkit.poly import Point4, SparsePoly, VARS, random_poly
-from reference_poly import reference_compile, reference_eval_exact
+from reference_poly import (
+    reference_add,
+    reference_compile,
+    reference_diff,
+    reference_eval_exact,
+    reference_mul,
+    reference_neg,
+    reference_rsub,
+    reference_sub,
+    reference_subs,
+)
 
 X = SparsePoly.var("x")
 Y = SparsePoly.var("y")
@@ -71,16 +82,18 @@ def test_eval_exact_reads_a_float_at_its_decimal_value():
     )
 
 
-def test_powers_are_integer_numerators_over_the_least_common_denominator():
+def test_powers_are_integer_numerators_over_each_coordinates_own_denominator():
     q = Point4(0.5, -1e50, 2, Fraction(1, 3))
-    rows = q.powers()
-    assert [row[:2] for row in rows] == [[1, 3], [1, -6 * 10**50], [1, 12], [1, 2], [1, 6]]
+    tables = q.powers()
+    assert q.powers() is tables  # built once per point
+    coords, by_degrees = tables
+    assert [rows[1] for rows in coords] == [[2, 1], [1, -(10**50)], [1, 2], [3, 1]]  # [d, p]
     cubic = SparsePoly({(0, 0, 3, 0): Fraction(1, 3), (0, 0, 1, 2): Fraction(1, 2)})
-    # value 8/3 + 1/9 = 25/9, L = 6, m = 3, D = 6: N = 25/9 * 6 * 6**3
-    assert cubic.eval_integer(rows) == (3600, 6, 3)
-    assert [len(row) for row in rows] == [4] * 5  # grown to the degree read
+    # value 8/3 + 1/9 = 25/9 over den 6 * 1^3 * 3^2 = 54, degrees 3 in z and 2 in w
+    assert cubic.eval_integer(tables) == (150, 54)
+    assert by_degrees[0, 0, 3, 2] == ([1], [1], [1, 2, 4, 8], [9, 3, 1])  # p^e d^(m-e)
     assert cubic.eval_exact(q) == Fraction(25, 9)
-    assert SparsePoly.zero().eval_integer(rows) == (0, 1, 0)
+    assert SparsePoly.zero().eval_integer(tables) == (0, 1)
 
 
 def test_subs_restricts_variable():
@@ -112,6 +125,10 @@ def test_json_accepts_decimal_floats():
 def test_repr_is_readable():
     assert repr(SparsePoly.zero()) == "0"
     assert "z^2" in repr(Z**2)
+    p = SparsePoly({(0, 0, 2, 0): Fraction(-1, 2), (1, 0, 0, 0): 1, (0, 0, 0, 0): Fraction(4, 6),
+                    (0, 1, 0, 1): -1, (2, 0, 1, 0): -3, (0, 0, 0, 3): Fraction(5, 3)})
+    assert repr(p) == "2/3 + x - 1/2*z^2 - y*w + 5/3*w^3 - 3*x^2*z"
+    assert repr(SparsePoly.const(Fraction(-7, 4))) == "-7/4"
 
 
 def test_point_rejects_non_finite():
@@ -125,7 +142,7 @@ def test_point_rationality():
 
 
 @st.composite
-def polys(draw, max_terms=5, max_degree=3):
+def term_maps(draw, max_terms=5, max_degree=3):
     n = draw(st.integers(0, max_terms))
     terms = {}
     for _ in range(n):
@@ -133,7 +150,89 @@ def polys(draw, max_terms=5, max_degree=3):
         num = draw(st.integers(-6, 6))
         den = draw(st.integers(1, 4))
         terms[expo] = terms.get(expo, Fraction(0)) + Fraction(num, den)
-    return SparsePoly(terms)
+    return terms
+
+
+def polys(max_terms=5, max_degree=3):
+    return term_maps(max_terms, max_degree).map(SparsePoly)
+
+
+# the zero polynomial and constants are drawn on their own as well
+OPERANDS = st.one_of(
+    polys(),
+    st.fractions(max_denominator=12).map(SparsePoly.const),
+    st.just(SparsePoly.zero()),
+)
+SCALARS = st.one_of(st.integers(-5, 5), st.fractions(max_denominator=12))
+
+
+def _assert_canonical(p):
+    # one positive denominator; int numerators, none zero, sharing no
+    # factor with it (so the zero polynomial is the empty map over 1)
+    assert type(p._den) is int and p._den > 0
+    assert all(type(n) is int and n for n in p._nums.values())
+    assert math.gcd(p._den, *p._nums.values()) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_maps(max_terms=6, max_degree=5))
+def test_the_integer_form_holds_the_constructor_coefficients(terms):
+    p = SparsePoly(terms)
+    _assert_canonical(p)
+    assert p.terms == {e: c for e, c in terms.items() if c}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    # each coefficient in lowest terms, an integer as a JSON number
+    assert p.to_json() == [
+        [int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}", list(e)]
+        for e, c in sorted(p.terms.items())
+    ]
+
+
+def test_constructors_accept_ints_floats_fractions_and_strings():
+    half = SparsePoly({(0, 0, 2, 0): Fraction(1, 2)})
+    for coeff in (0.5, "1/2", "0.5", Fraction(2, 4)):
+        assert SparsePoly({(0, 0, 2, 0): coeff}) == half
+        assert SparsePoly.monomial(coeff, (0, 0, 2, 0)) == half
+        assert SparsePoly.const(coeff) == Fraction(1, 2)
+    assert SparsePoly.const(3) == 3 and SparsePoly.const(0) == SparsePoly.zero()
+    assert SparsePoly({(0, 0, 1, 0): 0, (0, 0, 0, 1): 0.0}) == SparsePoly.zero()
+    _assert_canonical(SparsePoly.zero())
+
+
+@settings(max_examples=200, deadline=None)
+@given(OPERANDS, OPERANDS, st.sampled_from(VARS), SCALARS)
+def test_integer_operations_equal_the_fraction_term_loops(a, b, v, c):
+    cases = [
+        (a + b, reference_add(a, b)),
+        (a - b, reference_sub(a, b)),
+        (-a, reference_neg(a)),
+        (a * b, reference_mul(a, b)),
+        (a**2, reference_mul(a, a)),
+        (a.diff(v), reference_diff(a, v)),
+        (a.subs(v, c), reference_subs(a, v, c)),
+        (a + c, reference_add(a, c)),
+        (c - a, reference_rsub(a, c)),
+        (c * a, reference_mul(a, c)),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got.terms == want.terms
+        assert got == want and hash(got) == hash(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(OPERANDS, OPERANDS, OPERANDS)
+def test_equal_polynomials_built_by_different_routes_compare_and_hash_alike(a, b, c):
+    routes = [
+        ((a * b) * c, a * (b * c)),
+        (a + b - b, a),
+        (SparsePoly.from_json(a.to_json()), a),
+    ]
+    for lhs, rhs in routes:
+        assert lhs == rhs and hash(lhs) == hash(rhs)
+        assert (lhs.to_json(), repr(lhs), lhs.float_source()) == (
+            rhs.to_json(), repr(rhs), rhs.float_source()
+        )
 
 
 @settings(max_examples=60, deadline=None)

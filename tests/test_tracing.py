@@ -54,3 +54,28 @@ def test_tracer_installs_on_every_hook_and_unpatches():
     # first-same-as-last: six rhs calls per step, plus one per call
     assert 6.0 < metrics["flow.rhs_evals_per_step"] < 7.0
     assert metrics["endpoint.bryant_hsu_test_ms"] > 0
+
+
+def test_tracer_times_the_exact_algebra_layers():
+    # one cold cross_check and one cold sigma_check: every product goes
+    # through SparsePoly.__mul__ and the certificate through eval_exact, so
+    # a route around either leaves a per-layer metric at 0 and fails here
+    tracing = _load_tracing()
+    for cache in (distribution.bracket_levels, distribution.engel_certificate,
+                  charfield.coefficients):
+        cache.cache_clear()
+    pair = distribution.PfaffianPair.from_json_dict(
+        {"f": [[1, [0, 0, 2, 0]], ["1/2", [1, 0, 1, 1]]], "g": [[-3, [0, 1, 1, 0]]]}
+    )
+    tracer = tracing.Tracer()
+    tracer.install(MODULES)
+    try:
+        tracer.start_ops()
+        cli.cross_check(pair)
+        cli.sigma_check(pair, Point4(0.5, -1, 2, 0.25))
+        metrics = tracer.metrics(2, 0.0)
+    finally:
+        tracer.unpatch()
+    for name in ("poly.exact_mul_us", "poly.eval_exact_us",
+                 "distribution.growth_vector_cold_ms", "charfield.cross_check_ms"):
+        assert metrics[name] > 0, name
