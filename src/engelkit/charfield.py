@@ -18,10 +18,11 @@ coefficients (c, e) by three independent routes and cross-validates them:
 
 ``oracle``
     No closed form at all: with lambda = (g_z, -f_z) in the (theta1, theta2)
-    frame, c = -<lambda, [W,[Z,W]]> and e = <lambda, [Z,[Z,W]]>.  Valid
-    because both second brackets only have d/dx and d/dy components in this
-    chart (asserted at runtime).  The oracle drives all downstream flow and
-    surface computations.
+    frame, c = -<lambda, [W,[Z,W]]> and e = <lambda, [Z,[Z,W]]>.  Both
+    second brackets are a d/dx + b d/dy in this chart, so they are read as
+    the (a, b) pairs of ``distribution.bracket_levels`` level 3, and the
+    pairing is lambda1*a + lambda2*b.  The oracle drives all downstream flow
+    and surface computations.
 
 ``corrected`` and ``oracle`` agree as exact polynomials for every pair;
 ``printed`` agrees with them whenever the x/y mixed partials vanish (in
@@ -35,18 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .distribution import PfaffianPair, PolyVectorField, engel_certificate, frame, lie_bracket
+from .distribution import PfaffianPair, PolyVectorField, bracket_levels, engel_certificate
 from .poly import SparsePoly
 
 PRINTED = "printed"
 CORRECTED = "corrected"
 ORACLE = "oracle"
 VARIANTS = (PRINTED, CORRECTED, ORACLE)
-
-
-class BracketStructureError(RuntimeError):
-    """A second bracket acquired a d/dz or d/dw component (impossible for a
-    Pfaffian-pair frame; indicates a corrupted field)."""
 
 
 @dataclass(frozen=True)
@@ -116,25 +112,13 @@ def coeffs_corrected(pair: PfaffianPair) -> CharCoefficients:
     return CharCoefficients(c=g_z * k + f_z * h, e=-engel_certificate(pair), variant=CORRECTED)
 
 
-def _pair_with_covector(cov: CharCovector, field: PolyVectorField) -> SparsePoly:
-    """<lambda, V> for a field with only d/dx, d/dy components."""
-    if not (field.cz.is_zero() and field.cw.is_zero()):
-        raise BracketStructureError(
-            "second bracket has a d/dz or d/dw component; the Pfaffian frame "
-            "cannot produce this"
-        )
-    return cov.lambda1 * field.cx + cov.lambda2 * field.cy
-
-
 def coeffs_oracle(pair: PfaffianPair) -> CharCoefficients:
-    """Bracket-based coefficients: c = -<lambda, [W,[Z,W]]>, e = <lambda, [Z,[Z,W]]>."""
-    z_field, w_field = frame(pair)
-    b = lie_bracket(z_field, w_field)
-    zb = lie_bracket(z_field, b)
-    wb = lie_bracket(w_field, b)
+    """Bracket-based coefficients: c = -<lambda, [W,[Z,W]]>, e = <lambda, [Z,[Z,W]]>,
+    with the two second brackets the (a, b) pairs of ``bracket_levels``."""
+    _, (zb, wb) = bracket_levels(pair, 3)
     cov = char_covector(pair)
-    e = _pair_with_covector(cov, zb)
-    c = -_pair_with_covector(cov, wb)
+    e = cov.lambda1 * zb[0] + cov.lambda2 * zb[1]
+    c = -(cov.lambda1 * wb[0] + cov.lambda2 * wb[1])
     return CharCoefficients(c=c, e=e, variant=ORACLE)
 
 

@@ -7,24 +7,24 @@ kernel of the 1-forms
 
 which is framed by the vector fields Z = d/dz and W = d/dw - f d/dx - g d/dy.
 Every bracket of the frame is a d/dx + b d/dy and is held as its (a, b)
-pair.  This module computes Lie brackets, growth vectors (2 plus the exact
-rank of the (a, b) columns at every point), the polynomial Engel
-certificate, and hosts the model catalog: the standard Engel pair plus the
-three degenerate normal forms.
+pair, built from the frame's form by ``bracket_levels``, the only place
+the package forms brackets.  This module computes those brackets, growth
+vectors (2 plus the exact rank of the (a, b) columns at every point), the
+polynomial Engel certificate, and hosts the model catalog: the standard
+Engel pair plus the three degenerate normal forms.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
-
 from .codegen import function_source, kernel, tuple_source
-from .poly import Point4, SparsePoly, VARS
+from .poly import Point4, SparsePoly
 
 DEFAULT_MAX_STEP = 6
 
@@ -41,30 +41,15 @@ class PolyVectorField:
     def components(self) -> tuple[SparsePoly, SparsePoly, SparsePoly, SparsePoly]:
         return (self.cx, self.cy, self.cz, self.cw)
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components())
-
-    def eval(self, q: Point4) -> np.ndarray:
-        return np.array([c.eval(q) for c in self.components()], dtype=float)
-
     def compile_rhs(self):
         """Autonomous ODE right-hand side rhs(t, q) -> 4-tuple of floats,
         generated from the components' float_source()."""
         values = tuple_source(c.float_source() for c in self.components())
         return kernel(function_source("rhs(t, q)", ["x, y, z, w = q", f"return {values}"]), "rhs")
 
-    def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
-        return PolyVectorField(
-            self.cx + other.cx, self.cy + other.cy, self.cz + other.cz, self.cw + other.cw
-        )
-
-    def __rmul__(self, scalar) -> "PolyVectorField":
-        return PolyVectorField(
-            scalar * self.cx, scalar * self.cy, scalar * self.cz, scalar * self.cw
-        )
-
     def __neg__(self) -> "PolyVectorField":
-        return -1 * self
+        """The time-reversed field, for ``flow.integrate`` at negative t_end."""
+        return PolyVectorField(*(-c for c in self.components()))
 
 
 @dataclass(frozen=True)
@@ -103,28 +88,6 @@ class GrowthVector:
         body = ",".join(str(d) for d in self.dims)
         suffix = "" if self.bracket_generating else ",... (not bracket generating)"
         return f"({body}{suffix})"
-
-
-def frame(pair: PfaffianPair) -> tuple[PolyVectorField, PolyVectorField]:
-    """Frame (Z, W) of the distribution: Z = d/dz, W = d/dw - f d/dx - g d/dy."""
-    zero = SparsePoly.zero()
-    one = SparsePoly.const(1)
-    z_field = PolyVectorField(zero, zero, one, zero)
-    w_field = PolyVectorField(-pair.f, -pair.g, zero, one)
-    return z_field, w_field
-
-
-def lie_bracket(v1: PolyVectorField, v2: PolyVectorField) -> PolyVectorField:
-    """Coordinate Lie bracket [V1, V2]^i = sum_j (V1^j d_j V2^i - V2^j d_j V1^i)."""
-    a = v1.components()
-    b = v2.components()
-    out = []
-    for i in range(4):
-        acc = SparsePoly.zero()
-        for j, name in enumerate(VARS):
-            acc = acc + a[j] * b[i].diff(name) - b[j] * a[i].diff(name)
-        out.append(acc)
-    return PolyVectorField(*out)
 
 
 # A bracket past the frame, a d/dx + b d/dy, as its pair (a, b).
@@ -166,9 +129,9 @@ def bracket_levels(pair: PfaffianPair, max_step: int) -> tuple[tuple[Bracket, ..
     Lie algebra, so with the frame these levels span the full flag.  Each
     call brackets only its last level onto the cached levels below it.
 
-    The brackets are built from the frame's form rather than by the general
-    ``lie_bracket``: [Z, W] = (-f_z, -g_z), then ``_bracket_z`` and
-    ``_bracket_w``.
+    The brackets are built from the frame's form: [Z, W] = (-f_z, -g_z),
+    then ``_bracket_z`` and ``_bracket_w``.  Level 3 is ([Z, [Z, W]],
+    [W, [Z, W]]), which ``charfield.coeffs_oracle`` reads.
     """
     w_xy = (-pair.f, -pair.g)
     if max_step == 2:
@@ -264,13 +227,22 @@ class SigmaReport:
     """
 
     point: Point4
-    certificate_value: float
+    certificate: Fraction
     growth: GrowthVector
     is_engel_by_growth: bool
 
     @property
+    def certificate_value(self) -> float:
+        """The exact certificate rounded to a float, +-inf past the float
+        range."""
+        try:
+            return float(self.certificate)
+        except OverflowError:
+            return math.inf if self.certificate > 0 else -math.inf
+
+    @property
     def certificate_nonzero(self) -> bool:
-        return self.certificate_value != 0.0
+        return self.certificate != 0
 
     @property
     def tests_disagree(self) -> bool:
@@ -279,13 +251,12 @@ class SigmaReport:
 
 def sigma_check(pair: PfaffianPair, q: Point4, max_step: int = DEFAULT_MAX_STEP) -> SigmaReport:
     """Evaluate the Engel certificate and the growth vector at one point,
-    both exactly on its one table ``q.powers()``; the certificate is then
-    rounded to a float."""
-    value = float(engel_certificate(pair).eval_exact(q))
+    both exactly on its one table ``q.powers()``."""
+    certificate = engel_certificate(pair).eval_exact(q)
     growth = growth_vector(pair, q, max_step=max_step)
     return SigmaReport(
         point=q,
-        certificate_value=value,
+        certificate=certificate,
         growth=growth,
         is_engel_by_growth=growth.dims == ENGEL_GROWTH,
     )

@@ -9,7 +9,6 @@ from engelkit.charfield import (
     PRINTED,
     REFERENCE_FIELDS,
     VARIANTS,
-    BracketStructureError,
     assemble_field,
     char_covector,
     char_field,
@@ -19,18 +18,10 @@ from engelkit.charfield import (
     cross_check,
     horizontality_residuals,
     vanishes_on_sigma,
-    _pair_with_covector,
 )
-from engelkit.distribution import (
-    CATALOG,
-    DEGENERATE_MODELS,
-    PfaffianPair,
-    PolyVectorField,
-    engel_certificate,
-    frame,
-    lie_bracket,
-)
+from engelkit.distribution import CATALOG, DEGENERATE_MODELS, PfaffianPair, engel_certificate
 from engelkit.poly import Point4, SparsePoly, random_poly
+from reference_growth import field_eval, frame, lie_bracket
 
 X = SparsePoly.var("x")
 Z = SparsePoly.var("z")
@@ -71,7 +62,7 @@ def test_oracle_field_matches_reference_closed_form(model):
 def test_reference_field_values_at_point():
     # d224 characteristic field (2z^2w, 2zw^2, -2z, -2w) at (0,0,1,1)
     fld = char_field(CATALOG["d224"], ORACLE)
-    assert tuple(fld.eval(Point4(0, 0, 1, 1))) == (2.0, 2.0, -2.0, -2.0)
+    assert tuple(field_eval(fld, Point4(0, 0, 1, 1))) == (2.0, 2.0, -2.0, -2.0)
 
 
 def test_engel_std_char_field_proportional_to_w_frame():
@@ -80,6 +71,27 @@ def test_engel_std_char_field_proportional_to_w_frame():
     _, w_field = frame(CATALOG["engel_std"])
     fld = char_field(CATALOG["engel_std"], ORACLE)
     assert fld == w_field  # e = 1 exactly here
+
+
+def test_oracle_equals_the_covector_on_the_general_brackets():
+    # coeffs_oracle reads [Z, [Z, W]] and [W, [Z, W]] as the (a, b) pairs of
+    # bracket_levels; the reference brackets the frame by the general 4x4
+    # Lie bracket, whose second brackets must have no d/dz or d/dw part,
+    # and pairs lambda = (g_z, -f_z) with their d/dx, d/dy parts.  Most
+    # random pairs have x or y terms, where [W, [Z, W]] has all its terms.
+    rng = np.random.default_rng(211)
+    randoms = [PfaffianPair(random_poly(rng), random_poly(rng)) for _ in range(200)]
+    with_xy = [r for r in randoms if any(p.degree_in(v) > 0 for p in (r.f, r.g) for v in "xy")]
+    assert len(with_xy) >= 150
+    for pair in [*CATALOG.values(), PfaffianPair(ZERO, ZERO), *randoms]:
+        z_field, w_field = frame(pair)
+        b = lie_bracket(z_field, w_field)
+        zb, wb = lie_bracket(z_field, b), lie_bracket(w_field, b)
+        assert all(v.cz.is_zero() and v.cw.is_zero() for v in (zb, wb))
+        cov = char_covector(pair)
+        co = coeffs_oracle(pair)
+        assert co.e == cov.lambda1 * zb.cx + cov.lambda2 * zb.cy, pair.to_json_dict()
+        assert co.c == -(cov.lambda1 * wb.cx + cov.lambda2 * wb.cy), pair.to_json_dict()
 
 
 def test_corrected_equals_oracle_on_random_pairs():
@@ -164,13 +176,6 @@ def test_char_field_vanishes_on_degeneration_surface(model):
 
 def test_engel_std_char_field_does_not_vanish_on_surface():
     assert not vanishes_on_sigma(char_field(CATALOG["engel_std"], ORACLE))
-
-
-def test_pairing_guard_rejects_fields_with_z_or_w_components():
-    cov = char_covector(CATALOG["d224"])
-    bad = PolyVectorField(ZERO, ZERO, SparsePoly.const(1), ZERO)
-    with pytest.raises(BracketStructureError):
-        _pair_with_covector(cov, bad)
 
 
 def test_assemble_field_components():

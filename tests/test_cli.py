@@ -65,7 +65,8 @@ def test_bad_point_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv,cause",
     [
-        (["analyze", "--model", "d2334b", "--point", "0,0,1e308,0"],
+        # an exact coordinate past the float range cannot be a CSV float
+        (["analyze", "--model", "d2334b", "--point", f"0,0,{10**400}/3,0", "--out", os.devnull],
          "error: float overflow: a value computed from the input is past the float range"),
         (["flow", "--model", "d224", "--start", "0,0,1e200,0", "--t", "1"],
          "error: integration failed: step size underflow while rejecting non-finite trial "
@@ -353,8 +354,9 @@ def test_readme_lists_the_flags_of_every_subcommand():
 
 
 def test_analyze_growth_equals_the_eager_reference(tmp_path, capsys):
-    # the reference brackets by the general lie_bracket and ranks 4-vectors
-    # by elimination, sharing no code with analyze's rank on the (a, b) plane
+    # the reference brackets by its own general 4x4 lie_bracket and ranks
+    # 4-vectors by elimination, sharing no code with analyze's brackets
+    # (bracket_levels) or its rank on the (a, b) plane
     rng = np.random.default_rng(16)
     models = list(CATALOG)
     for i in range(8):
@@ -435,15 +437,37 @@ def test_analyze_and_char_outputs_equal_those_of_the_reference_evaluators(tmp_pa
     assert "1e+50" in shipped[0][0].out and "5e-324" in shipped[0][0].out
 
 
-def test_certificate_past_the_float_range_is_a_usage_error(tmp_path, capsys):
-    # f = z^2, g = z^3 w^3: the certificate -6 z^2 w^3 is about -6e500 here
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"f": [[1, [0, 0, 2, 0]]], "g": [[1, [0, 0, 3, 3]]]}))
-    assert main(["analyze", "--model", str(path), "--point=0,0,1e100,1e100"]) == 2
-    assert capsys.readouterr().err == (
-        "error: float overflow: a value computed from the input is past the float range "
-        "(integer division result too large for a float)\n"
+# f = z^2/2, g = x z w: the certificate is x w.
+XZW = {"f": [["1/2", [0, 0, 2, 0]]], "g": [[1, [1, 0, 1, 1]]]}
+# f = z^2, g = z^3 w^3: the certificate is -6 z^2 w^3.
+Z3W3 = {"f": [[1, [0, 0, 2, 0]]], "g": [[1, [0, 0, 3, 3]]]}
+
+
+@pytest.mark.parametrize(
+    "model,point,certificate",
+    [
+        # the exact 1e-400 is nonzero, so growth and certificate agree,
+        # though the printed float is 0
+        (XZW, "1e-200,0,1,1e-200", "0"),
+        (XZW, "1e300,0,1,1e300", "inf"),
+        (Z3W3, "0,0,1e100,1e100", "-inf"),
+    ],
+    ids=["rounds-to-zero", "past-the-range", "past-the-range-negative"],
+)
+def test_certificate_past_the_float_range_prints_as_inf(model, point, certificate, tmp_path,
+                                                        capsys):
+    # The certificate is exact, so its zero test never reads a rounded
+    # value; it prints as its float, +-inf past the float range.
+    path, out = tmp_path / "pair.json", tmp_path / "rows.csv"
+    path.write_text(json.dumps(model))
+    assert main(["analyze", "--model", str(path), f"--point={point}", "--out", str(out)]) == 0
+    coords = [float(c) for c in point.split(",")]
+    assert capsys.readouterr().out == (
+        f"point ({','.join(map(str, coords))}): growth (2,3,4), certificate {certificate}, "
+        "engel_by_growth=True, on_degenerate_locus=False\n"
     )
+    csv_coords = ",".join("%.17g" % c for c in coords)
+    assert out.read_text().splitlines()[-1] == f"{csv_coords},2-3-4,{certificate},1,0"
 
 
 def test_model_file_round_trips_through_the_json_codec(tmp_path, capsys):

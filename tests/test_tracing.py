@@ -59,7 +59,10 @@ def test_tracer_installs_on_every_hook_and_unpatches():
 def test_tracer_times_the_exact_algebra_layers():
     # one cold cross_check and one cold sigma_check: every product goes
     # through SparsePoly.__mul__ and the certificate through eval_exact, so
-    # a route around either leaves a per-layer metric at 0 and fails here
+    # a route around either leaves a per-layer metric at 0 and fails here.
+    # cross_check builds bracket levels 2 and 3 for the oracle, so the point
+    # sits on y = 0, where the growth (2,3,3,3,3,3) needs levels 4 to 6 and
+    # sigma_check's growth_vector still misses the bracket cache.
     tracing = _load_tracing()
     for cache in (distribution.bracket_levels, distribution.engel_certificate,
                   charfield.coefficients):
@@ -72,7 +75,7 @@ def test_tracer_times_the_exact_algebra_layers():
     try:
         tracer.start_ops()
         cli.cross_check(pair)
-        cli.sigma_check(pair, Point4(0.5, -1, 2, 0.25))
+        cli.sigma_check(pair, Point4(0.5, 0, 2, 0.25))
         metrics = tracer.metrics(2, 0.0)
     finally:
         tracer.unpatch()
