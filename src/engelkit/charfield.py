@@ -67,49 +67,41 @@ def char_covector(pair: PfaffianPair) -> CharCovector:
     return CharCovector(lambda1=pair.g.diff("z"), lambda2=-pair.f.diff("z"))
 
 
-def coeffs_printed(pair: PfaffianPair) -> CharCoefficients:
-    """Closed-form coefficients with bare mixed partials.
+def _closed_form(pair: PfaffianPair, wx, wy, variant: str) -> CharCoefficients:
+    """The closed form with weights (wx, wy) on the mixed x and y partials:
 
-    c = g_z*(f_zw - f_zy - f_zx + g_z*f_y - f_z*g_y + f_z*f_x)
-      + f_z*(g_zy - g_zw + g_zx - f_z*g_x)
+    c = g_z*(f_zw - wx*f_zx - wy*f_zy + g_z*f_y - f_z*g_y + f_z*f_x)
+      + f_z*(wy*g_zy - g_zw + wx*g_zx - f_z*g_x)
     e = f_z*g_zz - g_z*f_zz
     """
     f, g = pair.f, pair.g
     f_z, g_z = f.diff("z"), g.diff("z")
     k = (
         f_z.diff("w")
-        - f_z.diff("y")
-        - f_z.diff("x")
+        - wx * f_z.diff("x")
+        - wy * f_z.diff("y")
         + g_z * f.diff("y")
         - f_z * g.diff("y")
         + f_z * f.diff("x")
     )
-    h = g_z.diff("y") - g_z.diff("w") + g_z.diff("x") - f_z * g.diff("x")
-    return CharCoefficients(c=g_z * k + f_z * h, e=-engel_certificate(pair), variant=PRINTED)
+    h = wy * g_z.diff("y") - g_z.diff("w") + wx * g_z.diff("x") - f_z * g.diff("x")
+    return CharCoefficients(c=g_z * k + f_z * h, e=-engel_certificate(pair), variant=variant)
+
+
+def coeffs_printed(pair: PfaffianPair) -> CharCoefficients:
+    """Closed-form coefficients with bare mixed partials: the weights
+    (wx, wy) of :func:`_closed_form` are (1, 1)."""
+    return _closed_form(pair, 1, 1, PRINTED)
 
 
 def coeffs_corrected(pair: PfaffianPair) -> CharCoefficients:
-    """Closed-form coefficients with f,g-weighted mixed partials.
-
-    c = g_z*(f_zw - f*f_zx - g*f_zy + g_z*f_y - f_z*g_y + f_z*f_x)
-      + f_z*(g*g_zy - g_zw + f*g_zx - f_z*g_x)
-    e = f_z*g_zz - g_z*f_zz
+    """Closed-form coefficients with f,g-weighted mixed partials: the
+    weights (wx, wy) of :func:`_closed_form` are (f, g).
 
     Identical to the bracket oracle as an exact polynomial identity; the
     test suite re-checks this on the catalog and on random pairs.
     """
-    f, g = pair.f, pair.g
-    f_z, g_z = f.diff("z"), g.diff("z")
-    k = (
-        f_z.diff("w")
-        - f * f_z.diff("x")
-        - g * f_z.diff("y")
-        + g_z * f.diff("y")
-        - f_z * g.diff("y")
-        + f_z * f.diff("x")
-    )
-    h = g * g_z.diff("y") - g_z.diff("w") + f * g_z.diff("x") - f_z * g.diff("x")
-    return CharCoefficients(c=g_z * k + f_z * h, e=-engel_certificate(pair), variant=CORRECTED)
+    return _closed_form(pair, pair.f, pair.g, CORRECTED)
 
 
 def coeffs_oracle(pair: PfaffianPair) -> CharCoefficients:

@@ -113,15 +113,20 @@ def _open_out(path: str):
 def cmd_analyze(args: argparse.Namespace) -> int:
     model, pair = resolve_model(args.model)
     points: list[Point4] = [_parse_point(p) for p in args.point or []]
-    grid_rows = []
+    reports = []
     if args.grid is not None:
         values = _parse_grid(args.grid)
         points += [Point4(0.0, 0.0, float(z), float(w)) for z in values for w in values]
     if not points:
         raise CliError("give at least one --point or a --grid")
+    # Converted first, so that a coordinate past the float range fails
+    # before any row is printed or the file is opened.
+    csv_coords = (
+        [",".join(FLOAT_FMT % c for c in q.as_floats()) for q in points] if args.out else []
+    )
     for q in points:
         rep = sigma_check(pair, q)
-        grid_rows.append((q, rep))
+        reports.append(rep)
         flag = " [certificate and growth disagree]" if rep.tests_disagree else ""
         coords = ",".join(str(c) for c in q.as_tuple())
         print(
@@ -135,8 +140,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             for line in _header_lines(args, model):
                 fh.write(f"# {line}\n")
             fh.write("x,y,z,w,growth,certificate,engel_by_growth,tests_disagree\n")
-            for q, rep in grid_rows:
-                coords = ",".join(FLOAT_FMT % c for c in q.as_floats())
+            for coords, rep in zip(csv_coords, reports):
                 growth = "-".join(str(d) for d in rep.growth.dims)
                 fh.write(
                     f"{coords},{growth},{FLOAT_FMT % rep.certificate_value},"

@@ -120,19 +120,21 @@ class ControlPath:
 class _ControlSystem:
     """Compiled dynamics of qdot = u1 Z + u2 W and its linearization.
 
-    ``variational(u1, u2)`` is the rhs of (q, X) with X = [Phi | L] a 4x6
-    matrix stored row-major: qdot = u1 Z + u2 W, Xdot = A X + [0 | B(q)].
-
-    A = d(u1 Z + u2 W)/dq and B = [Z | W] vary only in their x and y
-    rows, so the z and w rows of Xdot are constant.  From the restart
-    (q, I, 0) of every segment, the entries in ``fixed`` keep their
-    value: their rhs is exactly +0.0 or -0.0.
+    The variational state is (q, X) with X = [Phi | L] a 4x6 matrix
+    stored row-major, 28 entries: qdot = u1 Z + u2 W, Xdot = A X + [0 |
+    B(q)].  A = d(u1 Z + u2 W)/dq and B = [Z | W] vary only in their x and
+    y rows, so the z and w rows of Xdot are constant.  From the restart
+    (q, I, 0) of every segment, the entries outside ``moving`` have an rhs
+    of exactly +0.0 or -0.0 and keep their restart value.
+    ``variational(u1, u2)`` is the rhs of the reduced state, the entries
+    of ``moving`` (ascending 28-state indices, q first) in that order; it
+    reads every other entry as its constant in ``_RESTART``.
     """
 
     f: Callable[..., float]
     g: Callable[..., float]
     variational: Callable[[float, float], Callable]
-    fixed: frozenset[int]
+    moving: tuple[int, ...]
 
     def rhs(self, q: Sequence[float], u1: float, u2: float) -> tuple[float, float, float, float]:
         x, y, z, w = q
@@ -156,12 +158,13 @@ def _control_system(pair: PfaffianPair) -> _ControlSystem:
         [(v, d) for v, name in enumerate(VARS) if not (d := poly.diff(name)).is_zero()]
         for poly in (pair.f, pair.g)
     ]
-    support = [[v for v, _ in grad] for grad in grads]
+    fixed = _fixed_entries([[v for v, _ in grad] for grad in grads])
+    moving = tuple(j for j in range(28) if j not in fixed)
     return _ControlSystem(
         f=pair.f.compile(),
         g=pair.g.compile(),
-        variational=kernel(_variational_source(pair, grads), "variational"),
-        fixed=_fixed_entries(support),
+        variational=kernel(_variational_source(pair, grads, moving), "variational"),
+        moving=moving,
     )
 
 
@@ -193,17 +196,20 @@ def _fixed_entries(support: Sequence[Sequence[int]]) -> frozenset[int]:
     return frozenset(4 + 6 * r + c for (r, c), t in linear.items() if zero.issuperset(t))
 
 
-def _variational_source(pair: PfaffianPair, grads) -> str:
-    """Source of ``variational(u1, u2)``, which returns the 28-state rhs of
-    :attr:`_ControlSystem.variational` for the pair.
+def _variational_source(pair: PfaffianPair, grads, moving: Sequence[int]) -> str:
+    """Source of ``variational(u1, u2)``, which returns the rhs of
+    :attr:`_ControlSystem.variational` on the ``moving`` entries.
 
     The x and y rows of A are -u2 times the gradients of f and g; only
     the entries that are not identically zero, ``grads`` as
     :func:`_control_system` lists them, are written out.  Column 5 of B is
-    W, whose x and y entries are -f and -g.
+    W, whose x and y entries are -f and -g.  Every entry outside
+    ``moving`` is read as its restart constant.
     """
-    rows = [[f"s{r}_{c}" for c in range(6)] for r in range(4)]
-    body = [", ".join(["x", "y", "z", "w", *(v for row in rows for v in row)]) + " = s"]
+    names = ["x", "y", "z", "w", *(f"s{r}_{c}" for r in range(4) for c in range(6))]
+    body = [f"{tuple_source(names[j] for j in moving)} = s"]
+    cells = [names[4 + i] if 4 + i in moving else repr(v) for i, v in enumerate(_RESTART)]
+    rows = [cells[6 * r: 6 * r + 6] for r in range(4)]
     values = ["-u2 * fv", "-u2 * gv", "u1", "u2"]
     for name, poly, grad in (("f", pair.f, grads[0]), ("g", pair.g, grads[1])):
         terms = [(rows[v], f"a{name}{VARS[v]}", d) for v, d in grad]
@@ -214,7 +220,9 @@ def _variational_source(pair: PfaffianPair, grads) -> str:
             values.append(f"{value} - {name}v" if c == 5 else value)
     # The z and w rows of Xdot are those of [0 | B]: (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1).
     values += ["0.0", "0.0", "0.0", "0.0", "1.0", "0.0", "0.0", "0.0", "0.0", "0.0", "0.0", "1.0"]
-    inner = function_source("rhs(t, s)", [*body, f"return {tuple_source(values)}"])
+    inner = function_source(
+        "rhs(t, s)", [*body, f"return {tuple_source(values[j] for j in moving)}"]
+    )
     return function_source("variational(u1, u2)", [*inner.splitlines(), "return rhs"])
 
 
@@ -278,12 +286,15 @@ def _sensitivity_pass(
     Jacobian chains them backwards over the later segments.  Returns the
     endpoint, the 4 x 2n Jacobian, and at each sample the state and the
     cumulative transition Phi(t) = Phi_loc(t) Phi(boundary).  The segments
-    run on float tuples; numpy stacks the segment ends and the samples
-    once, after the last segment.
+    run on float tuples of the entries that move (:class:`_ControlSystem`);
+    numpy fills in [Phi | L] at the segment ends and the samples once,
+    after the last segment.
     """
     n = ctrl.n_segments
     per_segment = samples or ((),) * n
-    y = (*_as_floats(q0), *_RESTART)
+    cells = [j - 4 for j in sys.moving[4:]]
+    restart = tuple(_RESTART[i] for i in cells)
+    y = (*_as_floats(q0), *restart)
     ends: list[tuple[float, ...]] = []
     sampled: list[tuple[float, ...]] = []
     segment: list[int] = []
@@ -291,27 +302,30 @@ def _sensitivity_pass(
     for j, (u1, u2) in enumerate(ctrl.u.tolist()):
         _, states, h_carry, at_samples = adaptive_rk45(
             sys.variational(u1, u2), y, (j / n, (j + 1) / n), rtol, atol,
-            h0=h_carry, samples=per_segment[j], fixed=sys.fixed,
+            h0=h_carry, samples=per_segment[j],
         )
         ends.append(states[-1])
         sampled += at_samples
         segment += [j] * len(at_samples)
-        y = (*states[-1][:4], *_RESTART)
+        y = (*states[-1][:4], *restart)
 
-    # [Phi | L] at the end of each segment, and Phi(boundary j) and the
-    # product of the later transitions, chained one matmul at a time.
-    blocks = np.array(ends)[:, 4:].reshape(n, 4, 6)
-    transitions = blocks[:, :, :4]
+    # [Phi | L] at the end of each segment and at each sample, and
+    # Phi(boundary j) and the product of the later transitions, chained
+    # one matmul at a time.
+    reduced = np.array(ends + sampled)
+    blocks = np.tile(_RESTART, (len(reduced), 1))
+    blocks[:, cells] = reduced[:, 4:]
+    blocks = blocks.reshape(-1, 4, 6)
+    transitions = blocks[:n, :, :4]
     prefix = np.empty((n, 4, 4))
     suffix = np.empty((n, 4, 4))
     prefix[0] = suffix[-1] = np.eye(4)
     for j in range(1, n):
         prefix[j] = transitions[j - 1] @ prefix[j - 1]
         suffix[-1 - j] = suffix[-j] @ transitions[-j]
-    jac = (suffix @ blocks[:, :, 4:]).transpose(1, 0, 2).reshape(4, 2 * n)
-    at = np.array(sampled, dtype=float).reshape(-1, len(y))
-    phis = at[:, 4:].reshape(-1, 4, 6)[:, :, :4] @ prefix[segment]
-    return np.array(ends[-1][:4]), jac, at[:, :4], phis
+    jac = (suffix @ blocks[:n, :, 4:]).transpose(1, 0, 2).reshape(4, 2 * n)
+    phis = blocks[n:, :, :4] @ prefix[segment]
+    return np.array(ends[-1][:4]), jac, reduced[n:, :4], phis
 
 
 def _constraint_matrix(sys: _ControlSystem, states: np.ndarray, phis: np.ndarray) -> np.ndarray:

@@ -15,11 +15,12 @@ variational pass and the characteristic controls.
 Its trial step and dense output are generated per state size, and the
 right-hand sides per field or pair, as straight-line code
 (:mod:`engelkit.codegen`) that does the loops' arithmetic in the loops'
-order: results are bit-identical to theirs.  The step skips the entries
-that the caller names as having an identically zero derivative (in the
-variational pass, about half of its 28 entries): they keep their value,
-and the result is still bit-identical.  Generation happens on first use
-(about 2 ms for a 4-state step, 10 ms for a 28-state one), not at import.
+order: results are bit-identical to theirs.  The error norm is the RMS
+over every entry of the state, so a caller integrates only the entries
+that move (the variational pass leaves out those of its 28 that never
+do).  Generation happens on first use (about 1 ms for a 4-state step
+and its dense output, 2 to 3 ms for the variational pass's), not at
+import.
 Monitor channels are polynomial quantities sampled along the trajectory.
 Everything is deterministic for fixed inputs.
 """
@@ -103,7 +104,7 @@ def _names(prefix: str, n: int) -> list[str]:
 
 
 @lru_cache(maxsize=64)
-def _trial_step(n: int, fixed: frozenset[int] = frozenset()):
+def _trial_step(n: int):
     """Generated Dormand-Prince trial step on n-entry states.
 
     ``trial_step(rhs, t, h, t_new, y, k1, rtol, atol)`` evaluates the six
@@ -111,23 +112,13 @@ def _trial_step(n: int, fixed: frozenset[int] = frozenset()):
     stage and sum in tableau order.  It returns (y_new, k3, k4, k5, k6, k7,
     err, non_finite); when a stage overflows or a stage or y_new is not
     finite, it returns err = inf and non_finite = True with the rest None.
-
-    The entries in ``fixed`` have an rhs that is exactly +0.0 or -0.0 at
-    every stage.  Their stage values and y_new are y_j itself, and they
-    leave the error sum: y_j + h * (sum of zeros) is y_j for every y_j but
-    -0.0, and their zero terms would add nothing to the sum of squares.
-    The finiteness check still reads all of every stage, so a trial whose
-    rhs is not finite in such an entry is rejected as before.
     """
     y, y_new = _names("y", n), _names("n", n)
-    moving = [j for j in range(n) if j not in fixed]
-    new = [y[j] if j in fixed else y_new[j] for j in range(n)]
     k = {s: _names(f"k{s}_", n) for s in range(1, 8)}
     body = [f"{tuple_source(y)} = y", f"{tuple_source(k[1])} = k1", "try:"]
     for s in range(2, 7):
         state = tuple_source(
-            y[j] if j in fixed
-            else f"{y[j]} + h * ({linear_source(zip(_A[s - 1], (k[i][j] for i in range(1, s))))})"
+            f"{y[j]} + h * ({linear_source(zip(_A[s - 1], (k[i][j] for i in range(1, s))))})"
             for j in range(n)
         )
         body += [
@@ -138,26 +129,26 @@ def _trial_step(n: int, fixed: frozenset[int] = frozenset()):
     # weighs k2 and k7 by zero, so linear_source leaves them out.
     body += [
         f"    {y_new[j]} = {y[j]} + h * ({linear_source(zip(_B5, (k[i][j] for i in k)))})"
-        for j in moving
+        for j in range(n)
     ]
     body += [
-        f"    y_new = {tuple_source(new)}",
+        f"    y_new = {tuple_source(y_new)}",
         "    k7 = rhs(t_new, y_new)",
         f"    {tuple_source(k[7])} = k7",
         "except OverflowError:",
         "    return None, None, None, None, None, None, inf, True",
-        f"if not all(map(isfinite, {tuple_source([*(v for s in k for v in k[s]), *new])})):",
+        f"if not all(map(isfinite, {tuple_source([*(v for s in k for v in k[s]), *y_new])})):",
         "    return None, None, None, None, None, None, inf, True",
     ]
     # (b if b > a else a) is max(a, b) as the builtin evaluates it.
-    for j in moving:
+    for j in range(n):
         body += [
             f"a = abs({y[j]})",
             f"b = abs({y_new[j]})",
             f"e{j} = h * ({linear_source(zip(_ERR, (k[i][j] for i in k)))}) / "
             "(atol + rtol * (b if b > a else a))",
         ]
-    squares = " + ".join(["0.0", *(f"e{j} * e{j}" for j in moving)])
+    squares = " + ".join(["0.0", *(f"e{j} * e{j}" for j in range(n))])
     body.append(f"return y_new, k3, k4, k5, k6, k7, sqrt(({squares}) / {n}), False")
     return kernel(
         function_source("trial_step(rhs, t, h, t_new, y, k1, rtol, atol)", body), "trial_step"
@@ -165,12 +156,11 @@ def _trial_step(n: int, fixed: frozenset[int] = frozenset()):
 
 
 @lru_cache(maxsize=64)
-def _dense_output(n: int, fixed: frozenset[int] = frozenset()):
+def _dense_output(n: int):
     """Generated continuous extension on n-entry states.
 
     ``dense_output(y, h, theta, k1, k3, k4, k5, k6, k7)`` is the state at
-    t + theta h within the accepted step from (t, y) with those stages;
-    the entries in ``fixed`` (see :func:`_trial_step`) are y_j itself.
+    t + theta h within the accepted step from (t, y) with those stages.
     """
     y = _names("y", n)
     k = {s: _names(f"k{s}_", n) for s in (1, 3, 4, 5, 6, 7)}
@@ -179,8 +169,7 @@ def _dense_output(n: int, fixed: frozenset[int] = frozenset()):
         p1, p2, p3, p4 = (repr(float(p)) for p in _P[s - 1])
         body.append(f"d{s} = theta * ({p1} + theta * ({p2} + theta * ({p3} + theta * {p4})))")
     values = (
-        y[j] if j in fixed else f"{y[j]} + h * ({' + '.join(f'd{s} * {k[s][j]}' for s in k)})"
-        for j in range(n)
+        f"{y[j]} + h * ({' + '.join(f'd{s} * {k[s][j]}' for s in k)})" for j in range(n)
     )
     body.append(f"return {tuple_source(values)}")
     return kernel(
@@ -198,7 +187,6 @@ def adaptive_rk45(
     h0: float | None = None,
     stop_when: Callable[[float, tuple[float, ...]], bool] | None = None,
     samples: Sequence[float] = (),
-    fixed: frozenset[int] = frozenset(),
 ) -> tuple[list[float], list[tuple[float, ...]], float, list[tuple[float, ...]]]:
     """Integrate rhs over t_span, recording every accepted step.
 
@@ -214,14 +202,12 @@ def adaptive_rk45(
     Raises StepSizeUnderflowError, or NonFiniteStateError when the step
     underflowed while non-finite trial states were being rejected, or
     IntegrationError after MAX_STEPS steps.  ``rhs(t, y)`` and
-    ``stop_when(t, y)`` get y as a tuple of floats: on 4 to 28 entries,
+    ``stop_when(t, y)`` get y as a tuple of floats: on 4 to 18 entries,
     numpy's per-call overhead would cost more than the stages.  An
     OverflowError from the rhs (``**`` past the float range) is non-finite.
     The trial step and the dense output are generated for each state size
-    and ``fixed`` set on first use (see :func:`_trial_step`).  ``fixed``
-    names entries whose rhs is exactly +0.0 or -0.0 at every state the
-    integration reaches and whose initial value is not -0.0; the step then
-    skips their arithmetic, and the result does not change by a bit.
+    on first use (see :func:`_trial_step`).  The error norm is the RMS of
+    the scaled error over all n entries.
     """
     t0, t1 = t_span
     # Read at call time, so a changed budget or floor applies to the next call.
@@ -249,8 +235,8 @@ def adaptive_rk45(
         raise ValueError("samples must lie in t_span")
     y = tuple(map(float, y0))
     n = len(y)
-    trial_step = _trial_step(n, fixed)
-    dense_output = _dense_output(n, fixed) if times_at else None
+    trial_step = _trial_step(n)
+    dense_output = _dense_output(n) if times_at else None
     sampled = [(math.nan,) * n] * len(times_at)
     t = t0
     times = [t]

@@ -82,6 +82,19 @@ def test_float_range_failures_are_reported_errors(argv, cause, capsys):
     assert err.startswith(cause) and "internal error" not in err
 
 
+def test_analyze_out_past_the_float_range_leaves_no_partial_output(tmp_path, capsys):
+    # The CSV row of the second point cannot be written: the command fails
+    # before it prints the first point's row or creates the file.
+    out = tmp_path / "analyze.csv"
+    argv = ["analyze", "--model", "d224", "--point", "0,0,1,1", "--point", f"0,0,{10**400}/3,0",
+            "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: float overflow")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("z, w", [(3e4, 3e4), (1e5, 1e5), (1e50, 1e50), (1e300, 0.0)])
 def test_analyze_far_float_points_read_the_exact_growth(z, w, capsys):
     # An SVD rank with a relative tolerance read d224 at (0,0,3e4,3e4) and

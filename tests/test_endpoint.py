@@ -30,7 +30,6 @@ from engelkit.endpoint import (
 from engelkit.flow import IntegrationError, adaptive_rk45
 from engelkit.poly import VARS, Point4, SparsePoly, random_poly
 import reference_endpoint
-from reference_poly import reference_compile
 from reference_rk45 import reference_rk45, reference_tuple_rk45
 
 ZERO_PAIR = PfaffianPair(SparsePoly.zero(), SparsePoly.zero())
@@ -182,41 +181,26 @@ def _dynamics(pair, u1, u2):
     return dynamics
 
 
-def _reference_variational_rhs(pair, u1, u2):
-    """The 28-state rhs as a loop over all eight x and y entries of A."""
-    f, g = reference_compile(pair.f), reference_compile(pair.g)
-    grads = [reference_compile(p.diff(v)) for p in (pair.f, pair.g) for v in VARS]
-    zw_rows = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
-
-    def rhs(t, s):
-        point = s[:4]
-        axx, axy, axz, axw, ayx, ayy, ayz, ayw = (-u2 * d(*point) for d in grads)
-        cols = s[4:10], s[10:16], s[16:22], s[22:28]
-        x_row = [axx * p + axy * q + axz * r + axw * v for p, q, r, v in zip(*cols)]
-        y_row = [ayx * p + ayy * q + ayz * r + ayw * v for p, q, r, v in zip(*cols)]
-        fv, gv = f(*point), g(*point)
-        x_row[5] -= fv
-        y_row[5] -= gv
-        return (-u2 * fv, -u2 * gv, u1, u2, *x_row, *y_row, *zw_rows)
-
-    return rhs
-
-
 def test_generated_variational_rhs_matches_the_full_loop():
-    # The generated rhs writes only the entries of A that are not identically
-    # zero.  Products with those zeros can change nothing but the sign of a
-    # zero sum, so the values are equal (== counts 0.0 and -0.0 equal).
+    # The generated rhs on the entries that move, against the 28-state loop
+    # at states whose other entries are at their restart values: equal on
+    # the moving entries.  The generated rhs writes only the entries of A
+    # that are not identically zero; products with those zeros can change
+    # nothing but the sign of a zero sum (== counts 0.0 and -0.0 equal).
     rng = np.random.default_rng(53)
     pairs = [*CATALOG.values()]
     pairs += [PfaffianPair(random_poly(rng), random_poly(rng)) for _ in range(10)]
     for pair in pairs:
         sys = _control_system(pair)
+        moving = list(sys.moving)
+        assert moving[:4] == [0, 1, 2, 3]
         for _ in range(5):
             u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
-            s = tuple(rng.uniform(-2.0, 2.0, 28).tolist())
-            got = sys.variational(u1, u2)(0.0, s)
-            want = _reference_variational_rhs(pair, u1, u2)(0.0, s)
-            assert len(got) == 28 and got == want
+            s = np.array((0.0, 0.0, 0.0, 0.0, *_RESTART))
+            s[moving] = rng.uniform(-2.0, 2.0, len(moving))
+            got = sys.variational(u1, u2)(0.0, tuple(s[moving].tolist()))
+            want = reference_endpoint.variational_rhs(pair, u1, u2)(0.0, tuple(s.tolist()))
+            assert got == tuple(want[j] for j in moving)
 
 
 def test_adjoint_duality_pairing_is_conserved():
@@ -420,15 +404,20 @@ def _xy_pairs(seed, count):
 
 
 def _reference_pass(monkeypatch):
-    """Run the endpoint pass on the unfolded tuple loop, which steps every entry."""
+    """Run the endpoint pass on the unfolded tuple loop."""
 
-    def unfolded(rhs, y0, t_span, rtol, atol, h0=None, stop_when=None, samples=(), fixed=None):
+    def unfolded(rhs, y0, t_span, rtol, atol, h0=None, stop_when=None, samples=()):
         times, states, h, sampled = reference_tuple_rk45(
             rhs, y0, t_span, rtol, atol, h0, stop_when, samples
         )
         return times, list(map(tuple, states.tolist())), h, list(map(tuple, sampled.tolist()))
 
     monkeypatch.setattr(endpoint, "adaptive_rk45", unfolded)
+
+
+def _fixed(sys) -> list[int]:
+    """The 28-state indices that the variational pass leaves out."""
+    return [j for j in range(28) if j not in sys.moving]
 
 
 def test_fixed_entries_of_the_catalog_and_of_pairs_with_x_and_y_terms():
@@ -438,40 +427,41 @@ def test_fixed_entries_of_the_catalog_and_of_pairs_with_x_and_y_terms():
     # does not depend on w.
     zw_rows = {16, 17, 18, 19, 21, 22, 23, 24, 25, 26}
     for name, pair in CATALOG.items():
-        fixed = _control_system(pair).fixed
+        fixed = set(_fixed(_control_system(pair)))
         assert fixed >= zw_rows | {4, 5, 10, 11}, name
         assert len(fixed) in (15, 16), name
     for pair in _xy_pairs(61, 12):
-        assert _control_system(pair).fixed >= zw_rows
+        assert set(_fixed(_control_system(pair))) >= zw_rows
 
 
 def test_variational_rhs_is_zero_on_the_fixed_entries():
-    # At random states that keep the entries of the set that restart at 0.0
-    # there, and at random controls, every fixed entry's rhs is +0.0 or -0.0.
+    # On the full 28-state loop, at random states that keep the entries of
+    # the set that restart at 0.0 there, and at random controls, every entry
+    # the pass leaves out has an rhs of +0.0 or -0.0.
     rng = np.random.default_rng(62)
     for pair in [*CATALOG.values(), *_xy_pairs(63, 12)]:
-        sys = _control_system(pair)
-        zero = [j for j in sys.fixed if _RESTART[j - 4] == 0.0]
+        fixed = _fixed(_control_system(pair))
+        zero = [j for j in fixed if _RESTART[j - 4] == 0.0]
         for _ in range(20):
             s = rng.uniform(-2.0, 2.0, 28)
             s[zero] = 0.0
             u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
-            value = sys.variational(u1, u2)(0.0, tuple(s.tolist()))
-            assert all(value[j] == 0.0 for j in sys.fixed), (pair, u1, u2)
+            value = reference_endpoint.variational_rhs(pair, u1, u2)(0.0, tuple(s.tolist()))
+            assert all(value[j] == 0.0 for j in fixed), (pair, u1, u2)
 
 
 def test_unfolded_steps_never_move_a_fixed_entry():
-    # Integrated without the set, every accepted state and dense sample
-    # keeps each fixed entry bit for bit at its restart value.
+    # The full 28-state loop on the unfolded tuple loop: every accepted
+    # state and dense sample keeps each entry the pass leaves out bit for
+    # bit at its restart value.
     rng = np.random.default_rng(64)
     for pair in [*CATALOG.values(), *_xy_pairs(65, 6)]:
-        sys = _control_system(pair)
-        fixed = sorted(sys.fixed)
+        fixed = _fixed(_control_system(pair))
         for _ in range(3):
             u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
             y0 = (*rng.uniform(-0.5, 0.5, 4).tolist(), *_RESTART)
             _, states, _, sampled = reference_tuple_rk45(
-                sys.variational(u1, u2), y0, (0.0, 0.5), 1e-10, 1e-12,
+                reference_endpoint.variational_rhs(pair, u1, u2), y0, (0.0, 0.5), 1e-10, 1e-12,
                 samples=rng.uniform(0.0, 0.5, 5),
             )
             restart = np.array([y0[j] for j in fixed])
@@ -483,6 +473,11 @@ def _bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
 
+def _reduced_start(sys, q):
+    """The pass's first state: q and the restart values of the moving entries of X."""
+    return (*q, *(_RESTART[j - 4] for j in sys.moving[4:]))
+
+
 def test_folded_step_is_bit_identical_to_the_tuple_loop():
     # One call per control segment, as the pass makes it: the folded step
     # and dense output give the tuple loop's times, states, carried step and
@@ -492,12 +487,12 @@ def test_folded_step_is_bit_identical_to_the_tuple_loop():
         sys = _control_system(pair)
         for n in (1, 7, 32, 64):
             u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
-            y0 = (*rng.uniform(-0.5, 0.5, 4).tolist(), *_RESTART)
+            y0 = _reduced_start(sys, rng.uniform(-0.5, 0.5, 4).tolist())
             t_span = (3 / n, 4 / n)
             for h0 in (None, 0.3 / n):
                 args = (y0, t_span, 1e-10, 1e-12, h0, None, rng.uniform(*t_span, 3))
                 rhs = sys.variational(u1, u2)
-                got = adaptive_rk45(rhs, *args, fixed=sys.fixed)
+                got = adaptive_rk45(rhs, *args)
                 want = reference_tuple_rk45(rhs, *args)
                 assert all(_bits(a) == _bits(b) for a, b in zip(got, want)), (pair, n)
 
@@ -526,27 +521,101 @@ def test_folded_pass_is_bit_identical_to_the_unfolded_pass(monkeypatch):
     assert passes() == folded
 
 
+def _public_outputs(module, pair, q0, ctrl, **kwargs):
+    """The three public functions of ``module`` on one control."""
+    return (
+        module.bryant_hsu_test(pair, q0, ctrl, **kwargs),
+        module.endpoint_jacobian(pair, q0, ctrl, **kwargs),
+        module.adjoint_transport(pair, q0, ctrl, **kwargs),
+    )
+
+
+def test_reduced_pass_is_bit_identical_to_the_full_pass_on_the_catalog():
+    # Integrating only the entries that move changes the error norm's
+    # divisor from 28 to their number.  On the catalog every step is set by
+    # the x5 growth cap or the clip at t1, never by the norm, so all three
+    # public functions give the full 28-state pass's outputs byte for byte:
+    # 1 to 64 segments, q0 up to +-1 and controls up to +-2.
+    rng = np.random.default_rng(73)
+    for pair in CATALOG.values():
+        for n in (1, 2, 5, 16, 32, 64):
+            for q_scale, u_scale in ((0.0, 1.0), (1.0, 2.0)):
+                q0 = tuple((q_scale * rng.uniform(-1.0, 1.0, 4)).tolist())
+                ctrl = ControlPath(u_scale * rng.uniform(-1.0, 1.0, (n, 2)))
+                got = _public_outputs(endpoint, pair, q0, ctrl)
+                want = _public_outputs(reference_endpoint, pair, q0, ctrl, full=True)
+                for a, b in zip(got, want):
+                    assert _record_bits(a) == _record_bits(b), (pair, q0, n)
+
+
+def test_reduced_pass_stays_near_the_full_pass_on_pairs_with_x_and_y_terms():
+    # Where f or g depends on x or y, the error norm's divisor (the 12 to
+    # 18 moving entries, not 28) does set steps, so outputs move.  On 40
+    # seeded pairs from q0 up to +-1 with 16-segment controls up to +-2:
+    # both classifications are the full pass's, and so is the class of
+    # every IntegrationError (two curves blow up).  Measured, relative to
+    # max(1, |.|): endpoints within 8.5e-13, Jacobians within 1.7e-12,
+    # sampled states within 3.2e-11 and sampled transitions within 1.7e-10;
+    # the bounds leave about 10x.  (Other seeds read up to 2e-9 on the
+    # transitions.)
+    rng = np.random.default_rng(76)
+    samples = _default_samples(16)
+    bounds = (1e-11, 2e-11, 3e-10, 2e-9)
+    failed = 0
+    for pair in _xy_pairs(77, 40):
+        q0 = tuple(rng.uniform(-1.0, 1.0, 4).tolist())
+        ctrl = ControlPath(rng.uniform(-2.0, 2.0, (16, 2)))
+        runs = []
+        for run in (
+            lambda: _sensitivity_pass(_control_system(pair), q0, ctrl, samples, 1e-10, 1e-12),
+            lambda: reference_endpoint.sensitivity_pass(
+                pair, q0, ctrl, samples, 1e-10, 1e-12, full=True
+            ),
+        ):
+            try:
+                runs.append(run())
+            except IntegrationError as exc:
+                runs.append(exc)
+        got, want = runs
+        if isinstance(got, IntegrationError) or isinstance(want, IntegrationError):
+            assert type(got) is type(want), (pair, q0)
+            failed += 1
+            continue
+        for a, b, bound in zip(got, want, bounds):
+            assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)), initial=0.0) <= bound
+        verdict = bryant_hsu_test(pair, q0, ctrl)
+        full = reference_endpoint.bryant_hsu_test(pair, q0, ctrl, full=True)
+        assert verdict.classification == full.classification, (pair, q0)
+        assert verdict.jacobian_classification == full.jacobian_classification, (pair, q0)
+    assert failed == 2
+
+
 @pytest.mark.parametrize(
     "f,q0",
     [
         # x' = -u2 x^4 overflows in a stage from 1e60 and blows up at t = 1/3 from -1
         (SparsePoly({(4, 0, 0, 0): 1}), (1e60, 0.0, 0.0, 0.0)),
         (SparsePoly({(4, 0, 0, 0): 1}), (-1.0, 0.0, 0.0, 0.0)),
-        # f stays finite at z = 34.6 but its z-derivative is inf, so the
-        # fixed x-row entries of Phi read inf * 0.0 = nan
+        # f stays finite at z = 34.6 but its z-derivative is inf: in the
+        # full pass the left-out x-row entries of Phi read inf * 0.0 = nan,
+        # in the reduced pass the moving one in column 2 reads inf * 1.0
         (SparsePoly({(0, 0, 200, 0): 1}), (0.0, 0.0, 34.6, 0.0)),
     ],
     ids=["overflow", "blow-up", "nan-in-a-fixed-entry"],
 )
 def test_non_finite_pass_fails_like_the_unfolded_pass(f, q0, monkeypatch):
+    # The same error as the tuple loop on the same entries, message and
+    # all, and the same class as the full 28-state pass.
     pair = PfaffianPair(f, SparsePoly.zero())
     ctrl = ControlPath.constant(0.0, 1.0, 2)
     with pytest.raises(IntegrationError) as got:
         bryant_hsu_test(pair, q0, ctrl)
+    with pytest.raises(IntegrationError) as full:
+        reference_endpoint.bryant_hsu_test(pair, q0, ctrl, full=True)
     _reference_pass(monkeypatch)
     with pytest.raises(IntegrationError) as want:
         bryant_hsu_test(pair, q0, ctrl)
-    assert type(got.value) is type(want.value)
+    assert type(got.value) is type(want.value) is type(full.value)
     assert str(got.value) == str(want.value)
 
 

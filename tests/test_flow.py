@@ -22,7 +22,7 @@ from engelkit.flow import (
     lyapunov_report,
     singular_surface,
 )
-from engelkit.endpoint import _control_system
+from engelkit.endpoint import _RESTART, _control_system
 from engelkit.poly import Point4, SparsePoly, random_poly
 from reference_rk45 import reference_rk45, reference_tuple_rk45
 
@@ -202,21 +202,26 @@ def _variational_cases():
     ]
 
 
+def _variational_start(sys, q):
+    """q and the restart values (I, 0) of the entries of [Phi | L] that move."""
+    return (*q, *(_RESTART[j - 4] for j in sys.moving[4:]))
+
+
 @pytest.mark.parametrize("pair", _variational_cases())
 def test_variational_pass_takes_the_steps_of_the_reference(pair):
-    # The 28-state rhs of the endpoint detectors (state, Phi and L) on both
-    # integrators, with dense-output samples and a carried first step: the same
-    # number of accepted steps, and the same states at t1 and at the samples
-    # up to rounding.  The step times themselves are not compared: the error
-    # estimate of the x and y rows cancels down to rounding, so the two stage
-    # orderings move interior step times by up to about 2e-6 on random pairs
-    # while the solution at fixed times agrees to about 1e-14.
+    # The variational rhs of the endpoint detectors (the state and the
+    # entries of Phi and L that move) on both integrators, with dense-output
+    # samples and a carried first step: the same number of accepted steps,
+    # and the same states at t1 and at the samples up to rounding.  The step
+    # times themselves are not compared: the error estimate of the x and y
+    # rows cancels down to rounding, so the two stage orderings move
+    # interior step times by up to about 2e-6 on random pairs while the
+    # solution at fixed times agrees to about 1e-14.
     rng = np.random.default_rng(37)
     sys = _control_system(pair)
-    restart = tuple(float(row == col) for row in range(4) for col in range(6))
     for _ in range(3):
         u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
-        y0 = (*rng.uniform(-0.5, 0.5, 4).tolist(), *restart)
+        y0 = _variational_start(sys, rng.uniform(-0.5, 0.5, 4).tolist())
         samples = rng.uniform(0.25, 1.0, 6)
         rhs = sys.variational(u1, u2)
         args = ((0.25, 1.0), 1e-10, 1e-12, 0.01, None, samples)
@@ -249,14 +254,14 @@ def _unrolled_cases():
     cases.append(pytest.param(
         fld.compile_rhs(), tuple(rng.uniform(-0.5, 0.5, 4)), (0.0, 1.0), None, id="n4-random",
     ))
-    restart = tuple(float(row == col) for row in range(4) for col in range(6))
+    # The variational pass on the entries of its 28 that move (12 to 18).
     for name, pair in [*CATALOG.items(), ("random", PfaffianPair(random_poly(rng),
                                                                  random_poly(rng)))]:
+        sys = _control_system(pair)
         u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
-        y0 = (*rng.uniform(-0.5, 0.5, 4).tolist(), *restart)
+        y0 = _variational_start(sys, rng.uniform(-0.5, 0.5, 4).tolist())
         cases.append(pytest.param(
-            _control_system(pair).variational(u1, u2), y0, (0.25, 1.0), None,
-            id=f"n28-{name}",
+            sys.variational(u1, u2), y0, (0.25, 1.0), None, id=f"n28-{name}",
         ))
     return cases
 
