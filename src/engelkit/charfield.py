@@ -159,12 +159,6 @@ class CrossCheckReport:
     coefficients: dict[str, CharCoefficients]
     comparisons: tuple[VariantComparison, ...]
 
-    def comparison(self, a: str, b: str) -> VariantComparison:
-        for comp in self.comparisons:
-            if {comp.a, comp.b} == {a, b}:
-                return comp
-        raise KeyError((a, b))
-
     def to_json_dict(self, model: str) -> dict:
         return {
             "model": model,
@@ -235,10 +229,3 @@ def horizontality_residuals(pair: PfaffianPair, field: PolyVectorField) -> tuple
     """(theta1(C), theta2(C)) = (C^x + f*C^w, C^y + g*C^w); zero for horizontal fields."""
     return (field.cx + pair.f * field.cw, field.cy + pair.g * field.cw)
 
-
-def vanishes_on_sigma(field: PolyVectorField) -> bool:
-    """True if every component lies in the ideal (z, w), i.e. the field
-    vanishes identically on the surface z = w = 0."""
-    return all(
-        comp.subs("z", 0).subs("w", 0).is_zero() for comp in field.components()
-    )

@@ -106,8 +106,12 @@ def _write_json(path: str, payload: dict, header: list[str]) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _open_out(path: str):
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _open_out(path: str, header: list[str]):
+    """The CSV output file, opened for writing with its ``# `` header lines
+    already written."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    fh.writelines(f"# {line}\n" for line in header)
+    return fh
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -136,9 +140,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"on_degenerate_locus={not rep.is_engel_by_growth}{flag}"
         )
     if args.out:
-        with _open_out(args.out) as fh:
-            for line in _header_lines(args, model):
-                fh.write(f"# {line}\n")
+        with _open_out(args.out, _header_lines(args, model)) as fh:
             fh.write("x,y,z,w,growth,certificate,engel_by_growth,tests_disagree\n")
             for coords, rep in zip(csv_coords, reports):
                 growth = "-".join(str(d) for d in rep.growth.dims)
@@ -181,8 +183,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
         print(f"monitor {name}: start {channel[0]:.17g}, "
               f"max |drift| {np.max(np.abs(channel - channel[0])):.3e}")
     if args.out:
-        with _open_out(args.out) as fh:
-            traj.write_csv(fh, _header_lines(args, model))
+        with _open_out(args.out, _header_lines(args, model)) as fh:
+            traj.write_csv(fh)
     return 0
 
 
@@ -204,8 +206,8 @@ def cmd_surface(args: argparse.Namespace) -> int:
     n_conv = sum(sample.converged)
     print(f"{model}: {n_conv}/{len(grid)} samples converged (eps_cut={args.eps_cut})")
     if args.out:
-        with _open_out(args.out) as fh:
-            sample.write_csv(fh, _header_lines(args, model))
+        with _open_out(args.out, _header_lines(args, model)) as fh:
+            sample.write_csv(fh)
     return 0
 
 
@@ -223,8 +225,8 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
         if args.out:
             _write_json(args.out, report.to_json_dict(), _header_lines(args, model))
         if args.cloud:
-            with _open_out(args.cloud) as fh:
-                report.write_endpoints_csv(fh, _header_lines(args, model))
+            with _open_out(args.cloud, _header_lines(args, model)) as fh:
+                report.write_endpoints_csv(fh)
         return 0
 
     q0 = _parse_point(args.q0)

@@ -77,8 +77,8 @@ class PfaffianPair:
 class GrowthVector:
     """Dimensions of the bracket flag D ⊂ D^2 ⊂ ... at a point.
 
-    ``dims`` ends at the first entry equal to 4, or is truncated at the
-    configured maximum step with ``bracket_generating=False``.
+    ``dims`` ends at the first entry equal to 4, or is truncated at step
+    ``DEFAULT_MAX_STEP`` = 6 with ``bracket_generating=False``.
     """
 
     dims: tuple[int, ...]
@@ -172,8 +172,9 @@ def rational_rank(columns: list[tuple[Fraction, ...]]) -> int:
     return rank
 
 
-def growth_vector(pair: PfaffianPair, q: Point4, max_step: int = DEFAULT_MAX_STEP) -> GrowthVector:
-    """Exact growth vector of the distribution at a point.
+def growth_vector(pair: PfaffianPair, q: Point4) -> GrowthVector:
+    """Exact growth vector of the distribution at a point, ranked up to step
+    ``DEFAULT_MAX_STEP``.
 
     Level 1, the frame, has rank 2, as the z, w parts of Z and W are (1, 0)
     and (0, 1); every later bracket is a d/dx + b d/dy, so after level k the
@@ -184,12 +185,10 @@ def growth_vector(pair: PfaffianPair, q: Point4, max_step: int = DEFAULT_MAX_STE
     (a/s_a, b/s_b) and scaled by s_a*s_b > 0, which keeps the rank.  Level
     k+1 is built only while that rank is below 4.
     """
-    if max_step < 2:
-        raise ValueError("max_step must be at least 2")
     powers = q.powers()
     dims = [2]
     first = None
-    for step in range(2, max_step + 1):
+    for step in range(2, DEFAULT_MAX_STEP + 1):
         for a_poly, b_poly in bracket_levels(pair, step)[-1]:
             a, s_a = a_poly.eval_integer(powers)
             b, s_b = b_poly.eval_integer(powers)
@@ -249,11 +248,11 @@ class SigmaReport:
         return self.certificate_nonzero != self.is_engel_by_growth
 
 
-def sigma_check(pair: PfaffianPair, q: Point4, max_step: int = DEFAULT_MAX_STEP) -> SigmaReport:
+def sigma_check(pair: PfaffianPair, q: Point4) -> SigmaReport:
     """Evaluate the Engel certificate and the growth vector at one point,
     both exactly on its one table ``q.powers()``."""
     certificate = engel_certificate(pair).eval_exact(q)
-    growth = growth_vector(pair, q, max_step=max_step)
+    growth = growth_vector(pair, q)
     return SigmaReport(
         point=q,
         certificate=certificate,

@@ -95,7 +95,8 @@ class ControlPath:
     def from_json_dict(cls, data: dict, index: int = 0) -> "ControlPath":
         """The control of a ``to_json_dict`` record, entry ``index`` of its
         file; ``n_segments``, when given, must equal the number of rows of
-        ``u``.  Booleans, strings and nulls in ``u`` are not numbers here."""
+        ``u``.  Booleans, strings and nulls in ``u`` and a boolean
+        ``n_segments`` are not numbers here."""
         if not isinstance(data, dict):
             raise ValueError(f"control {index}: expected an object {{n_segments, u}}, got {data!r}")
         if "u" not in data:
@@ -108,6 +109,9 @@ class ControlPath:
             for j, cell in enumerate(row):
                 if isinstance(cell, bool) or not isinstance(cell, (int, float)):
                     raise ValueError(f"control {index}: u[{i}][{j}] is {cell!r}, not a number")
+        if isinstance(data.get("n_segments"), bool):
+            raise ValueError(f"control {index}: n_segments is {data['n_segments']!r}, "
+                             "not a number")
         ctrl = cls(np.asarray(rows, dtype=float))
         if "n_segments" in data and data["n_segments"] != ctrl.n_segments:
             raise ValueError(
@@ -419,7 +423,6 @@ class AdjointRecord:
     states: np.ndarray
     transports: np.ndarray
     constraint_matrix: np.ndarray
-    min_abs_det: float
 
 
 def adjoint_transport(
@@ -443,7 +446,6 @@ def adjoint_transport(
         states=states,
         transports=np.linalg.solve(phis, np.broadcast_to(np.eye(4), phis.shape)).transpose(0, 2, 1),
         constraint_matrix=_constraint_matrix(sys, states, phis),
-        min_abs_det=float(np.min(1.0 / np.abs(np.linalg.det(phis)))),
     )
 
 
@@ -583,9 +585,7 @@ class SardReport:
             "origin_reaching_count": self.origin_reaching_count,
         }
 
-    def write_endpoints_csv(self, fh: TextIO, header_lines: Sequence[str] = ()) -> None:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    def write_endpoints_csv(self, fh: TextIO) -> None:
         fh.write("x,y,z,w,score\n")
         for (x, y, z, w), score in zip(self.endpoints, self.scores):
             fh.write(",".join(FLOAT_FMT % v for v in (x, y, z, w, score)) + "\n")
@@ -634,13 +634,15 @@ def sard_sample(
     forward quadrature from the endpoint's own (z, w).  For the rotational
     model (d2334b), trajectories start on the sphere rho = 0.01 and the
     report records how far rho ever drops (it never approaches the origin).
-    Detector agreement is measured on characteristic arcs from a subset of
-    the sampled curves.
+    Detector agreement is measured on characteristic arcs from the first
+    ``detector_subset`` (non-negative) of the sampled curves.
     """
     if model not in CATALOG or model == "engel_std":
         raise ValueError(f"sard_sample expects a degenerate catalog model, got {model!r}")
     if n_curves < 0:
         raise ValueError(f"n_curves must be non-negative, got {n_curves}")
+    if detector_subset < 0:
+        raise ValueError(f"detector_subset must be non-negative, got {detector_subset}")
     pair = CATALOG[model]
     rng = np.random.default_rng(seed)
     if n_curves == 0:

@@ -335,9 +335,7 @@ class Trajectory:
     def endpoint(self) -> np.ndarray:
         return self.states[-1]
 
-    def write_csv(self, fh: TextIO, header_lines: Sequence[str] = ()) -> None:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    def write_csv(self, fh: TextIO) -> None:
         names = list(self.monitors)
         fh.write(",".join(["t", "x", "y", "z", "w"] + names) + "\n")
         for i, t in enumerate(self.times):
@@ -364,20 +362,17 @@ def integrate(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     monitors: Mapping[str, SparsePoly] | None = None,
-    stop_when: Callable[[float, tuple[float, ...]], bool] | None = None,
 ) -> Trajectory:
-    """Adaptive integration of a polynomial field from q0 for time t_end.
+    """Adaptive integration of a polynomial field from q0 for time t_end,
+    with the ``monitors`` sampled at every accepted state.
 
     Negative ``t_end`` integrates the time-reversed field for ``|t_end|``.
-    ``stop_when(t, state)`` sees each accepted state as a tuple of floats.
     """
     if t_end == 0:
         raise ValueError("t_end must be nonzero")
     fld = vector_field if t_end > 0 else -vector_field
     y0 = q0.as_floats() if isinstance(q0, Point4) else q0
-    times, states, _, _ = adaptive_rk45(
-        fld.compile_rhs(), y0, (0.0, abs(t_end)), rtol, atol, stop_when=stop_when
-    )
+    times, states, _, _ = adaptive_rk45(fld.compile_rhs(), y0, (0.0, abs(t_end)), rtol, atol)
     states = np.array(states)
     return Trajectory(
         times=np.array(times), states=states, monitors=_monitor_channels(monitors, states)
@@ -506,9 +501,7 @@ class SurfaceSample:
             if ok
         ]
 
-    def write_csv(self, fh: TextIO, header_lines: Sequence[str] = ()) -> None:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    def write_csv(self, fh: TextIO) -> None:
         fh.write("z,w,x,y,converged\n")
         for (z, w), (dx, dy), ok in zip(self.grid, self.offsets, self.converged):
             fh.write(

@@ -7,9 +7,9 @@ as one positive integer denominator and an int numerator per term:
 
 The form is canonical: the denominator and the numerators have gcd 1, no
 numerator is zero, and the zero polynomial is the empty map over 1.  Sums,
-products, derivatives and substitutions run on ints and normalise once, by
-one gcd; two polynomials are equal iff their forms are identical.  ``terms``
-gives the coefficients as Fractions.  Instances are immutable and hashable.
+products and derivatives run on ints and normalise once, by one gcd; two
+polynomials are equal iff their forms are identical.  ``terms`` gives the
+coefficients as Fractions.  Instances are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .codegen import function_source, kernel
 
@@ -25,7 +25,6 @@ VARS = ("x", "y", "z", "w")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
 
 Exponent = tuple[int, int, int, int]
-Rational = Union[int, Fraction]
 Scalar = Union[int, float, Fraction]
 
 
@@ -78,10 +77,6 @@ class SparsePoly:
         expo[_VAR_INDEX[name]] = 1
         return cls({tuple(expo): 1})
 
-    @classmethod
-    def monomial(cls, coeff: Scalar, exponents: Iterable[int]) -> "SparsePoly":
-        return cls({tuple(exponents): coeff})
-
     # -- inspection -------------------------------------------------------
 
     @property
@@ -92,12 +87,6 @@ class SparsePoly:
 
     def is_zero(self) -> bool:
         return not self._nums
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._nums:
-            return -1
-        return max(sum(e) for e in self._nums)
 
     def degree_in(self, name: str) -> int:
         """Degree in a single variable; -1 for the zero polynomial."""
@@ -163,18 +152,6 @@ class SparsePoly:
                 out[expo[:i] + (expo[i] - 1,) + expo[i + 1:]] = n * expo[i]
         return _canonical(self._den, out)
 
-    def subs(self, name: str, value: Rational) -> "SparsePoly":
-        """Exact substitution of a rational value p/q for one variable, over
-        the denominator q^m with m the degree in that variable."""
-        i = _VAR_INDEX[name]
-        p, q = _as_fraction(value).as_integer_ratio()
-        m = max(self.degree_in(name), 0)
-        out: dict[Exponent, int] = {}
-        for expo, n in self._nums.items():
-            key = expo[:i] + (0,) + expo[i + 1:]
-            out[key] = out.get(key, 0) + n * p ** expo[i] * q ** (m - expo[i])
-        return _canonical(self._den * q**m, out)
-
     # -- evaluation -------------------------------------------------------
 
     def eval_exact(self, point: "Point4") -> Fraction:
@@ -198,12 +175,6 @@ class SparsePoly:
         for (ex, ey, ez, ew), n in nums.items():
             total += n * rx[ex] * ry[ey] * rz[ez] * rw[ew]
         return total, self._den * rx[0] * ry[0] * rz[0] * rw[0]
-
-    def eval(self, point: "Point4") -> float:
-        """Value at a point as a float, rounded from ``eval_exact`` when it is rational."""
-        if point.is_rational:
-            return float(self.eval_exact(point))
-        return self.compile()(*(float(c) for c in point.as_tuple()))
 
     def float_source(self) -> str:
         """Python expression of the float value at (x, y, z, w): the terms in
@@ -366,8 +337,7 @@ class Point4:
 
     Exact evaluation (``as_fractions``, ``powers``, ``eval_exact``, the growth
     vector) reads a float coordinate at the decimal value of its repr, as
-    ``SparsePoly`` reads float coefficients; ``SparsePoly.eval`` uses float
-    arithmetic unless every coordinate is an int or a Fraction.
+    ``SparsePoly`` reads float coefficients.
     """
 
     x: Scalar
@@ -403,12 +373,6 @@ class Point4:
             coords = tuple({0: [1], 1: [d, p]} for p, d in ratios)
             object.__setattr__(self, "_powers", (coords, {}))
         return self.__dict__["_powers"]
-
-    @property
-    def is_rational(self) -> bool:
-        """Whether every coordinate is an int or a Fraction, so that
-        ``SparsePoly.eval`` takes the exact route."""
-        return all(isinstance(c, (int, Fraction)) for c in self.as_tuple())
 
     @classmethod
     def origin(cls) -> "Point4":

@@ -129,7 +129,6 @@ def adjoint_transport(pair, q0, ctrl, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, full
         states=states,
         transports=np.linalg.solve(phis, np.broadcast_to(np.eye(4), phis.shape)).transpose(0, 2, 1),
         constraint_matrix=constraint_matrix(sys, states, phis),
-        min_abs_det=float(np.min(1.0 / np.abs(np.linalg.det(phis)))),
     )
 
 

@@ -1,7 +1,7 @@
 """Reference growth vector for the tests: every bracket level built first.
 
-It brackets the frame up to ``max_step`` before it evaluates one column,
-then ranks the accumulated columns level by level, so a slip in
+It brackets the frame up to step ``DEFAULT_MAX_STEP`` before it evaluates
+one column, then ranks the accumulated columns level by level, so a slip in
 ``engelkit.distribution.growth_vector``'s on-demand levels (a level built
 from the wrong one, or the rank taken before a level is complete) shows up
 as a different ``GrowthVector``.
@@ -66,7 +66,7 @@ def field_scale(scalar, v: PolyVectorField) -> PolyVectorField:
 
 
 def field_eval(v: PolyVectorField, q: Point4) -> np.ndarray:
-    return np.array([p.eval(q) for p in v.components()], dtype=float)
+    return np.array([float(p.eval_exact(q)) for p in v.components()], dtype=float)
 
 
 def eager_levels(pair: PfaffianPair, max_step: int) -> list[tuple[PolyVectorField, ...]]:
@@ -78,12 +78,10 @@ def eager_levels(pair: PfaffianPair, max_step: int) -> list[tuple[PolyVectorFiel
     return levels
 
 
-def eager_growth_vector(
-    pair: PfaffianPair, q: Point4, max_step: int = DEFAULT_MAX_STEP
-) -> GrowthVector:
+def eager_growth_vector(pair: PfaffianPair, q: Point4) -> GrowthVector:
     dims: list[int] = []
     columns = []
-    for level in eager_levels(pair, max_step):
+    for level in eager_levels(pair, DEFAULT_MAX_STEP):
         columns += [
             tuple(reference_eval_exact(c, q) for c in field.components()) for field in level
         ]

@@ -13,8 +13,8 @@ each coordinate's denominator instead, so the two must return the same
 Fraction.
 
 ``reference_add``, ``reference_neg``, ``reference_sub``, ``reference_rsub``
-(b - a), ``reference_mul``, ``reference_diff`` and ``reference_subs`` are
-the ring operations and the calculus as loops over ``Fraction`` term maps,
+(b - a), ``reference_mul`` and ``reference_diff`` are the ring operations
+and the derivative as loops over ``Fraction`` term maps,
 one ``Fraction`` per term, each result built by the public constructor.
 ``SparsePoly`` does them on its integer form (one denominator, int
 numerators), so each must give an equal polynomial.  They take a scalar
@@ -77,17 +77,6 @@ def reference_diff(a: SparsePoly, name: str) -> SparsePoly:
             lowered = list(expo)
             lowered[i] -= 1
             out[tuple(lowered)] = coeff * expo[i]
-    return SparsePoly(out)
-
-
-def reference_subs(a: SparsePoly, name: str, value) -> SparsePoly:
-    i = VARS.index(name)
-    value = _terms(value).get((0, 0, 0, 0), Fraction(0))
-    out: dict = {}
-    for expo, coeff in a.terms.items():
-        reduced = list(expo)
-        reduced[i] = 0
-        _accumulate(out, tuple(reduced), coeff * value ** expo[i])
     return SparsePoly(out)
 
 

@@ -28,7 +28,6 @@ from reference_poly import (
     reference_neg,
     reference_rsub,
     reference_sub,
-    reference_subs,
 )
 
 
@@ -438,7 +437,7 @@ def test_analyze_and_char_outputs_equal_those_of_the_reference_evaluators(tmp_pa
     references = {"__add__": reference_add, "__radd__": reference_add,
                   "__sub__": reference_sub, "__rsub__": reference_rsub,
                   "__neg__": reference_neg, "__mul__": reference_mul,
-                  "__rmul__": reference_mul, "diff": reference_diff, "subs": reference_subs,
+                  "__rmul__": reference_mul, "diff": reference_diff,
                   "eval_exact": reference_eval_exact}
     for name, fn in references.items():
         monkeypatch.setattr(SparsePoly, name, counted(name, fn))
@@ -641,9 +640,12 @@ def test_control_file_whose_n_segments_disagrees_with_u_is_a_usage_error(tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: control has n_segments=5 but 3 rows in u\n"
-    # without n_segments the rows are the segments
-    ctrl_file.write_text(json.dumps({"u": [[1, 0], [0, 1], [1, 1]]}))
-    assert main(["endpoint", "--model", "d224", "--controls", str(ctrl_file)]) == 0
+    # without n_segments the rows are the segments; an integral float
+    # counts as its integer, as model-file exponents do
+    rows = [[1, 0], [0, 1], [1, 1]]
+    for data in ({"u": rows}, {"n_segments": 3.0, "u": rows}):
+        ctrl_file.write_text(json.dumps(data))
+        assert main(["endpoint", "--model", "d224", "--controls", str(ctrl_file)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -656,8 +658,10 @@ def test_control_file_whose_n_segments_disagrees_with_u_is_a_usage_error(tmp_pat
         ({"u": [["1", 0]]}, "control 0: u[0][0] is '1', not a number"),
         ({"u": [[0, None]]}, "control 0: u[0][1] is None, not a number"),
         ({"u": [[1, 0], [1]]}, "control 0: u must be a list of [u1, u2] rows"),
+        ({"n_segments": True, "u": [[1, 2]]}, "control 0: n_segments is True, not a number"),
     ],
-    ids=["number", "list-of-lists", "no-u", "bool", "string", "null", "short-row"],
+    ids=["number", "list-of-lists", "no-u", "bool", "string", "null", "short-row",
+         "bool-n-segments"],
 )
 def test_malformed_control_files_are_usage_errors_that_name_the_entry(data, message, tmp_path,
                                                                       capsys):

@@ -235,7 +235,7 @@ def _pair(f, g):
         (_pair([[1, [0, 1, 1, 0]], ["4/3", [2, 0, 0, 1]]],
                [["-2/3", [0, 0, 0, 2]], [-1, [1, 0, 1, 0]]]),
          Point4(0, 1, -1, 0), (2, 3, 3, 3, 3, 4)),
-        # parallel columns up to max_step: not bracket generating
+        # parallel columns up to step 6: not bracket generating
         (_pair([[4, [0, 0, 2, 1]]], []), Point4(0, 1, 0, -1), (2, 2, 3, 3, 3, 3)),
         # the a, b of a column differ in degree: over one denominator D for
         # the whole point (here 4), columns scaled without D^(m - m_a) and
@@ -275,10 +275,7 @@ def test_growth_vector_matches_eager_reference():
             points.append(Point4(*(Fraction(int(n), int(d)) for n, d in zip(nums, dens))))
         points += [Point4(*q.as_floats()) for q in points]
         for q in points:
-            for max_step in range(2, 7):
-                assert growth_vector(pair, q, max_step) == eager_growth_vector(
-                    pair, q, max_step
-                ), (pair.to_json_dict(), q, max_step)
+            assert growth_vector(pair, q) == eager_growth_vector(pair, q), (pair.to_json_dict(), q)
 
 
 def test_growth_vector_matches_eager_reference_at_float_points_with_large_denominators():
@@ -340,15 +337,10 @@ def test_growth_vector_builds_levels_only_until_rank_four(monkeypatch):
 
 def test_growth_vector_not_bracket_generating(monkeypatch):
     calls = _count_brackets(monkeypatch)
-    gv = growth_vector(PfaffianPair(ZERO, ZERO), Point4.origin(), max_step=4)
-    assert gv.dims == (2, 2, 2, 2)
+    gv = growth_vector(PfaffianPair(ZERO, ZERO), Point4.origin())
+    assert gv.dims == (2,) * 6
     assert not gv.bracket_generating
-    assert calls[0] == 1 + 2 + 4  # every level up to max_step is built
-
-
-def test_growth_vector_requires_two_steps():
-    with pytest.raises(ValueError):
-        growth_vector(CATALOG["d224"], Point4.origin(), max_step=1)
+    assert calls[0] == 1 + 2 + 4 + 8 + 16  # every level up to step 6 is built
 
 
 def test_growth_vector_shape_invariants():

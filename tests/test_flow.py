@@ -150,6 +150,17 @@ def _equivalence_cases():
     return cases + [pytest.param(blowup, (1.0, 0.0, 0.0, 0.0), 2.0, id="blowup")]
 
 
+def _integrate_until(fld, q0, t_end, stop_when) -> Trajectory:
+    """integrate's route with a stop: adaptive_rk45 on the compiled field at
+    the default tolerances, from 0 to t_end > 0, its accepted steps wrapped
+    in a Trajectory."""
+    times, states, _, _ = adaptive_rk45(
+        fld.compile_rhs(), q0, (0.0, t_end), flow.DEFAULT_RTOL, flow.DEFAULT_ATOL,
+        stop_when=stop_when,
+    )
+    return Trajectory(times=times, states=states)
+
+
 def _close(got, want) -> bool:
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     return got.shape == want.shape and bool(
@@ -160,12 +171,17 @@ def _close(got, want) -> bool:
 @pytest.mark.parametrize("fld,q0,t_end", _equivalence_cases())
 def test_integrate_takes_the_steps_of_adaptive_rk45(fld, q0, t_end):
     # integrate's float loop against the numpy reference on the same compiled
-    # rhs: the same accepted steps, with times and states equal up to rounding
-    rhs = (fld if t_end > 0 else -fld).compile_rhs()
+    # rhs: the same accepted steps, with times and states equal up to rounding;
+    # with a stop, the driver on the same field meets the reference's stop
+    forward = fld if t_end > 0 else -fld
+    rhs = forward.compile_rhs()
 
     def both(stop_when=None):
         try:
-            traj = integrate(fld, q0, t_end, stop_when=stop_when)
+            if stop_when is None:
+                traj = integrate(fld, q0, t_end)
+            else:
+                traj = _integrate_until(forward, q0, abs(t_end), stop_when)
         except IntegrationError as exc:
             with pytest.raises(type(exc)) as ref:
                 reference_rk45(rhs, np.array(q0), (0.0, abs(t_end)), 1e-10, 1e-12,
@@ -466,12 +482,11 @@ def test_trajectory_csv_is_deterministic():
     fld = char_field(CATALOG["d2334b"], ORACLE)
     traj = integrate(fld, Point4(0, 0, 0.5, 0), 1.0, monitors={"rho": RHO})
     out1, out2 = io.StringIO(), io.StringIO()
-    traj.write_csv(out1, ["header line"])
-    traj.write_csv(out2, ["header line"])
+    traj.write_csv(out1)
+    traj.write_csv(out2)
     assert out1.getvalue() == out2.getvalue()
     first = out1.getvalue().splitlines()
-    assert first[0] == "# header line"
-    assert first[1] == "t,x,y,z,w,rho"
+    assert first[0] == "t,x,y,z,w,rho"
 
 
 def test_closed_form_initial_condition():
@@ -676,9 +691,9 @@ def test_surface_samples_inside_the_cut_converge():
 
 
 def _surface_by_integrate(pair, grid, t_max):
-    """The per-sample route: integrate builds each flow's Trajectory and the
-    tail bound reads its numpy rows; the cut is tested from the third
-    accepted step on."""
+    """The per-sample route: each flow's steps are wrapped in a Trajectory
+    and the tail bound reads its numpy rows; the cut is tested from the
+    third accepted step on."""
     fld = char_field(pair, ORACLE)
     fx, fy = fld.cx.compile(), fld.cy.compile()
     rho_fn = RHO.compile()
@@ -691,7 +706,7 @@ def _surface_by_integrate(pair, grid, t_max):
             return steps[0] >= 3 and rho_fn(*y) < flow.DEFAULT_EPS_CUT
 
         try:
-            traj = integrate(fld, (0.0, 0.0, z, w), t_max, stop_when=cut)
+            traj = _integrate_until(fld, (0.0, 0.0, z, w), t_max, cut)
         except IntegrationError as exc:
             failures[i] = str(exc)
             offsets.append((math.nan, math.nan))
@@ -751,11 +766,11 @@ def test_surface_membership():
 def test_surface_csv_roundtrip_format():
     sample = singular_surface("d224", [(0.1, 0.1)])
     out = io.StringIO()
-    sample.write_csv(out, ["meta"])
+    sample.write_csv(out)
     lines = out.getvalue().splitlines()
-    assert lines[0] == "# meta"
-    assert lines[1] == "z,w,x,y,converged"
-    assert lines[2].endswith(",1")
+    assert lines[0] == "z,w,x,y,converged"
+    assert lines[1].endswith(",1")
+    assert len(lines) == 2
 
 
 def test_lyapunov_report_decay():

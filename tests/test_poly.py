@@ -20,7 +20,6 @@ from reference_poly import (
     reference_neg,
     reference_rsub,
     reference_sub,
-    reference_subs,
 )
 
 X = SparsePoly.var("x")
@@ -68,8 +67,8 @@ def test_diff_examples():
 
 
 def test_eval_examples():
-    assert (Z**2 + W**2).eval(Point4(0, 0, 1, 1)) == 2.0
-    assert (Z * W).eval(Point4(5, 7, 0, 3)) == 0.0
+    assert (Z**2 + W**2).eval_exact(Point4(0, 0, 1, 1)) == 2
+    assert (Z * W).eval_exact(Point4(5, 7, 0, 3)) == 0
     cubic = SparsePoly({(0, 0, 3, 0): Fraction(1, 3), (0, 0, 1, 2): 1})
     assert cubic.eval_exact(Point4(0, 0, 1, 1)) == Fraction(4, 3)
 
@@ -94,14 +93,6 @@ def test_powers_are_integer_numerators_over_each_coordinates_own_denominator():
     assert by_degrees[0, 0, 3, 2] == ([1], [1], [1, 2, 4, 8], [9, 3, 1])  # p^e d^(m-e)
     assert cubic.eval_exact(q) == Fraction(25, 9)
     assert SparsePoly.zero().eval_integer(tables) == (0, 1)
-
-
-def test_subs_restricts_variable():
-    p = Z**2 * W + X * W + W
-    assert p.subs("w", 0) == SparsePoly.zero()  # every term carries w
-    q = Z**2 + X
-    assert q.subs("z", 2) == X + 4
-    assert q.subs("w", 5) == q
 
 
 def test_pow_and_scalar_ops():
@@ -134,11 +125,6 @@ def test_repr_is_readable():
 def test_point_rejects_non_finite():
     with pytest.raises(ValueError):
         Point4(float("nan"), 0.0, 0.0, 0.0)
-
-
-def test_point_rationality():
-    assert Point4(0, Fraction(1, 2), 1, 0).is_rational
-    assert not Point4(0.5, 0, 0, 0).is_rational
 
 
 @st.composite
@@ -192,7 +178,6 @@ def test_constructors_accept_ints_floats_fractions_and_strings():
     half = SparsePoly({(0, 0, 2, 0): Fraction(1, 2)})
     for coeff in (0.5, "1/2", "0.5", Fraction(2, 4)):
         assert SparsePoly({(0, 0, 2, 0): coeff}) == half
-        assert SparsePoly.monomial(coeff, (0, 0, 2, 0)) == half
         assert SparsePoly.const(coeff) == Fraction(1, 2)
     assert SparsePoly.const(3) == 3 and SparsePoly.const(0) == SparsePoly.zero()
     assert SparsePoly({(0, 0, 1, 0): 0, (0, 0, 0, 1): 0.0}) == SparsePoly.zero()
@@ -209,7 +194,6 @@ def test_integer_operations_equal_the_fraction_term_loops(a, b, v, c):
         (a * b, reference_mul(a, b)),
         (a**2, reference_mul(a, a)),
         (a.diff(v), reference_diff(a, v)),
-        (a.subs(v, c), reference_subs(a, v, c)),
         (a + c, reference_add(a, c)),
         (c - a, reference_rsub(a, c)),
         (c * a, reference_mul(a, c)),
@@ -251,9 +235,9 @@ def test_leibniz_rule(a, b, u):
 @given(polys(), polys(), st.integers(0, 2**32 - 1))
 def test_eval_is_ring_homomorphism_up_to_rounding(a, b, seed):
     rng = np.random.default_rng(seed)
-    q = Point4(*(float(c) for c in rng.uniform(-2.0, 2.0, size=4)))
-    lhs = (a * b).eval(q)
-    rhs = a.eval(q) * b.eval(q)
+    q = [float(c) for c in rng.uniform(-2.0, 2.0, size=4)]
+    lhs = (a * b).compile()(*q)
+    rhs = a.compile()(*q) * b.compile()(*q)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 
@@ -263,7 +247,7 @@ def test_random_poly_is_deterministic_and_bounded():
     p1 = random_poly(rng1)
     p2 = random_poly(rng2)
     assert p1 == p2
-    assert p1.degree() <= 3
+    assert max(map(sum, p1.terms)) <= 3
 
 
 def _outcome(fn, point):
@@ -298,7 +282,7 @@ def test_compiled_evaluator_is_bit_identical_to_the_term_loop():
 def test_kernel_cache_is_bounded_and_shared_by_equal_sources():
     maxsize = kernel.cache_info().maxsize
     for i in range(2 * maxsize):
-        SparsePoly.monomial(i + 1, (i % 3, 0, 1, 0)).compile()
+        SparsePoly({(i % 3, 0, 1, 0): i + 1}).compile()
     assert kernel.cache_info().currsize == maxsize
     # Freshly built, equal fields give the same source: one kernel is built.
     kernel.cache_clear()
