@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, acceptance
+from . import __version__, acceptance, flow
 from .charfield import ORACLE, VARIANTS, char_field, cross_check
 from .distribution import resolve_model, sigma_check
 from .endpoint import ControlPath, bryant_hsu_test, sard_sample
@@ -169,9 +169,17 @@ def cmd_char(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_steppable(option: str, value: float, span: float) -> None:
+    """Reject a positive span from t = 0 that no integrator step covers."""
+    if 0.0 < span < flow.H_FLOOR:
+        raise CliError(f"{option} {value!r} is shorter than the smallest step the "
+                       f"integrator takes, {flow.H_FLOOR!r}")
+
+
 def cmd_flow(args: argparse.Namespace) -> int:
     model, pair = resolve_model(args.model)
     q0 = _parse_point(args.start)
+    _check_steppable("--t", args.t, abs(args.t))
     fld = char_field(pair, args.variant)
     traj = integrate(fld, q0, args.t, rtol=args.rtol, atol=args.atol, monitors=DEFAULT_MONITORS)
     print(
@@ -195,6 +203,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
         raise CliError("surface grid magnitudes must be nonzero")
     signs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] if args.signed else [(1.0, 1.0)]
     grid = [(sz * z, sw * w) for z in magnitudes for w in magnitudes for sz, sw in signs]
+    _check_steppable("--t-max", args.t_max, args.t_max)
     sample = singular_surface(
         pair, grid, eps_cut=args.eps_cut, t_max=args.t_max,
         rtol=args.rtol, atol=args.atol,

@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .codegen import function_source, kernel, tuple_source
-from .poly import Point4, SparsePoly
+from .codegen import kernel, rhs_source, tuple_source
+from .poly import VARS, Point4, SparsePoly
 
 DEFAULT_MAX_STEP = 6
 
@@ -42,14 +42,19 @@ class PolyVectorField:
         return (self.cx, self.cy, self.cz, self.cw)
 
     def compile_rhs(self):
-        """Autonomous ODE right-hand side rhs(t, q) -> 4-tuple of floats,
-        generated from the components' float_source()."""
-        values = tuple_source(c.float_source() for c in self.components())
-        return kernel(function_source("rhs(t, q)", ["x, y, z, w = q", f"return {values}"]), "rhs")
+        """Autonomous ODE right-hand side rhs(t, q) -> 4-tuple of floats and
+        its ``rhs.trial_step``, generated from the components' float_source()."""
+        return kernel(_rhs_source(self), "rhs")
 
     def __neg__(self) -> "PolyVectorField":
         """The time-reversed field, for ``flow.integrate`` at negative t_end."""
         return PolyVectorField(*(-c for c in self.components()))
+
+
+@lru_cache(maxsize=64)
+def _rhs_source(fld: PolyVectorField) -> str:
+    """The rhs and step source of a field, generated once per field."""
+    return rhs_source(VARS, [], tuple_source(c.float_source() for c in fld.components()))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .charfield import ORACLE, assemble_field, char_field, coefficients
-from .codegen import function_source, kernel, tuple_source
+from .codegen import function_source, kernel, rhs_source, tuple_source
 from .distribution import CATALOG, PfaffianPair
 from .flow import (
     DEFAULT_ATOL,
@@ -95,8 +95,8 @@ class ControlPath:
     def from_json_dict(cls, data: dict, index: int = 0) -> "ControlPath":
         """The control of a ``to_json_dict`` record, entry ``index`` of its
         file; ``n_segments``, when given, must equal the number of rows of
-        ``u``.  Booleans, strings and nulls in ``u`` and a boolean
-        ``n_segments`` are not numbers here."""
+        ``u``.  Booleans, strings and nulls are not numbers here, in ``u``
+        and in ``n_segments``."""
         if not isinstance(data, dict):
             raise ValueError(f"control {index}: expected an object {{n_segments, u}}, got {data!r}")
         if "u" not in data:
@@ -109,14 +109,15 @@ class ControlPath:
             for j, cell in enumerate(row):
                 if isinstance(cell, bool) or not isinstance(cell, (int, float)):
                     raise ValueError(f"control {index}: u[{i}][{j}] is {cell!r}, not a number")
-        if isinstance(data.get("n_segments"), bool):
-            raise ValueError(f"control {index}: n_segments is {data['n_segments']!r}, "
-                             "not a number")
-        ctrl = cls(np.asarray(rows, dtype=float))
-        if "n_segments" in data and data["n_segments"] != ctrl.n_segments:
-            raise ValueError(
-                f"control has n_segments={data['n_segments']!r} but {ctrl.n_segments} rows in u"
-            )
+        n = data.get("n_segments", len(rows))
+        if isinstance(n, bool) or not isinstance(n, (int, float)):
+            raise ValueError(f"control {index}: n_segments is {n!r}, not a number")
+        try:
+            ctrl = cls(np.asarray(rows, dtype=float))
+        except ValueError as exc:
+            raise ValueError(f"control {index}: {exc}") from None
+        if n != ctrl.n_segments:
+            raise ValueError(f"control {index}: n_segments={n!r} but {ctrl.n_segments} rows in u")
         return ctrl
 
 
@@ -202,7 +203,8 @@ def _fixed_entries(support: Sequence[Sequence[int]]) -> frozenset[int]:
 
 def _variational_source(pair: PfaffianPair, grads, moving: Sequence[int]) -> str:
     """Source of ``variational(u1, u2)``, which returns the rhs of
-    :attr:`_ControlSystem.variational` on the ``moving`` entries.
+    :attr:`_ControlSystem.variational` on the ``moving`` entries, with its
+    fused trial step (:func:`codegen.rhs_source`).
 
     The x and y rows of A are -u2 times the gradients of f and g; only
     the entries that are not identically zero, ``grads`` as
@@ -211,7 +213,7 @@ def _variational_source(pair: PfaffianPair, grads, moving: Sequence[int]) -> str
     ``moving`` is read as its restart constant.
     """
     names = ["x", "y", "z", "w", *(f"s{r}_{c}" for r in range(4) for c in range(6))]
-    body = [f"{tuple_source(names[j] for j in moving)} = s"]
+    body: list[str] = []
     cells = [names[4 + i] if 4 + i in moving else repr(v) for i, v in enumerate(_RESTART)]
     rows = [cells[6 * r: 6 * r + 6] for r in range(4)]
     values = ["-u2 * fv", "-u2 * gv", "u1", "u2"]
@@ -224,9 +226,7 @@ def _variational_source(pair: PfaffianPair, grads, moving: Sequence[int]) -> str
             values.append(f"{value} - {name}v" if c == 5 else value)
     # The z and w rows of Xdot are those of [0 | B]: (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1).
     values += ["0.0", "0.0", "0.0", "0.0", "1.0", "0.0", "0.0", "0.0", "0.0", "0.0", "0.0", "1.0"]
-    inner = function_source(
-        "rhs(t, s)", [*body, f"return {tuple_source(values[j] for j in moving)}"]
-    )
+    inner = rhs_source([names[j] for j in moving], body, tuple_source(values[j] for j in moving))
     return function_source("variational(u1, u2)", [*inner.splitlines(), "return rhs"])
 
 

@@ -12,15 +12,16 @@ stacks a whole pass's in one array).  It integrates the characteristic
 flows here (:func:`singular_surface` calls it directly, with one compiled
 rhs per grid) and, in :mod:`engelkit.endpoint`, the control system, its
 variational pass and the characteristic controls.
-Its trial step and dense output are generated per state size, and the
-right-hand sides per field or pair, as straight-line code
+The right-hand sides are generated per field or pair, each with its own
+trial step, and the dense output per state size, as straight-line code
 (:mod:`engelkit.codegen`) that does the loops' arithmetic in the loops'
-order: results are bit-identical to theirs.  The error norm is the RMS
-over every entry of the state, so a caller integrates only the entries
-that move (the variational pass leaves out those of its 28 that never
-do).  Generation happens on first use (about 1 ms for a 4-state step
-and its dense output, 2 to 3 ms for the variational pass's), not at
-import.
+order: results are bit-identical to theirs.  A field's step runs its rhs
+inline and forms only the state entries the rhs reads.  The error norm is
+the RMS over every entry of the state, so a caller integrates only the
+entries that move (the variational pass leaves out those of its 28 that
+never do).
+Generation happens on first use (about 1 ms for a characteristic field
+and its step, 2 ms for a pair's variational pass), not at import.
 Monitor channels are polynomial quantities sampled along the trajectory.
 Everything is deterministic for fixed inputs.
 """
@@ -35,7 +36,7 @@ from typing import Callable, Mapping, Sequence, TextIO
 import numpy as np
 
 from .charfield import ORACLE, char_field
-from .codegen import function_source, kernel, linear_source, tuple_source
+from .codegen import function_source, kernel, numbered_names, step_source, tuple_source
 from .distribution import CATALOG, PfaffianPair, PolyVectorField
 from .poly import Point4, SparsePoly
 
@@ -62,21 +63,6 @@ class NonFiniteStateError(IntegrationError):
     pass
 
 
-# Dormand-Prince embedded pair: 5th-order propagated solution, 4th-order
-# embedded solution for the local error estimate.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 # Shampine's quartic continuous extension of the pair (Hairer, Norsett and
 # Wanner, Solving ODEs I, II.6): within an accepted step from (t, y) of
 # size h with stages K, y(t + theta h) = y + h K^T _P [theta, ..., theta^4].
@@ -99,60 +85,11 @@ H_FLOOR = 1e-15
 MAX_STEPS = 1_000_000
 
 
-def _names(prefix: str, n: int) -> list[str]:
-    return [f"{prefix}{j}" for j in range(n)]
-
-
 @lru_cache(maxsize=64)
 def _trial_step(n: int):
-    """Generated Dormand-Prince trial step on n-entry states.
-
-    ``trial_step(rhs, t, h, t_new, y, k1, rtol, atol)`` evaluates the six
-    new stages, the propagated solution y_new and the error norm, each
-    stage and sum in tableau order.  It returns (y_new, k3, k4, k5, k6, k7,
-    err, non_finite); when a stage overflows or a stage or y_new is not
-    finite, it returns err = inf and non_finite = True with the rest None.
-    """
-    y, y_new = _names("y", n), _names("n", n)
-    k = {s: _names(f"k{s}_", n) for s in range(1, 8)}
-    body = [f"{tuple_source(y)} = y", f"{tuple_source(k[1])} = k1", "try:"]
-    for s in range(2, 7):
-        state = tuple_source(
-            f"{y[j]} + h * ({linear_source(zip(_A[s - 1], (k[i][j] for i in range(1, s))))})"
-            for j in range(n)
-        )
-        body += [
-            f"    k{s} = rhs(t + {_C[s - 1]!r} * h, {state})",
-            f"    {tuple_source(k[s])} = k{s}",
-        ]
-    # The last stage is evaluated at the propagated solution itself; _B5
-    # weighs k2 and k7 by zero, so linear_source leaves them out.
-    body += [
-        f"    {y_new[j]} = {y[j]} + h * ({linear_source(zip(_B5, (k[i][j] for i in k)))})"
-        for j in range(n)
-    ]
-    body += [
-        f"    y_new = {tuple_source(y_new)}",
-        "    k7 = rhs(t_new, y_new)",
-        f"    {tuple_source(k[7])} = k7",
-        "except OverflowError:",
-        "    return None, None, None, None, None, None, inf, True",
-        f"if not all(map(isfinite, {tuple_source([*(v for s in k for v in k[s]), *y_new])})):",
-        "    return None, None, None, None, None, None, inf, True",
-    ]
-    # (b if b > a else a) is max(a, b) as the builtin evaluates it.
-    for j in range(n):
-        body += [
-            f"a = abs({y[j]})",
-            f"b = abs({y_new[j]})",
-            f"e{j} = h * ({linear_source(zip(_ERR, (k[i][j] for i in k)))}) / "
-            "(atol + rtol * (b if b > a else a))",
-        ]
-    squares = " + ".join(["0.0", *(f"e{j} * e{j}" for j in range(n))])
-    body.append(f"return y_new, k3, k4, k5, k6, k7, sqrt(({squares}) / {n}), False")
-    return kernel(
-        function_source("trial_step(rhs, t, h, t_new, y, k1, rtol, atol)", body), "trial_step"
-    )
+    """Generated trial step on n-entry states that calls its ``rhs``
+    argument at each stage, for an rhs without a ``trial_step`` of its own."""
+    return kernel(step_source(n, "q", [], "rhs(t, q)"), "trial_step")
 
 
 @lru_cache(maxsize=64)
@@ -162,8 +99,8 @@ def _dense_output(n: int):
     ``dense_output(y, h, theta, k1, k3, k4, k5, k6, k7)`` is the state at
     t + theta h within the accepted step from (t, y) with those stages.
     """
-    y = _names("y", n)
-    k = {s: _names(f"k{s}_", n) for s in (1, 3, 4, 5, 6, 7)}
+    y = numbered_names("y", n)
+    k = {s: numbered_names(f"k{s}_", n) for s in (1, 3, 4, 5, 6, 7)}
     body = [f"{tuple_source(y)} = y", *(f"{tuple_source(k[s])} = k{s}" for s in k)]
     for s in k:
         p1, p2, p3, p4 = (repr(float(p)) for p in _P[s - 1])
@@ -205,9 +142,10 @@ def adaptive_rk45(
     ``stop_when(t, y)`` get y as a tuple of floats: on 4 to 18 entries,
     numpy's per-call overhead would cost more than the stages.  An
     OverflowError from the rhs (``**`` past the float range) is non-finite.
-    The trial step and the dense output are generated for each state size
-    on first use (see :func:`_trial_step`).  The error norm is the RMS of
-    the scaled error over all n entries.
+    The trial step is ``rhs.trial_step`` when the rhs carries one (compiled
+    fields do, :func:`codegen.rhs_source`), else :func:`_trial_step` of the
+    state size.  The error norm is the RMS of the scaled error over all n
+    entries.
     """
     t0, t1 = t_span
     # Read at call time, so a changed budget or floor applies to the next call.
@@ -235,7 +173,7 @@ def adaptive_rk45(
         raise ValueError("samples must lie in t_span")
     y = tuple(map(float, y0))
     n = len(y)
-    trial_step = _trial_step(n)
+    trial_step = getattr(rhs, "trial_step", None) or _trial_step(n)
     dense_output = _dense_output(n) if times_at else None
     sampled = [(math.nan,) * n] * len(times_at)
     t = t0

@@ -2,14 +2,15 @@
 
 ``reference_rk45`` is a numpy stage loop.  It keeps its own copy of the
 Butcher tableau and evaluates each stage with numpy matrix products, so a
-slip in ``engelkit.flow``'s float tableau or stage sums shows up as a
+slip in the float tableau of ``engelkit.codegen`` or stage sums shows up as a
 difference in steps or states.  Same call and return as
 ``flow.adaptive_rk45``, except that ``rhs`` and ``stop_when`` get the state
 as a numpy array.
 
 ``reference_tuple_rk45`` is the generic loop over tuples of floats that the
-generated trial step of ``flow.adaptive_rk45`` unrolls: the same stage sums
-in the same order, so the two agree bit for bit.
+generated trial steps of ``flow.adaptive_rk45`` unroll, the call form and
+the fused steps of compiled fields alike: the same stage sums in the same
+order, so they agree bit for bit.
 
 Both take their step-size control and guards from ``_StepControl`` below,
 a copy of the controller that ``flow.adaptive_rk45`` runs inside its loop
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from engelkit import flow
+from engelkit import codegen, flow
 from engelkit.flow import IntegrationError, NonFiniteStateError, StepSizeUnderflowError
 
 _SAFETY = 0.9
@@ -186,10 +187,10 @@ def reference_rk45(rhs, y0, t_span, rtol, atol, h0=None, stop_when=None, samples
 
 
 def reference_tuple_rk45(rhs, y0, t_span, rtol, atol, h0=None, stop_when=None, samples=()):
-    _, c2, c3, c4, c5, c6, _ = flow._C
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = flow._A[1:5]
-    (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = flow._A[5:]
-    e1, _, e3, e4, e5, e6, e7 = flow._ERR
+    _, c2, c3, c4, c5, c6, _ = codegen._C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = codegen._A[1:5]
+    (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = codegen._A[5:]
+    e1, _, e3, e4, e5, e6, e7 = codegen._ERR
     control = _StepControl(t_span, rtol, atol, h0)
     t0, t1 = t_span
     pending = [(math.inf, -1)] + sorted(

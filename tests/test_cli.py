@@ -633,13 +633,33 @@ def test_verify_rejects_unknown_criteria(capsys):
     assert main(["verify", "--criteria", "99"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["flow", "--model", "d224", "--start", "0,0,0.1,0.1", "--t", "1e-300"], "--t 1e-300"),
+        (["flow", "--model", "d224", "--start", "0,0,0.1,0.1", "--t=-1e-300"], "--t -1e-300"),
+        (["surface", "--model", "d224", "--grid=0.01:0.1:2", "--t-max=1e-300"],
+         "--t-max 1e-300"),
+    ],
+    ids=["flow", "flow-backward", "surface"],
+)
+def test_a_time_shorter_than_the_step_floor_names_its_option(argv, option, capsys):
+    # the error named the integrator's t_span and H_FLOOR, not the option
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {option} is shorter than the smallest step the integrator takes, 1e-15\n"
+    )
+
+
 def test_control_file_whose_n_segments_disagrees_with_u_is_a_usage_error(tmp_path, capsys):
     ctrl_file = tmp_path / "ctrl.json"
     ctrl_file.write_text(json.dumps({"n_segments": 5, "u": [[1, 0], [0, 1], [1, 1]]}))
     assert main(["endpoint", "--model", "d224", "--controls", str(ctrl_file)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: control has n_segments=5 but 3 rows in u\n"
+    assert captured.err == "error: control 0: n_segments=5 but 3 rows in u\n"
     # without n_segments the rows are the segments; an integral float
     # counts as its integer, as model-file exponents do
     rows = [[1, 0], [0, 1], [1, 1]]
@@ -659,9 +679,17 @@ def test_control_file_whose_n_segments_disagrees_with_u_is_a_usage_error(tmp_pat
         ({"u": [[0, None]]}, "control 0: u[0][1] is None, not a number"),
         ({"u": [[1, 0], [1]]}, "control 0: u must be a list of [u1, u2] rows"),
         ({"n_segments": True, "u": [[1, 2]]}, "control 0: n_segments is True, not a number"),
+        ({"n_segments": "3", "u": [[1, 2]] * 3}, "control 0: n_segments is '3', not a number"),
+        ([{"u": [[1, 0]]}, {"n_segments": None, "u": [[1, 2]]}],
+         "control 1: n_segments is None, not a number"),
+        ([{"u": [[1, 0]]}, {"n_segments": 2, "u": [[1, 2]]}],
+         "control 1: n_segments=2 but 1 rows in u"),
+        ([{"u": [[1, 0]]}, {"u": []}], "control 1: controls must be an (n_segments, 2) array"),
+        ([{"u": [[1, 0]]}, {"u": [[1e400, 0]]}], "control 1: controls must be finite"),
     ],
     ids=["number", "list-of-lists", "no-u", "bool", "string", "null", "short-row",
-         "bool-n-segments"],
+         "bool-n-segments", "string-n-segments", "null-n-segments", "n-segments-mismatch",
+         "empty-u", "infinite-cell"],
 )
 def test_malformed_control_files_are_usage_errors_that_name_the_entry(data, message, tmp_path,
                                                                       capsys):

@@ -252,7 +252,15 @@ def _bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
 
+def _zw_part(poly):
+    """The terms of poly free of x and y."""
+    return SparsePoly({e: c for e, c in poly.terms.items() if e[0] == e[1] == 0})
+
+
 def _unrolled_cases():
+    # (rhs, y0, t_span, stop_when): an opaque rhs, which takes the call-form
+    # step, then compiled fields and variational kernels, which carry fused
+    # steps that form only the state entries their bodies read.
     rng = np.random.default_rng(43)
     cases = [
         pytest.param(
@@ -260,19 +268,32 @@ def _unrolled_cases():
             id="n1",
         ),
     ]
-    for name in ("d224", "d2334b"):
+    for name in CATALOG:
         fld = char_field(CATALOG[name], ORACLE)
         cases.append(pytest.param(
             fld.compile_rhs(), tuple(rng.uniform(-0.5, 0.5, 4)), (0.0, 3.0),
             lambda t, y: y[2] * y[2] + y[3] * y[3] < 1e-3, id=f"n4-{name}",
         ))
-    fld = PolyVectorField(*(random_poly(rng) for _ in range(4)))
+    # Random fields with x and y terms, whose stages must form x and y, and
+    # their parts in z and w alone, whose stages leave x and y out.
+    for i in range(3):
+        comps = [random_poly(rng) for _ in range(4)]
+        for kind, fld in (("xy", PolyVectorField(*comps)),
+                          ("zw", PolyVectorField(*map(_zw_part, comps)))):
+            cases.append(pytest.param(
+                fld.compile_rhs(), tuple(rng.uniform(-0.5, 0.5, 4)), (0.0, 0.5), None,
+                id=f"n4-random{i or ''}" + ("-zw" if kind == "zw" else ""),
+            ))
+    fld = char_field(PfaffianPair(random_poly(rng), random_poly(rng)), ORACLE)
     cases.append(pytest.param(
-        fld.compile_rhs(), tuple(rng.uniform(-0.5, 0.5, 4)), (0.0, 1.0), None, id="n4-random",
+        fld.compile_rhs(), tuple(rng.uniform(-0.5, 0.5, 4)), (0.0, 1.0), None,
+        id="n4-random-pair",
     ))
     # The variational pass on the entries of its 28 that move (12 to 18).
-    for name, pair in [*CATALOG.items(), ("random", PfaffianPair(random_poly(rng),
-                                                                 random_poly(rng)))]:
+    pairs = [*CATALOG.items(), *((f"random{i or ''}", PfaffianPair(random_poly(rng),
+                                                                    random_poly(rng)))
+                                 for i in range(3))]
+    for name, pair in pairs:
         sys = _control_system(pair)
         u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
         y0 = _variational_start(sys, rng.uniform(-0.5, 0.5, 4).tolist())
@@ -282,30 +303,101 @@ def _unrolled_cases():
     return cases
 
 
+def _call_form(rhs):
+    """rhs as an opaque function, which adaptive_rk45 steps in call form."""
+    return lambda t, y: rhs(t, y)
+
+
 @pytest.mark.parametrize("rhs,y0,t_span,stop_when", _unrolled_cases())
 def test_generated_trial_step_is_bit_identical_to_the_tuple_loop(rhs, y0, t_span, stop_when):
     # The unrolled, generated trial step and dense output against the generic
     # tuple loop they replace: the same steps, states, carried step and
-    # samples, bit for bit.
+    # samples, bit for bit.  A compiled field's fused step is also run in
+    # call form, through an opaque wrapper of the same rhs.
+    fused = hasattr(rhs, "trial_step")
+    assert fused == (rhs.__name__ == "rhs")
     samples = np.random.default_rng(47).uniform(*t_span, 7)
     for h0 in (None, 0.01):
         args = (y0, t_span, 1e-10, 1e-12, h0, stop_when, samples)
         got, want = adaptive_rk45(rhs, *args), reference_tuple_rk45(rhs, *args)
         assert len(got[0]) == len(want[0]) > 2
         assert all(_bits(a) == _bits(b) for a, b in zip(got, want))
+        if fused:
+            called = adaptive_rk45(_call_form(rhs), *args)
+            assert all(_bits(a) == _bits(b) for a, b in zip(got, called))
 
 
-@pytest.mark.parametrize("x0", [1e60, 1.0])
-def test_generated_trial_step_fails_like_the_tuple_loop(x0):
-    # x' = x^4 overflows in a stage from 1e60 and blows up in finite time from 1
-    rhs = PolyVectorField(SparsePoly({(4, 0, 0, 0): 1}), ZERO, ZERO, ZERO).compile_rhs()
-    args = ((x0, 0.0, 0.0, 0.0), (0.0, 1.0), 1e-10, 1e-12)
-    with pytest.raises(IntegrationError) as got:
-        adaptive_rk45(rhs, *args)
-    with pytest.raises(IntegrationError) as want:
-        reference_tuple_rk45(rhs, *args)
-    assert type(got.value) is type(want.value)
-    assert str(got.value) == str(want.value)
+@pytest.mark.parametrize(
+    "rhs,y0,t_span,stop_when", [c for c in _unrolled_cases() if c.id != "n1"]
+)
+def test_fused_trial_step_returns_what_the_call_form_returns(rhs, y0, t_span, stop_when):
+    # One step from random states, with step sizes from tiny to ones that
+    # send some entries past the float range.
+    n = len(y0)
+    call_form = flow._trial_step(n)
+    rng = np.random.default_rng(53)
+    for h in (1e-9, 0.01, 0.5, 1e3, 1e60):
+        y = tuple(np.add(y0, rng.uniform(-0.1, 0.1, n)).tolist())
+        k1 = rhs(t_span[0], y)
+        args = (t_span[0], h, t_span[0] + h, y, k1, 1e-10, 1e-12)
+        got, want = rhs.trial_step(rhs, *args), call_form(rhs, *args)
+        assert [None if v is None else _bits(v) for v in got] == [
+            None if v is None else _bits(v) for v in want
+        ]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_fused_stages_form_only_the_entries_the_field_reads(name):
+    # z and w of the characteristic flow (z alone for engel_std); z, w and
+    # the entries of L that the x and y rows read of the variational state
+    def formed(rhs, names):
+        return [v for v in names if v in rhs.trial_step.__code__.co_varnames]
+
+    zw = ["z"] if name == "engel_std" else ["z", "w"]
+    rhs = char_field(CATALOG[name], ORACLE).compile_rhs()
+    assert formed(rhs, ["x", "y", "z", "w"]) == zw
+    names = ["x", "y", "z", "w", *(f"s{r}_{c}" for r in range(4) for c in range(6))]
+    rhs = _control_system(CATALOG[name]).variational(0.5, -0.5)
+    assert formed(rhs, names) == zw + ["s2_4", "s3_5"][:len(zw)]
+
+
+# x' = x^4 overflows in a stage from 1e60 (Python's ** raises OverflowError)
+# and blows up in finite time from 1; x' = x y, written as a product that
+# gives inf without raising, blows up from y = 1e3.
+QUARTIC = PolyVectorField(SparsePoly({(4, 0, 0, 0): 1}), ZERO, ZERO, ZERO)
+PRODUCT = PolyVectorField(SparsePoly({(1, 1, 0, 0): 1}), ZERO, ZERO, ZERO)
+
+
+@pytest.mark.parametrize(
+    "fld,y0",
+    [(QUARTIC, (1e60, 0.0, 0.0, 0.0)), (QUARTIC, (1.0, 0.0, 0.0, 0.0)),
+     (PRODUCT, (1.0, 1e3, 0.0, 0.0))],
+    ids=["1e+60", "1.0", "product"],
+)
+def test_generated_trial_step_fails_like_the_tuple_loop(fld, y0):
+    # The fused step, the call form and the tuple loop raise the same error.
+    rhs = fld.compile_rhs()
+    args = (y0, (0.0, 1.0), 1e-10, 1e-12)
+    errors = []
+    for rk45, f in ((adaptive_rk45, rhs), (adaptive_rk45, _call_form(rhs)),
+                    (reference_tuple_rk45, rhs)):
+        with pytest.raises(IntegrationError) as err:
+            rk45(f, *args)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1] == errors[2]
+
+
+@pytest.mark.parametrize(
+    "fld,y0", [(QUARTIC, (1e60, 0.0, 0.0, 0.0)), (PRODUCT, (1e200, 1e200, 0.0, 0.0))],
+    ids=["overflow-in-a-stage", "inf-stages"],
+)
+def test_a_failing_fused_stage_returns_like_the_call_form(fld, y0):
+    # an OverflowError inside the inlined body, and stages that are inf
+    rhs = fld.compile_rhs()
+    k1 = rhs(0.0, y0)
+    args = (0.0, 1.0, 1.0, y0, k1, 1e-10, 1e-12)
+    failed = (None, None, None, None, None, None, math.inf, True)
+    assert rhs.trial_step(rhs, *args) == flow._trial_step(4)(rhs, *args) == failed
 
 
 def test_a_span_shorter_than_the_step_floor_is_rejected():
