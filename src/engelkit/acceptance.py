@@ -263,12 +263,11 @@ def criterion_7() -> CriterionResult:
     ck = _Checks()
     fld = char_field(CATALOG["d2334b"], ORACLE)
     rng = np.random.default_rng(MASTER_SEED + 7)
-    rho_fn = RHO.compile()
     worst = 0.0
     for _ in range(50):
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        traj = integrate(fld, (0.0, 0.0, 0.1 * math.cos(theta), 0.1 * math.sin(theta)), 10.0)
-        rho = np.array([rho_fn(*s) for s in traj.states])
+        start = (0.0, 0.0, 0.1 * math.cos(theta), 0.1 * math.sin(theta))
+        rho = integrate(fld, start, 10.0, monitors={"rho": RHO}).monitors["rho"]
         worst = max(worst, float(rho[0] - rho.min()))
     ck.add("min rho >= rho(0) - 1e-8 over 50 starts on rho=0.01", worst <= 1e-8,
            f"max drop {worst:.3e}")

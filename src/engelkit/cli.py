@@ -179,6 +179,8 @@ def _check_steppable(option: str, value: float, span: float) -> None:
 def cmd_flow(args: argparse.Namespace) -> int:
     model, pair = resolve_model(args.model)
     q0 = _parse_point(args.start)
+    if not math.isfinite(args.t):
+        raise CliError(f"--t must be finite, got {args.t!r}")
     _check_steppable("--t", args.t, abs(args.t))
     fld = char_field(pair, args.variant)
     traj = integrate(fld, q0, args.t, rtol=args.rtol, atol=args.atol, monitors=DEFAULT_MONITORS)
@@ -222,6 +224,8 @@ def cmd_surface(args: argparse.Namespace) -> int:
 
 def cmd_endpoint(args: argparse.Namespace) -> int:
     model, pair = resolve_model(args.model)
+    if args.seed < 0 and (args.sard is not None or args.random is not None):
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     if args.sard is not None:
         report = sard_sample(model, args.sard, seed=args.seed, rtol=args.rtol, atol=args.atol)
         print(

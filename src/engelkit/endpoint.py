@@ -29,7 +29,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .charfield import ORACLE, assemble_field, char_field, coefficients
+from .charfield import ORACLE, char_field
 from .codegen import function_source, kernel, rhs_source, tuple_source
 from .distribution import CATALOG, PfaffianPair
 from .flow import (
@@ -123,33 +123,24 @@ class ControlPath:
 
 @dataclass(frozen=True)
 class _ControlSystem:
-    """Compiled dynamics of qdot = u1 Z + u2 W and its linearization.
+    """Generated kernels of qdot = u1 Z + u2 W and its linearization,
+    both from :func:`_variational_source`, each with its fused step.
 
-    The variational state is (q, X) with X = [Phi | L] a 4x6 matrix
-    stored row-major, 28 entries: qdot = u1 Z + u2 W, Xdot = A X + [0 |
-    B(q)].  A = d(u1 Z + u2 W)/dq and B = [Z | W] vary only in their x and
-    y rows, so the z and w rows of Xdot are constant.  From the restart
-    (q, I, 0) of every segment, the entries outside ``moving`` have an rhs
-    of exactly +0.0 or -0.0 and keep their restart value.
+    ``control(u1, u2)`` is the rhs of q, (-u2 f, -u2 g, u1, u2).  The
+    variational state is (q, X) with X = [Phi | L] a 4x6 matrix stored
+    row-major, 28 entries: qdot = u1 Z + u2 W, Xdot = A X + [0 | B(q)].
+    A = d(u1 Z + u2 W)/dq and B = [Z | W] vary only in their x and y rows,
+    so the z and w rows of Xdot are constant.  From the restart (q, I, 0)
+    of every segment, the entries outside ``moving`` have an rhs of
+    exactly +0.0 or -0.0 and keep their restart value.
     ``variational(u1, u2)`` is the rhs of the reduced state, the entries
     of ``moving`` (ascending 28-state indices, q first) in that order; it
     reads every other entry as its constant in ``_RESTART``.
     """
 
-    f: Callable[..., float]
-    g: Callable[..., float]
+    control: Callable[[float, float], Callable]
     variational: Callable[[float, float], Callable]
     moving: tuple[int, ...]
-
-    def rhs(self, q: Sequence[float], u1: float, u2: float) -> tuple[float, float, float, float]:
-        x, y, z, w = q
-        return (-u2 * self.f(x, y, z, w), -u2 * self.g(x, y, z, w), u1, u2)
-
-    def frame(self, q: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(Z, W) at q, equal to rhs(q, 1.0, 0.0) and rhs(q, 0.0, 1.0) signed
-        zeros included, with f and g evaluated once."""
-        fv, gv = self.f(*q), self.g(*q)
-        return (-0.0 * fv, -0.0 * gv, 1.0, 0.0), (-1.0 * fv, -1.0 * gv, 0.0, 1.0)
 
 
 # The variational pass restarts X = [Phi | L] at [I | 0] on every segment.
@@ -158,7 +149,7 @@ _RESTART = tuple(float(row == col) for row in range(4) for col in range(6))
 
 @lru_cache(maxsize=64)
 def _control_system(pair: PfaffianPair) -> _ControlSystem:
-    """The compiled control system of the pair, built once per pair."""
+    """The generated control system of the pair, built once per pair."""
     grads = [
         [(v, d) for v, name in enumerate(VARS) if not (d := poly.diff(name)).is_zero()]
         for poly in (pair.f, pair.g)
@@ -166,8 +157,7 @@ def _control_system(pair: PfaffianPair) -> _ControlSystem:
     fixed = _fixed_entries([[v for v, _ in grad] for grad in grads])
     moving = tuple(j for j in range(28) if j not in fixed)
     return _ControlSystem(
-        f=pair.f.compile(),
-        g=pair.g.compile(),
+        control=kernel(_variational_source(pair, ([], []), range(4)), "variational"),
         variational=kernel(_variational_source(pair, grads, moving), "variational"),
         moving=moving,
     )
@@ -204,7 +194,8 @@ def _fixed_entries(support: Sequence[Sequence[int]]) -> frozenset[int]:
 def _variational_source(pair: PfaffianPair, grads, moving: Sequence[int]) -> str:
     """Source of ``variational(u1, u2)``, which returns the rhs of
     :attr:`_ControlSystem.variational` on the ``moving`` entries, with its
-    fused trial step (:func:`codegen.rhs_source`).
+    fused trial step (:func:`codegen.rhs_source`); with no gradient terms
+    and only q moving, it is :attr:`_ControlSystem.control`.
 
     The x and y rows of A are -u2 times the gradients of f and g; only
     the entries that are not identically zero, ``grads`` as
@@ -234,6 +225,24 @@ def _as_floats(q0) -> tuple[float, ...]:
     return q0.as_floats() if isinstance(q0, Point4) else tuple(map(float, q0))
 
 
+def _segments(rhs_of, q0, ctrl: ControlPath, restart: tuple[float, ...], samples, rtol, atol):
+    """Integrate ``rhs_of(u1, u2)`` over each segment of the control, one
+    integrator call per segment, and yield each call's (times, states,
+    sampled).  Segment j starts from q0 or the q where segment j - 1
+    ended, with the entries after q at ``restart``; it reads
+    ``samples[j]`` from the dense output, and its first trial step is the
+    step segment j - 1 ended with."""
+    n = ctrl.n_segments
+    q, h = _as_floats(q0), None
+    for j, (u1, u2) in enumerate(ctrl.u.tolist()):
+        times, states, h, sampled = adaptive_rk45(
+            rhs_of(u1, u2), (*q, *restart), (j / n, (j + 1) / n), rtol, atol,
+            h0=h, samples=samples[j] if samples else (),
+        )
+        yield times, states, sampled
+        q = states[-1][:4]
+
+
 def horizontal_integrate(
     pair: PfaffianPair,
     q0,
@@ -241,18 +250,11 @@ def horizontal_integrate(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> Trajectory:
-    """Integrate the control system segment by segment; endpoint = final state."""
-    sys = _control_system(pair)
-    n = ctrl.n_segments
-    y = _as_floats(q0)
-    all_times = [0.0]
-    all_states = [y]
-    h_carry: float | None = None
-    for j, (u1, u2) in enumerate(ctrl.u.tolist()):
-        times, states, h_carry, _ = adaptive_rk45(
-            lambda t, q: sys.rhs(q, u1, u2), y, (j / n, (j + 1) / n), rtol, atol, h0=h_carry
-        )
-        y = states[-1]
+    """Integrate the control system segment by segment with the pair's
+    ``control`` kernel; endpoint = final state."""
+    control = _control_system(pair).control
+    all_times, all_states = [0.0], [_as_floats(q0)]
+    for times, states, _ in _segments(control, q0, ctrl, (), None, rtol, atol):
         all_times += times[1:]
         all_states += states[1:]
     return Trajectory(times=all_times, states=all_states)
@@ -282,8 +284,8 @@ def _sensitivity_pass(
     atol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrate (q, Phi, L) once over the control, one integrator call per
-    segment, reading ``samples[j]``, the sample times of segment j, from
-    the dense output.
+    segment (:func:`_segments`), reading ``samples[j]``, the sample times
+    of segment j, from the dense output.
 
     Phi (the state-transition matrix) and L (the response to the segment's
     two control entries) restart at (I, 0) at every segment boundary; the
@@ -295,23 +297,16 @@ def _sensitivity_pass(
     after the last segment.
     """
     n = ctrl.n_segments
-    per_segment = samples or ((),) * n
     cells = [j - 4 for j in sys.moving[4:]]
     restart = tuple(_RESTART[i] for i in cells)
-    y = (*_as_floats(q0), *restart)
     ends: list[tuple[float, ...]] = []
     sampled: list[tuple[float, ...]] = []
     segment: list[int] = []
-    h_carry: float | None = None
-    for j, (u1, u2) in enumerate(ctrl.u.tolist()):
-        _, states, h_carry, at_samples = adaptive_rk45(
-            sys.variational(u1, u2), y, (j / n, (j + 1) / n), rtol, atol,
-            h0=h_carry, samples=per_segment[j],
-        )
+    segments = _segments(sys.variational, q0, ctrl, restart, samples, rtol, atol)
+    for j, (_, states, at_samples) in enumerate(segments):
         ends.append(states[-1])
         sampled += at_samples
         segment += [j] * len(at_samples)
-        y = (*states[-1][:4], *restart)
 
     # [Phi | L] at the end of each segment and at each sample, and
     # Phi(boundary j) and the product of the later transitions, chained
@@ -335,8 +330,12 @@ def _sensitivity_pass(
 def _constraint_matrix(sys: _ControlSystem, states: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Rows (h1, h2) = (<lambda, Z>, <lambda, W>) at each sample, as linear
     functions of the initial covector.  The covector transport is
-    Phi(t)^{-T}, so the two rows at t are solve(Phi(t), [Z | W])^T."""
-    frames = np.array([sys.frame(q) for q in states.tolist()])
+    Phi(t)^{-T}, so the two rows at t are solve(Phi(t), [Z | W])^T.  W is
+    ``control(0.0, 1.0)``, which evaluates f and g once per sample, and
+    Z = (0.0 W^x, 0.0 W^y, 1, 0) has the signed zeros of -0.0 f, -0.0 g."""
+    w_at = sys.control(0.0, 1.0)
+    ws = [w_at(0.0, q) for q in states.tolist()]
+    frames = np.array([((0.0 * w[0], 0.0 * w[1], 1.0, 0.0), w) for w in ws])
     return np.linalg.solve(phis, frames.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(-1, 4)
 
 
@@ -524,24 +523,22 @@ def char_control(
     """Piecewise-constant approximation of a singular control.
 
     Integrates the oracle characteristic field from p0 for ``duration``,
-    samples its frame coefficients (c, e) at the segment midpoints, and
-    rescales time so the control lives on [0, 1] (velocities scale by
-    ``duration``).
+    reads its frame coefficients (c, e), its z and w components, at the
+    segment midpoints, and rescales time so the control lives on [0, 1]
+    (velocities scale by ``duration``).
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
     if n_segments < 1:
         raise ValueError("need at least one segment")
-    co = coefficients(pair, ORACLE)
-    c_fn, e_fn = co.c.compile(), co.e.compile()
     mids = [(j + 0.5) * duration / n_segments for j in range(n_segments)]
-    field_rhs = assemble_field(pair, co).compile_rhs()
+    field_rhs = char_field(pair, ORACLE).compile_rhs()
     _, _, _, states = adaptive_rk45(
         field_rhs, _as_floats(p0), (0.0, mids[-1]), rtol, atol, samples=mids
     )
     u = np.zeros((n_segments, 2))
-    for j, q in enumerate(states):
-        c_val, e_val = c_fn(*q), e_fn(*q)
+    for j, (t, q) in enumerate(zip(mids, states)):
+        _, _, c_val, e_val = field_rhs(t, q)
         if math.hypot(c_val, e_val) < 1e-12:
             raise FieldVanishesError(
                 f"characteristic field vanishes near segment {j} (|(c,e)| < 1e-12)"
@@ -652,7 +649,6 @@ def sard_sample(
     max_distance = min_dev = reaching = None
 
     if model == "d2334b":
-        rho_fn = RHO.compile()
         min_dev = math.inf
         reaching = 0
         starts = []
@@ -660,8 +656,8 @@ def sard_sample(
             theta = rng.uniform(0.0, 2.0 * math.pi)
             start = np.array([0.0, 0.0, 0.1 * math.cos(theta), 0.1 * math.sin(theta)])
             starts.append(start)
-            traj = integrate(fld, start, 10.0, rtol=rtol, atol=atol)
-            rho = np.array([rho_fn(*s) for s in traj.states])
+            traj = integrate(fld, start, 10.0, rtol=rtol, atol=atol, monitors={"rho": RHO})
+            rho = traj.monitors["rho"]
             min_dev = min(min_dev, float(rho.min() - rho[0]))
             if rho.min() < 0.5 * rho[0]:
                 reaching += 1

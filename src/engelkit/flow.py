@@ -10,12 +10,14 @@ accepted states and dense samples as lists of float tuples, and each
 caller converts them once where it needs arrays (the variational pass
 stacks a whole pass's in one array).  It integrates the characteristic
 flows here (:func:`singular_surface` calls it directly, with one compiled
-rhs per grid) and, in :mod:`engelkit.endpoint`, the control system, its
-variational pass and the characteristic controls.
+rhs per grid) and, in :mod:`engelkit.endpoint`, the control system and
+its variational pass (one segment loop serves both) and the
+characteristic controls.
 The right-hand sides are generated per field or pair, each with its own
 trial step, and the dense output per state size, as straight-line code
 (:mod:`engelkit.codegen`) that does the loops' arithmetic in the loops'
-order: results are bit-identical to theirs.  A field's step runs its rhs
+order: results are bit-identical to theirs.  Every rhs engelkit passes
+carries its step; the call-form :func:`_trial_step` serves any other.  A field's step runs its rhs
 inline and forms only the state entries the rhs reads.  The error norm is
 the RMS over every entry of the state, so a caller integrates only the
 entries that move (the variational pass leaves out those of its 28 that
@@ -455,13 +457,13 @@ def _is_skew_product(fld: PolyVectorField) -> bool:
 
 
 def _tail_bound(
-    fld_xy, states: Sequence[tuple[float, ...]], times: Sequence[float]
+    rhs, states: Sequence[tuple[float, ...]], times: Sequence[float]
 ) -> float:
     """Bound on the remaining |dx| + |dy| quadrature past the last of at
     least four states, assuming the decay rate of |C^x| + |C^y| observed
-    over the last four persists."""
-    fx, fy = fld_xy
-    speed = [abs(fx(*s)) + abs(fy(*s)) for s in states[-4:]]
+    over the last four persists; C^x and C^y are the first two components
+    of the field's ``rhs``."""
+    speed = [abs(cx) + abs(cy) for cx, cy, _, _ in map(rhs, times[-4:], states[-4:])]
     dt = times[-1] - times[-4]
     if speed[-1] == 0.0:
         return 0.0
@@ -507,7 +509,6 @@ def singular_surface(
     fld = char_field(pair, ORACLE)
     skew = _is_skew_product(fld)
     rhs = fld.compile_rhs()
-    fx, fy = fld.cx.compile(), fld.cy.compile()
     rho_fn = RHO.compile()
     offsets: list[tuple[float, float]] = []
     converged: list[bool] = []
@@ -537,7 +538,7 @@ def singular_surface(
         ok = (
             rho_fn(*end) < eps_cut
             and len(states) >= 4
-            and _tail_bound((fx, fy), states, times) < TAIL_BOUND_LIMIT
+            and _tail_bound(rhs, states, times) < TAIL_BOUND_LIMIT
         )
         offsets.append((end[0], end[1]))
         converged.append(ok)

@@ -323,14 +323,6 @@ def _row(rows: dict[int, list[int]], m: int) -> list[int]:
     return row
 
 
-X = SparsePoly.var("x")
-Y = SparsePoly.var("y")
-Z = SparsePoly.var("z")
-W = SparsePoly.var("w")
-ZERO = SparsePoly.zero()
-ONE = SparsePoly.const(1)
-
-
 @dataclass(frozen=True)
 class Point4:
     """A point of the chart, with float or exact rational coordinates.

@@ -5,9 +5,9 @@ in numpy at once: per segment it converts the integrator's states to
 arrays, fills in the 4x6 block [Phi | L] at the segment end and at the
 samples around the entries that moved, multiplies the samples'
 transitions by the running Phi, and chains the Jacobian blocks backwards
-after the last segment.  The constraint matrix evaluates the control
-system's rhs at unit controls twice per sample, and the covector test
-takes the full SVD.  ``bryant_hsu_test``, ``endpoint_jacobian`` and
+after the last segment.  The constraint matrix builds the frames from
+the reference evaluators of f and g, and the covector test takes the
+full SVD.  ``bryant_hsu_test``, ``endpoint_jacobian`` and
 ``adjoint_transport`` here return what the engelkit functions of the same
 names return, from that pass.
 
@@ -110,8 +110,14 @@ def sensitivity_pass(pair, q0, ctrl, samples, rtol, atol, full=False):
     return q, jac, np.concatenate(qs), np.concatenate(phis)
 
 
-def constraint_matrix(sys, states, phis):
-    frames = np.array([[sys.rhs(q, 1.0, 0.0), sys.rhs(q, 0.0, 1.0)] for q in states])
+def constraint_matrix(pair, states, phis):
+    """The frames (Z, W) = ((-0.0 f, -0.0 g, 1, 0), (-1.0 f, -1.0 g, 0, 1))
+    at each sample, from the reference evaluators of f and g."""
+    f, g = reference_compile(pair.f), reference_compile(pair.g)
+    frames = np.array([
+        [(-0.0 * f(*q), -0.0 * g(*q), 1.0, 0.0), (-1.0 * f(*q), -1.0 * g(*q), 0.0, 1.0)]
+        for q in states
+    ])
     return np.linalg.solve(phis, frames.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(-1, 4)
 
 
@@ -121,22 +127,20 @@ def endpoint_jacobian(pair, q0, ctrl, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, full
 
 
 def adjoint_transport(pair, q0, ctrl, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, full=False):
-    sys = _control_system(pair)
     samples = _default_samples(ctrl.n_segments)
     _, _, states, phis = sensitivity_pass(pair, q0, ctrl, samples, rtol, atol, full)
     return AdjointRecord(
         times=np.array([t for times in samples for t in times]),
         states=states,
         transports=np.linalg.solve(phis, np.broadcast_to(np.eye(4), phis.shape)).transpose(0, 2, 1),
-        constraint_matrix=constraint_matrix(sys, states, phis),
+        constraint_matrix=constraint_matrix(pair, states, phis),
     )
 
 
 def bryant_hsu_test(pair, q0, ctrl, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, full=False):
-    sys = _control_system(pair)
     samples = _default_samples(ctrl.n_segments)
     endpoint, jac, states, phis = sensitivity_pass(pair, q0, ctrl, samples, rtol, atol, full)
-    phi = constraint_matrix(sys, states, phis)
+    phi = constraint_matrix(pair, states, phis)
     _, sv, vt = np.linalg.svd(phi)
     bh_smallest = float(sv[-1])
     kernel = vt[-1]

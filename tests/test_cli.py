@@ -744,8 +744,9 @@ SURFACE = ["surface", "--model", "d224", "--grid", "0.01:0.1:2"]
          "rtol and atol must be positive and finite, got rtol=nan, atol=1e-12"),
         ([*FLOW, "--t", "1", "--atol=inf"],
          "rtol and atol must be positive and finite, got rtol=1e-10, atol=inf"),
-        ([*FLOW, "--t", "inf"], "t_span must be finite, got (0.0, inf)"),
-        ([*FLOW, "--t", "nan"], "t_span must be finite, got (0.0, nan)"),
+        ([*FLOW, "--t", "inf"], "--t must be finite, got inf"),
+        ([*FLOW, "--t", "nan"], "--t must be finite, got nan"),
+        ([*FLOW, "--t=-inf"], "--t must be finite, got -inf"),
         ([*SURFACE, "--t-max=inf"],
          "eps_cut and t_max must be positive and finite, got eps_cut=1e-10, t_max=inf"),
         ([*SURFACE, "--t-max=nan"],
@@ -757,13 +758,20 @@ SURFACE = ["surface", "--model", "d224", "--grid", "0.01:0.1:2"]
         (["endpoint", "--model", "d224", "--random", "0"], "--random must be at least 1, got 0"),
         (["endpoint", "--model", "d224", "--random", "2", "--n-segments", "-2"],
          "--n-segments must be at least 1, got -2"),
+        (["endpoint", "--model", "d224", "--random", "1", "--seed", "-1"],
+         "--seed must be non-negative, got -1"),
+        (["endpoint", "--model", "d224", "--sard", "2", "--seed=-3"],
+         "--seed must be non-negative, got -3"),
     ],
-    ids=["rtol-nan", "atol-inf", "t-inf", "t-nan", "t-max-inf", "t-max-nan", "eps-cut-nan",
-         "sard-negative", "random-negative", "random-zero", "n-segments-negative"],
+    ids=["rtol-nan", "atol-inf", "t-inf", "t-nan", "t-minus-inf", "t-max-inf", "t-max-nan",
+         "eps-cut-nan", "sard-negative", "random-negative", "random-zero",
+         "n-segments-negative", "random-seed-negative", "sard-seed-negative"],
 )
 def test_out_of_range_numbers_are_usage_errors_that_name_the_value(argv, message, capsys):
     # Each used to run on: to a misleading step underflow, a trajectory or
     # a 0/N surface that exit 0, or seconds of steps up to the step budget.
+    # A non-finite --t and a negative --seed were named by the integrator's
+    # t_span and by numpy ("expected non-negative integer").
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0

@@ -837,3 +837,35 @@ def test_characteristic_arcs_of_random_pairs_are_singular_with_the_annihilator_w
         assert SINGULAR not in (verdict.classification, verdict.jacobian_classification), i
         kept[any(p.degree_in(v) > 0 for p in (f, g) for v in "xy")] += 1
     assert kept[True] >= 40 and kept[False] >= 8, kept
+
+
+def test_no_integration_takes_the_call_form_step(monkeypatch):
+    # Every rhs the library hands the integrator is generated with its own
+    # fused trial step; flow._trial_step, the call-form step for any other
+    # rhs, is built only when one without it arrives.
+    from engelkit import flow
+    from engelkit.charfield import char_field
+    from engelkit.flow import integrate, singular_surface
+
+    call_form_sizes = []
+    build = flow._trial_step
+
+    def recording(n):
+        call_form_sizes.append(n)
+        return build(n)
+
+    monkeypatch.setattr(flow, "_trial_step", recording)
+    rng = np.random.default_rng(97)
+    for name, pair in CATALOG.items():
+        q0 = tuple(rng.uniform(-0.3, 0.3, 4).tolist())
+        ctrl = ControlPath(rng.uniform(-1.0, 1.0, (4, 2)))
+        horizontal_integrate(pair, q0, ctrl)
+        endpoint_jacobian(pair, q0, ctrl, fd_check=True)
+        bryant_hsu_test(pair, q0, ctrl)
+        adjoint_transport(pair, q0, ctrl)
+        integrate(char_field(pair, ORACLE), (0.0, 0.0, 0.1, 0.05), -0.5)
+        if name != "engel_std":
+            char_control(pair, (0.0, 0.0, 0.1, 0.05), 0.05, 4)
+            singular_surface(pair, [(0.05, 0.02)], t_max=2.0)
+            sard_sample(name, 2, seed=5, detector_subset=1)
+    assert call_form_sizes == [], call_form_sizes

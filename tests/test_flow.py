@@ -787,7 +787,7 @@ def _surface_by_integrate(pair, grid, t_max):
     and the tail bound reads its numpy rows; the cut is tested from the
     third accepted step on."""
     fld = char_field(pair, ORACLE)
-    fx, fy = fld.cx.compile(), fld.cy.compile()
+    rhs = fld.compile_rhs()
     rho_fn = RHO.compile()
     offsets, converged, failures = [], [], {}
     for i, (z, w) in enumerate(grid):
@@ -807,7 +807,7 @@ def _surface_by_integrate(pair, grid, t_max):
         end = traj.endpoint
         ok = False
         if rho_fn(*end) < flow.DEFAULT_EPS_CUT and traj.times.size >= 4:
-            ok = flow._tail_bound((fx, fy), traj.states, traj.times) < flow.TAIL_BOUND_LIMIT
+            ok = flow._tail_bound(rhs, traj.states, traj.times) < flow.TAIL_BOUND_LIMIT
         offsets.append((float(end[0]), float(end[1])))
         converged.append(ok)
     return offsets, converged, failures
