@@ -169,6 +169,15 @@ def cmd_char(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_positive(args: argparse.Namespace, *options: str) -> None:
+    """Reject a float option that is not positive and finite (NaN included),
+    naming it as the user wrote it."""
+    for option in options:
+        value = getattr(args, option.lstrip("-").replace("-", "_"))
+        if not 0.0 < value < math.inf:
+            raise CliError(f"{option} must be positive and finite, got {value!r}")
+
+
 def _check_steppable(option: str, value: float, span: float) -> None:
     """Reject a positive span from t = 0 that no integrator step covers."""
     if 0.0 < span < flow.H_FLOOR:
@@ -179,6 +188,7 @@ def _check_steppable(option: str, value: float, span: float) -> None:
 def cmd_flow(args: argparse.Namespace) -> int:
     model, pair = resolve_model(args.model)
     q0 = _parse_point(args.start)
+    _check_positive(args, "--rtol", "--atol")
     if not math.isfinite(args.t):
         raise CliError(f"--t must be finite, got {args.t!r}")
     _check_steppable("--t", args.t, abs(args.t))
@@ -205,6 +215,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
         raise CliError("surface grid magnitudes must be nonzero")
     signs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] if args.signed else [(1.0, 1.0)]
     grid = [(sz * z, sw * w) for z in magnitudes for w in magnitudes for sz, sw in signs]
+    _check_positive(args, "--rtol", "--atol", "--eps-cut", "--t-max")
     _check_steppable("--t-max", args.t_max, args.t_max)
     sample = singular_surface(
         pair, grid, eps_cut=args.eps_cut, t_max=args.t_max,
@@ -226,7 +237,10 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
     model, pair = resolve_model(args.model)
     if args.seed < 0 and (args.sard is not None or args.random is not None):
         raise CliError(f"--seed must be non-negative, got {args.seed}")
+    _check_positive(args, "--rtol", "--atol")
     if args.sard is not None:
+        if args.sard < 0:
+            raise CliError(f"--sard must be non-negative, got {args.sard}")
         report = sard_sample(model, args.sard, seed=args.seed, rtol=args.rtol, atol=args.atol)
         print(
             f"{model}: sard sample n={args.sard} seed={args.seed}: "

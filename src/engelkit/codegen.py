@@ -9,10 +9,14 @@ interpreted overhead of the loops.
 
 A field's rhs carries its own trial step, generated from the same body
 (:func:`rhs_source`); any other rhs is stepped by the one generator with a
-body that calls it.  The generators interpolate nothing but
-``repr(float(c))`` of exact coefficients, integer exponents and fixed
-names.  Kernels are built on first use and kept in :func:`kernel`'s one
-cache of 256 sources.
+body that calls it.  A trial step rejects a step with a value that is
+not finite.  It tests the sum of its stages and new state first, and the
+values one by one only when that sum is not finite: a sum of finite
+floats is never NaN, and is ±inf only past the float range, so the
+verdict is the per-value test's (:func:`step_source`).  The generators
+interpolate nothing but ``repr(float(c))`` of exact coefficients,
+integer exponents and fixed names.  Kernels are built on first use and
+kept in :func:`kernel`'s one cache of 256 sources.
 """
 
 from __future__ import annotations
@@ -90,6 +94,14 @@ def step_source(n: int, state: str | Sequence[str], body: Sequence[str], value: 
     Stages and sums go in tableau order.  It returns (y_new, k3, k4, k5,
     k6, k7, err, non_finite); err = inf and non_finite = True, the rest
     None, when a stage overflows or a stage or y_new is not finite.
+
+    The finiteness test reads the sum of those 8n values first and tests
+    them one by one only when the sum is not finite.  It is exact: a sum
+    of finite floats is finite or, past the float range, ±inf, never NaN,
+    and an inf or NaN term makes the sum inf or NaN.  So a step whose
+    values are all finite passes either way, and one with an inf or NaN
+    value fails either way.  One addition per value then stands for a
+    call of ``isfinite`` per value on every step that passes.
     """
     read = set(_NAME.findall(" ".join([*body, value])))
     y, y_new = numbered_names("_y", n), numbered_names("_n", n)
@@ -118,10 +130,12 @@ def step_source(n: int, state: str | Sequence[str], body: Sequence[str], value: 
         lines += [f"    {line}" for line in binds if line.split(" = ")[0] in read]
         lines += [f"    {line}" for line in [*body, f"_k{s} = {value}"]]
         lines.append(f"    {tuple_source(k[s])} = _k{s}")
+    values = [*(v for s in k for v in k[s]), *y_new]
     lines += [
         "except OverflowError:",
         "    return None, None, None, None, None, None, inf, True",
-        f"if not all(map(isfinite, {tuple_source([*(v for s in k for v in k[s]), *y_new])})):",
+        f"if not isfinite({' + '.join(values)}) "
+        f"and not all(map(isfinite, {tuple_source(values)})):",
         "    return None, None, None, None, None, None, inf, True",
     ]
     # (_b if _b > _a else _a) is max(_a, _b) as the builtin evaluates it.

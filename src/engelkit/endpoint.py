@@ -80,14 +80,6 @@ class ControlPath:
     def constant(cls, u1: float, u2: float, n_segments: int = 1) -> "ControlPath":
         return cls(np.tile([float(u1), float(u2)], (n_segments, 1)))
 
-    def refined(self) -> "ControlPath":
-        """Split every segment in two (same curve, doubled resolution)."""
-        return ControlPath(np.repeat(self.u, 2, axis=0))
-
-    def reversed(self) -> "ControlPath":
-        """Control of the time-reversed curve."""
-        return ControlPath(-self.u[::-1])
-
     def to_json_dict(self) -> dict:
         return {"n_segments": self.n_segments, "u": self.u.tolist()}
 

@@ -202,7 +202,9 @@ def adaptive_rk45(
         clipped = t + 1.01 * h >= t1
         if clipped:
             h = t1 - t
-        if h < h_floor * max(1.0, abs(t)):
+        # (a if a > 1.0 else 1.0) is max(1.0, a) as the builtin evaluates it.
+        a = abs(t)
+        if h < h_floor * (a if a > 1.0 else 1.0):
             if non_finite:
                 raise NonFiniteStateError(
                     "step size underflow while rejecting non-finite trial states", t
@@ -229,8 +231,12 @@ def adaptive_rk45(
             if stop_when is not None and stop_when(t, y):
                 break
             accepted += 1
-            h *= _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+            # min(_MAX_FACTOR, max(_MIN_FACTOR, factor)) as the builtins
+            # evaluate it, without their calls.
+            factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-0.2)
+            h *= (
+                _MAX_FACTOR if factor >= _MAX_FACTOR
+                else factor if factor > _MIN_FACTOR else _MIN_FACTOR
             )
             if clipped:
                 # The clip was set by t1, not by the error: carry on from

@@ -740,20 +740,20 @@ SURFACE = ["surface", "--model", "d224", "--grid", "0.01:0.1:2"]
 @pytest.mark.parametrize(
     "argv,message",
     [
-        ([*FLOW, "--t", "1", "--rtol=nan"],
-         "rtol and atol must be positive and finite, got rtol=nan, atol=1e-12"),
-        ([*FLOW, "--t", "1", "--atol=inf"],
-         "rtol and atol must be positive and finite, got rtol=1e-10, atol=inf"),
+        ([*FLOW, "--t", "1", "--rtol=nan"], "--rtol must be positive and finite, got nan"),
+        ([*FLOW, "--t", "1", "--atol=inf"], "--atol must be positive and finite, got inf"),
         ([*FLOW, "--t", "inf"], "--t must be finite, got inf"),
         ([*FLOW, "--t", "nan"], "--t must be finite, got nan"),
         ([*FLOW, "--t=-inf"], "--t must be finite, got -inf"),
-        ([*SURFACE, "--t-max=inf"],
-         "eps_cut and t_max must be positive and finite, got eps_cut=1e-10, t_max=inf"),
-        ([*SURFACE, "--t-max=nan"],
-         "eps_cut and t_max must be positive and finite, got eps_cut=1e-10, t_max=nan"),
-        ([*SURFACE, "--eps-cut=nan"],
-         "eps_cut and t_max must be positive and finite, got eps_cut=nan, t_max=30.0"),
-        (["endpoint", "--model", "d224", "--sard", "-5"], "n_curves must be non-negative, got -5"),
+        ([*SURFACE, "--t-max=inf"], "--t-max must be positive and finite, got inf"),
+        ([*SURFACE, "--t-max=nan"], "--t-max must be positive and finite, got nan"),
+        ([*SURFACE, "--t-max=-1"], "--t-max must be positive and finite, got -1.0"),
+        ([*SURFACE, "--eps-cut=nan"], "--eps-cut must be positive and finite, got nan"),
+        ([*SURFACE, "--eps-cut=0"], "--eps-cut must be positive and finite, got 0.0"),
+        ([*SURFACE, "--atol=-1"], "--atol must be positive and finite, got -1.0"),
+        (["endpoint", "--model", "d224", "--random", "1", "--rtol=0"],
+         "--rtol must be positive and finite, got 0.0"),
+        (["endpoint", "--model", "d224", "--sard", "-5"], "--sard must be non-negative, got -5"),
         (["endpoint", "--model", "d224", "--random", "-1"], "--random must be at least 1, got -1"),
         (["endpoint", "--model", "d224", "--random", "0"], "--random must be at least 1, got 0"),
         (["endpoint", "--model", "d224", "--random", "2", "--n-segments", "-2"],
@@ -764,14 +764,16 @@ SURFACE = ["surface", "--model", "d224", "--grid", "0.01:0.1:2"]
          "--seed must be non-negative, got -3"),
     ],
     ids=["rtol-nan", "atol-inf", "t-inf", "t-nan", "t-minus-inf", "t-max-inf", "t-max-nan",
-         "eps-cut-nan", "sard-negative", "random-negative", "random-zero",
+         "t-max-negative", "eps-cut-nan", "eps-cut-zero", "surface-atol-negative",
+         "endpoint-rtol-zero", "sard-negative", "random-negative", "random-zero",
          "n-segments-negative", "random-seed-negative", "sard-seed-negative"],
 )
 def test_out_of_range_numbers_are_usage_errors_that_name_the_value(argv, message, capsys):
     # Each used to run on: to a misleading step underflow, a trajectory or
     # a 0/N surface that exit 0, or seconds of steps up to the step budget.
     # A non-finite --t and a negative --seed were named by the integrator's
-    # t_span and by numpy ("expected non-negative integer").
+    # t_span and by numpy ("expected non-negative integer"), the tolerances,
+    # --eps-cut, --t-max and --sard by the library's parameter names.
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0

@@ -222,11 +222,27 @@ def test_adjoint_duality_pairing_is_conserved():
         assert max(abs(p - pairings[0]) for p in pairings) <= 1e-8
 
 
+def test_a_32_segment_catalog_curve_takes_35_accepted_steps_and_no_rejection(step_counts):
+    # Work counts are exact: a controller or tableau fault moves them at
+    # once.  Both passes take 4 steps in segment 0 and then 1 per segment;
+    # every step is set by the x5 growth cap or the segment end, not by
+    # the error norm.
+    rng = np.random.default_rng(35)
+    per_pass = [[4, 0]] + [[1, 0]] * 31
+    for name, pair in CATALOG.items():
+        ctrl = ControlPath(rng.uniform(-1.0, 1.0, size=(32, 2)))
+        horizontal_integrate(pair, ORIGIN, ctrl)
+        bryant_hsu_test(pair, ORIGIN, ctrl)
+        assert step_counts == per_pass + per_pass, name
+        step_counts.clear()
+
+
 def test_refinement_preserves_endpoint_and_classification():
     rng = np.random.default_rng(3)
     pair = CATALOG["d2334b"]
     ctrl = ControlPath(rng.uniform(-1, 1, size=(8, 2)))
-    fine = ctrl.refined()
+    # every segment split in two: the same curve at doubled resolution
+    fine = ControlPath(np.repeat(ctrl.u, 2, axis=0))
     end_a = horizontal_integrate(pair, ORIGIN, ctrl).endpoint
     end_b = horizontal_integrate(pair, ORIGIN, fine).endpoint
     assert np.max(np.abs(end_a - end_b)) < 1e-9
@@ -370,7 +386,8 @@ def test_reversed_control_returns_to_start():
     for pair, ctrl in _pairs_and_controls(24):
         q0 = rng.uniform(-0.5, 0.5, size=4)
         end = horizontal_integrate(pair, q0, ctrl).endpoint
-        back = horizontal_integrate(pair, end, ctrl.reversed()).endpoint
+        # the control of the time-reversed curve
+        back = horizontal_integrate(pair, end, ControlPath(-ctrl.u[::-1])).endpoint
         assert np.max(np.abs(back - q0)) <= 1e-10, (pair, ctrl.u)
 
 
@@ -585,6 +602,7 @@ def test_reduced_pass_stays_near_the_full_pass_on_pairs_with_x_and_y_terms():
         if isinstance(got, IntegrationError) or isinstance(want, IntegrationError):
             assert type(got) is type(want), (pair, q0)
             failed += 1
+            assert failed <= 2, (pair, q0)
             continue
         for a, b, bound in zip(got, want, bounds):
             assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)), initial=0.0) <= bound

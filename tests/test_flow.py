@@ -257,6 +257,17 @@ def _zw_part(poly):
     return SparsePoly({e: c for e, c in poly.terms.items() if e[0] == e[1] == 0})
 
 
+# x' = 1e307 w^2, y' = 1e307 z^2 and a rotation in (z, w): from x = y = 8e307
+# every stage and state stays finite, but the 8n values a trial step tests
+# for finiteness sum past the float range.
+BIG = int(1e307)
+SUM_OVERFLOWS = PolyVectorField(
+    SparsePoly({(0, 0, 0, 2): BIG}), SparsePoly({(0, 0, 2, 0): BIG}),
+    -1 * SparsePoly.var("w"), SparsePoly.var("z"),
+)
+SUM_OVERFLOWS_START = (8e307, 8e307, 0.6, 0.8)
+
+
 def _unrolled_cases():
     # (rhs, y0, t_span, stop_when): an opaque rhs, which takes the call-form
     # step, then compiled fields and variational kernels, which carry fused
@@ -288,6 +299,11 @@ def _unrolled_cases():
     cases.append(pytest.param(
         fld.compile_rhs(), tuple(rng.uniform(-0.5, 0.5, 4)), (0.0, 1.0), None,
         id="n4-random-pair",
+    ))
+    # Finite stages whose sum overflows: each step tests them one by one.
+    cases.append(pytest.param(
+        SUM_OVERFLOWS.compile_rhs(), SUM_OVERFLOWS_START, (0.0, 1.0), None,
+        id="n4-sum-overflows",
     ))
     # The variational pass on the entries of its 28 that move (12 to 18).
     pairs = [*CATALOG.items(), *((f"random{i or ''}", PfaffianPair(random_poly(rng),
@@ -346,6 +362,19 @@ def test_fused_trial_step_returns_what_the_call_form_returns(rhs, y0, t_span, st
         ]
 
 
+def test_finite_stages_whose_sum_overflows_make_an_accepted_step():
+    # The sum of the tested values is inf, yet no value is: the step must
+    # test them one by one and accept, as the tuple loop does.
+    rhs = SUM_OVERFLOWS.compile_rhs()
+    k1 = rhs(0.0, SUM_OVERFLOWS_START)
+    args = (0.0, 0.01, 0.01, SUM_OVERFLOWS_START, k1, 1e-10, 1e-12)
+    for step in (rhs.trial_step, flow._trial_step(4)):
+        y_new, *stages, err, non_finite = step(rhs, *args)
+        assert not non_finite and err <= 1.0
+        values = [*k1, *(v for k in stages for v in k), *y_new]
+        assert all(map(math.isfinite, values)) and sum(values) == math.inf
+
+
 @pytest.mark.parametrize("name", CATALOG)
 def test_fused_stages_form_only_the_entries_the_field_reads(name):
     # z and w of the characteristic flow (z alone for engel_std); z, w and
@@ -374,8 +403,10 @@ PRODUCT = PolyVectorField(SparsePoly({(1, 1, 0, 0): 1}), ZERO, ZERO, ZERO)
      (PRODUCT, (1.0, 1e3, 0.0, 0.0))],
     ids=["1e+60", "1.0", "product"],
 )
-def test_generated_trial_step_fails_like_the_tuple_loop(fld, y0):
+def test_generated_trial_step_fails_like_the_tuple_loop(fld, y0, monkeypatch):
     # The fused step, the call form and the tuple loop raise the same error.
+    # The product case takes 16,132 trial steps to reach it.
+    monkeypatch.setattr(flow, "MAX_STEPS", 20_000)
     rhs = fld.compile_rhs()
     args = (y0, (0.0, 1.0), 1e-10, 1e-12)
     errors = []
@@ -844,6 +875,14 @@ def test_singular_surface_is_bit_identical_to_the_integrate_route(pair, grid, t_
     offsets, converged, failures = _surface_by_integrate(pair, grid, t_max)
     assert _bits(sample.offsets) == _bits(offsets)
     assert sample.converged == converged and sample.failures == failures
+
+
+def test_d224_surface_samples_take_pinned_step_counts(step_counts):
+    # [accepted, rejected] trial steps per sample, exact: a controller or
+    # tableau fault moves them at once.
+    grid = [(0.01, 0.02), (-0.03, 0.05), (0.1, -0.07), (-0.002, -0.004)]
+    assert singular_surface("d224", grid).converged == [True] * 4
+    assert step_counts == [[105, 2], [128, 2], [146, 2], [71, 2]]
 
 
 def test_surface_membership():
