@@ -1,22 +1,21 @@
 """Straight-line float kernels generated from Python source.
 
 The float evaluators of polynomials, the right-hand sides of the
-characteristic and variational flows, and the Dormand-Prince trial steps
-are written out as straight-line Python source and turned into functions
-with ``exec``.  They do the arithmetic of the loops they replace in the
-same order, so their results are equal bit for bit; they only drop the
-interpreted overhead of the loops.
+characteristic and variational flows, and the Dormand-Prince loops that
+step them are written out as straight-line Python source and turned into
+functions with ``exec``.  They do the arithmetic of the loops they
+replace in the same order, so their results are equal bit for bit; they
+only drop the interpreted overhead of the loops.
 
-A field's rhs carries its own trial step, generated from the same body
-(:func:`rhs_source`); any other rhs is stepped by the one generator with a
-body that calls it.  A trial step rejects a step with a value that is
-not finite.  It tests the sum of its stages and new state first, and the
-values one by one only when that sum is not finite: a sum of finite
-floats is never NaN, and is ±inf only past the float range, so the
-verdict is the per-value test's (:func:`step_source`).  The generators
-interpolate nothing but ``repr(float(c))`` of exact coefficients,
-integer exponents and fixed names.  Kernels are built on first use and
-kept in :func:`kernel`'s one cache of 256 sources.
+A field's rhs carries its own Dormand-Prince loop, generated from the
+same body (:func:`rhs_source`); any other rhs is stepped by the one
+generator with a body that calls it (:func:`loop_source`).  The loop
+runs the whole integration: step-size control, stages, the finiteness
+test, the error norm, dense samples and the stop test, with no Python
+call per trial step.  The generators interpolate nothing but
+``repr(float(c))`` of exact coefficients, integer exponents and fixed
+names.  Kernels are built on first use and kept in :func:`kernel`'s one
+cache of 256 sources.
 """
 
 from __future__ import annotations
@@ -43,6 +42,23 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+# Shampine's quartic continuous extension of the pair (Hairer, Norsett and
+# Wanner, Solving ODEs I, II.6): within an accepted step from (t, y) of
+# size h with stages K, y(t + theta h) = y + h K^T _P [theta, ..., theta^4].
+_P = (
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+# Step-size control: the next step is the last one times _SAFETY * err **
+# -0.2, kept within [_MIN_FACTOR, _MAX_FACTOR].
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 5.0
 
 # A name not preceded by a word character: "e" in the literal 1e-05 is not one.
 _NAME = re.compile(r"\b[A-Za-z_]\w*")
@@ -76,37 +92,53 @@ def numbered_names(prefix: str, n: int) -> list[str]:
     return [f"{prefix}{j}" for j in range(n)]
 
 
-def rhs_source(state: Sequence[str], body: Sequence[str], value: str) -> str:
+def rhs_source(state: Sequence[str], body: Sequence[str], values: Sequence[str]) -> str:
     """Source of ``rhs(t, q)``, which unpacks q into the names ``state``,
-    runs the ``body`` statements and returns the tuple ``value``, with its
-    fused trial step (:func:`step_source`) set as ``rhs.trial_step``."""
-    rhs = function_source("rhs(t, q)", [f"{tuple_source(state)} = q", *body, f"return {value}"])
-    return f"{rhs}{step_source(len(state), state, body, value)}rhs.trial_step = trial_step\n"
+    runs the ``body`` statements and returns the tuple of ``values``, with
+    its Dormand-Prince loop (:func:`loop_source`) set as ``rhs.rk45_loop``."""
+    rhs = function_source(
+        "rhs(t, q)", [f"{tuple_source(state)} = q", *body, f"return {tuple_source(values)}"]
+    )
+    return f"{rhs}{loop_source(len(state), state, body, values)}rhs.rk45_loop = rk45_loop\n"
 
 
-def step_source(n: int, state: str | Sequence[str], body: Sequence[str], value: str) -> str:
-    """Source of ``trial_step(rhs, t, h, t_new, y, k1, rtol, atol)`` on
-    n-entry states for the rhs that runs ``body`` and returns ``value`` at
-    time ``t`` on the state names ``state`` (one name: the whole tuple).
+def loop_source(
+    n: int, state: str | Sequence[str], body: Sequence[str], value: str | Sequence[str]
+) -> str:
+    """Source of ``rk45_loop(rhs, _t, _t1, _y, _h, _rtol, _atol,
+    _max_steps, _h_floor, _stop, _pending, _sampled, _times, _states)``,
+    the loop of ``flow.adaptive_rk45`` on n-entry states, for the rhs that
+    runs ``body`` at time ``t`` on the state names ``state`` and returns
+    ``value``: one name and a tuple expression (the call form), or a name
+    and an expression per entry.
 
-    Each stage binds only the names that body and value read, then runs
-    them inline; the step's own names start with ``_``, but for ``rhs``.
-    Stages and sums go in tableau order.  It returns (y_new, k3, k4, k5,
-    k6, k7, err, non_finite); err = inf and non_finite = True, the rest
-    None, when a stage overflows or a stage or y_new is not finite.
+    It steps from (_t, _y) towards _t1, trying _h first.  It calls ``rhs``
+    for the first stage only; every other stage binds only the names that
+    body and value read and runs them inline.  Its own names start with
+    ``_``, but for ``rhs``; stages and sums go in tableau order.  It
+    appends each accepted step to _times and _states and writes
+    _sampled[i] for each (s, i) it pops off _pending, which is sorted in
+    decreasing order behind an (inf, -1) sentinel.  It returns (status,
+    t, h, accepted, rejected, h_min); status is None when it reached _t1
+    or ``_stop(t, y)`` held at an accepted step, else "budget",
+    "underflow" or "non-finite" (an underflow while non-finite trials were
+    being rejected).
 
-    The finiteness test reads the sum of those 8n values first and tests
-    them one by one only when the sum is not finite.  It is exact: a sum
-    of finite floats is finite or, past the float range, ±inf, never NaN,
-    and an inf or NaN term makes the sum inf or NaN.  So a step whose
-    values are all finite passes either way, and one with an inf or NaN
-    value fails either way.  One addition per value then stands for a
-    call of ``isfinite`` per value on every step that passes.
+    A trial step is non-finite when a stage overflows or one of the 8n
+    values of its stages and new state is not.  The test reads one sum
+    first, of the error norm's squares, k2 and the new state, and the
+    values one by one only when that sum is not finite.  It is exact: a
+    norm entry weighs k1 and k3 to k7 by nonzero factors, times h >= 0,
+    over a scale that is positive (inf included) or NaN, so an inf or NaN
+    among them makes its square inf or NaN, and the sum with it; k2 and
+    the new state are terms.  A sum of finite floats is finite or, past
+    the float range, ±inf, never NaN.  The norm, needed anyway, and 2n
+    additions so stand for a call of ``isfinite`` per value.
     """
-    read = set(_NAME.findall(" ".join([*body, value])))
+    read = set(_NAME.findall(" ".join([*body, *([value] if isinstance(value, str) else value)])))
     y, y_new = numbered_names("_y", n), numbered_names("_n", n)
     k = {s: numbered_names(f"_k{s}_", n) for s in range(1, 8)}
-    lines = [f"{tuple_source(y)} = _y", f"{tuple_source(k[1])} = _k1", "try:"]
+    stages = []
     for s in range(2, 8):
         if s < 7:
             entries = [
@@ -117,35 +149,118 @@ def step_source(n: int, state: str | Sequence[str], body: Sequence[str], value: 
         else:
             # The last stage is evaluated at the propagated solution itself;
             # _B5 weighs k2 and k7 by zero, so linear_source leaves them out.
-            lines += [
-                f"    {y_new[j]} = {y[j]} + _h * ({linear_source(zip(_B5, (k[i][j] for i in k)))})"
+            stages += [
+                f"{y_new[j]} = {y[j]} + _h * ({linear_source(zip(_B5, (k[i][j] for i in k)))})"
                 for j in range(n)
             ]
-            lines.append(f"    _y_new = {tuple_source(y_new)}")
+            stages.append(f"_y_new = {tuple_source(y_new)}")
             entries, t, whole = y_new, "_t_new", "_y_new"
         binds = [f"t = {t}", *(
             [f"{state} = {whole}"] if isinstance(state, str)
             else (f"{name} = {e}" for name, e in zip(state, entries))
         )]
-        lines += [f"    {line}" for line in binds if line.split(" = ")[0] in read]
-        lines += [f"    {line}" for line in [*body, f"_k{s} = {value}"]]
-        lines.append(f"    {tuple_source(k[s])} = _k{s}")
+        stages += [line for line in binds if line.split(" = ")[0] in read]
+        # Each entry is stored as it is evaluated: no value reads a stage
+        # name, and a stage that raises is dropped whole.
+        stages += [*body, *(
+            [f"{tuple_source(k[s])} = {value}"] if isinstance(value, str)
+            else (f"{name} = {e}" for name, e in zip(k[s], value))
+        )]
     values = [*(v for s in k for v in k[s]), *y_new]
-    lines += [
-        "except OverflowError:",
-        "    return None, None, None, None, None, None, inf, True",
-        f"if not isfinite({' + '.join(values)}) "
-        f"and not all(map(isfinite, {tuple_source(values)})):",
-        "    return None, None, None, None, None, None, inf, True",
-    ]
     # (_b if _b > _a else _a) is max(_a, _b) as the builtin evaluates it.
+    # The sign is dropped without a call of abs: that differs from abs only
+    # at -0.0 and NaN, which the scale reads only where both are zeros (and
+    # atol + rtol * -0.0 == atol) or the step is non-finite.
+    norm = []
     for j in range(n):
-        lines += [
-            f"_a = abs({y[j]})",
-            f"_b = abs({y_new[j]})",
+        norm += [
+            f"_a = {y[j]} if {y[j]} >= 0.0 else -{y[j]}",
+            f"_b = {y_new[j]} if {y_new[j]} >= 0.0 else -{y_new[j]}",
             f"_e{j} = _h * ({linear_source(zip(_ERR, (k[i][j] for i in k)))}) / "
             "(_atol + _rtol * (_b if _b > _a else _a))",
         ]
     squares = " + ".join(["0.0", *(f"_e{j} * _e{j}" for j in range(n))])
-    lines.append(f"return _y_new, _k3, _k4, _k5, _k6, _k7, sqrt(({squares}) / {n}), False")
-    return function_source("trial_step(rhs, _t, _h, _t_new, _y, _k1, _rtol, _atol)", lines)
+    # _P weighs k2 by zero.
+    dense = {s: [repr(float(p)) for p in _P[s - 1]] for s in (1, 3, 4, 5, 6, 7)}
+    sample = tuple_source(
+        f"{y[j]} + _h * ({' + '.join(f'_d{s} * {k[s][j]}' for s in dense)})" for j in range(n)
+    )
+    counters = "_t, _h, _accepted, _rejected, _h_min"
+    # min(_MAX_FACTOR, max(_MIN_FACTOR, factor)) and max(_h, _proposal) as
+    # the builtins evaluate them, without their calls.
+    lines = [
+        f"{tuple_source(y)} = _y",
+        "try:",
+        f"    {tuple_source(k[1])} = rhs(_t, _y)",
+        "except OverflowError:",
+        f"    {' = '.join(k[1])} = inf",
+        "_accepted = _rejected = 0",
+        "_h_min = inf",
+        "_non_finite = False",
+        "while _t < _t1:",
+        "    if _accepted + _rejected >= _max_steps:",
+        f"        return 'budget', {counters}",
+        "    _proposal = _h",
+        # Stretch a step that would stop just short of t1 (Hairer-Norsett-
+        # Wanner's 1.01 rule), so no sliver step is left.
+        "    _clipped = _t + 1.01 * _h >= _t1",
+        "    if _clipped:",
+        "        _h = _t1 - _t",
+        # max(1.0, abs(_t)) as the builtins evaluate it on a finite _t.
+        "    if _h < _h_floor * (_t if _t > 1.0 else -_t if _t < -1.0 else 1.0):",
+        f"        return 'non-finite' if _non_finite else 'underflow', {counters}",
+        "    if _h < _h_min:",
+        "        _h_min = _h",
+        "    _t_new = _t1 if _clipped else _t + _h",
+        "    try:",
+        *(f"        {line}" for line in stages),
+        "    except OverflowError:",
+        "        _finite = False",
+        "    else:",
+        *(f"        {line}" for line in norm),
+        f"        _squares = {squares}",
+        f"        _finite = isfinite({' + '.join(['_squares', *k[2], *y_new])}) "
+        f"or all(map(isfinite, {tuple_source(values)}))",
+        # A rejection sets _non_finite: it names the cause of a later underflow.
+        "    if not _finite:",
+        "        _rejected += 1",
+        "        _non_finite = True",
+        # The factor at an error norm of inf.
+        f"        _h *= {_MIN_FACTOR!r}",
+        "        continue",
+        f"    _err = sqrt(_squares / {n})",
+        "    if _err <= 1.0:",
+        "        while _pending[-1][0] <= _t_new:",
+        "            _s, _i = _pending.pop()",
+        "            if _s == _t_new:",
+        "                _sampled[_i] = _y_new",
+        "                continue",
+        "            _th = (_s - _t) / _h",
+        *(f"            _d{s} = _th * ({p1} + _th * ({p2} + _th * ({p3} + _th * {p4})))"
+          for s, (p1, p2, p3, p4) in dense.items()),
+        f"            _sampled[_i] = {sample}",
+        "        _t = _t_new",
+        f"        {tuple_source(y)} = _y_new",
+        *(f"        {k[1][j]} = {k[7][j]}" for j in range(n)),
+        "        _times.append(_t)",
+        "        _states.append(_y_new)",
+        "        _accepted += 1",
+        "        if _stop is not None and _stop(_t, _y_new):",
+        f"            return None, {counters}",
+        f"        _f = {_MAX_FACTOR!r} if _err == 0.0 else {_SAFETY!r} * _err ** -0.2",
+        f"        _h *= {_MAX_FACTOR!r} if _f >= {_MAX_FACTOR!r} "
+        f"else _f if _f > {_MIN_FACTOR!r} else {_MIN_FACTOR!r}",
+        # The clip was set by t1, not by the error: carry on from the step
+        # the controller had proposed.
+        "        if _clipped and _proposal > _h:",
+        "            _h = _proposal",
+        "    else:",
+        "        _rejected += 1",
+        "        _non_finite = False",
+        f"        _f = {_SAFETY!r} * _err ** -0.2",
+        f"        _h *= _f if _f > {_MIN_FACTOR!r} else {_MIN_FACTOR!r}",
+        f"return None, {counters}",
+    ]
+    signature = ("rk45_loop(rhs, _t, _t1, _y, _h, _rtol, _atol, _max_steps, _h_floor, _stop, "
+                 "_pending, _sampled, _times, _states)")
+    return function_source(signature, lines)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .codegen import kernel, rhs_source, tuple_source
+from .codegen import kernel, rhs_source
 from .poly import VARS, Point4, SparsePoly
 
 DEFAULT_MAX_STEP = 6
@@ -43,7 +43,7 @@ class PolyVectorField:
 
     def compile_rhs(self):
         """Autonomous ODE right-hand side rhs(t, q) -> 4-tuple of floats and
-        its ``rhs.trial_step``, generated from the components' float_source()."""
+        its ``rhs.rk45_loop``, generated from the components' float_source()."""
         return kernel(_rhs_source(self), "rhs")
 
     def __neg__(self) -> "PolyVectorField":
@@ -54,7 +54,7 @@ class PolyVectorField:
 @lru_cache(maxsize=64)
 def _rhs_source(fld: PolyVectorField) -> str:
     """The rhs and step source of a field, generated once per field."""
-    return rhs_source(VARS, [], tuple_source(c.float_source() for c in fld.components()))
+    return rhs_source(VARS, [], [c.float_source() for c in fld.components()])
 
 
 @dataclass(frozen=True)

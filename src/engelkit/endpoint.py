@@ -30,7 +30,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .charfield import ORACLE, char_field
-from .codegen import function_source, kernel, rhs_source, tuple_source
+from .codegen import function_source, kernel, rhs_source
 from .distribution import CATALOG, PfaffianPair
 from .flow import (
     DEFAULT_ATOL,
@@ -116,7 +116,7 @@ class ControlPath:
 @dataclass(frozen=True)
 class _ControlSystem:
     """Generated kernels of qdot = u1 Z + u2 W and its linearization,
-    both from :func:`_variational_source`, each with its fused step.
+    both from :func:`_variational_source`, each with its fused loop.
 
     ``control(u1, u2)`` is the rhs of q, (-u2 f, -u2 g, u1, u2).  The
     variational state is (q, X) with X = [Phi | L] a 4x6 matrix stored
@@ -186,7 +186,7 @@ def _fixed_entries(support: Sequence[Sequence[int]]) -> frozenset[int]:
 def _variational_source(pair: PfaffianPair, grads, moving: Sequence[int]) -> str:
     """Source of ``variational(u1, u2)``, which returns the rhs of
     :attr:`_ControlSystem.variational` on the ``moving`` entries, with its
-    fused trial step (:func:`codegen.rhs_source`); with no gradient terms
+    fused loop (:func:`codegen.rhs_source`); with no gradient terms
     and only q moving, it is :attr:`_ControlSystem.control`.
 
     The x and y rows of A are -u2 times the gradients of f and g; only
@@ -209,7 +209,7 @@ def _variational_source(pair: PfaffianPair, grads, moving: Sequence[int]) -> str
             values.append(f"{value} - {name}v" if c == 5 else value)
     # The z and w rows of Xdot are those of [0 | B]: (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1).
     values += ["0.0", "0.0", "0.0", "0.0", "1.0", "0.0", "0.0", "0.0", "0.0", "0.0", "0.0", "1.0"]
-    inner = rhs_source([names[j] for j in moving], body, tuple_source(values[j] for j in moving))
+    inner = rhs_source([names[j] for j in moving], body, [values[j] for j in moving])
     return function_source("variational(u1, u2)", [*inner.splitlines(), "return rhs"])
 
 

@@ -3,29 +3,23 @@
 One Dormand-Prince 4(5) integrator, :func:`adaptive_rk45`, serves every flow:
 an embedded Runge-Kutta pair with per-step error control on mixed absolute
 and relative tolerances and dense output, run on tuples of Python floats.
-Its step-size control (the standard controller of Hairer, Norsett and
-Wanner, Solving ODEs I, II.4) and guards are local variables of the
-driver's loop, not method calls.  It calls no numpy: it returns its
-accepted states and dense samples as lists of float tuples, and each
-caller converts them once where it needs arrays (the variational pass
-stacks a whole pass's in one array).  It integrates the characteristic
-flows here (:func:`singular_surface` calls it directly, with one compiled
-rhs per grid) and, in :mod:`engelkit.endpoint`, the control system and
-its variational pass (one segment loop serves both) and the
-characteristic controls.
-The right-hand sides are generated per field or pair, each with its own
-trial step, and the dense output per state size, as straight-line code
-(:mod:`engelkit.codegen`) that does the loops' arithmetic in the loops'
-order: results are bit-identical to theirs.  Every rhs engelkit passes
-carries its step; the call-form :func:`_trial_step` serves any other.  A field's step runs its rhs
-inline and forms only the state entries the rhs reads.  The error norm is
-the RMS over every entry of the state, so a caller integrates only the
-entries that move (the variational pass leaves out those of its 28 that
-never do).
-Generation happens on first use (about 1 ms for a characteristic field
-and its step, 2 ms for a pair's variational pass), not at import.
-Monitor channels are polynomial quantities sampled along the trajectory.
-Everything is deterministic for fixed inputs.
+Its loop, with the step-size control of Hairer, Norsett and Wanner
+(Solving ODEs I, II.4) and every guard, is generated code
+(:mod:`engelkit.codegen`) that does the arithmetic of a plain tuple loop
+in its order, so results are bit-identical to that loop's.  Each
+generated rhs carries its own loop, which runs the rhs inline and forms
+only the state entries the rhs reads; the call-form :func:`_rk45_loop`
+serves any other rhs.  It calls no numpy: it returns its accepted states
+and dense samples as lists of float tuples, and each caller converts them
+once where it needs arrays.  It integrates the characteristic flows here
+(:func:`singular_surface` calls it directly, with one compiled rhs per
+grid) and, in :mod:`engelkit.endpoint`, the control system and its
+variational pass (one segment loop serves both) and the characteristic
+controls.  The error norm is the RMS over every entry of the state, so a
+caller integrates only the entries that move.  Generation happens on
+first use (about 2 ms for a field, 7 ms for a pair's control system),
+not at import.  Monitor channels are polynomial quantities sampled along
+the trajectory.  Everything is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ from typing import Callable, Mapping, Sequence, TextIO
 import numpy as np
 
 from .charfield import ORACLE, char_field
-from .codegen import function_source, kernel, numbered_names, step_source, tuple_source
+from .codegen import function_source, kernel, loop_source
 from .distribution import CATALOG, PfaffianPair, PolyVectorField
 from .poly import Point4, SparsePoly
 
@@ -65,22 +59,6 @@ class NonFiniteStateError(IntegrationError):
     pass
 
 
-# Shampine's quartic continuous extension of the pair (Hairer, Norsett and
-# Wanner, Solving ODEs I, II.6): within an accepted step from (t, y) of
-# size h with stages K, y(t + theta h) = y + h K^T _P [theta, ..., theta^4].
-_P = (
-    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0, 0, 0, 0),
-    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
-
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
 # Smallest step, relative to max(1, |t|), before the integrator gives up.
 H_FLOOR = 1e-15
 # Step budget of one integrator call, counting rejected trial steps.
@@ -88,33 +66,11 @@ MAX_STEPS = 1_000_000
 
 
 @lru_cache(maxsize=64)
-def _trial_step(n: int):
-    """Generated trial step on n-entry states that calls its ``rhs``
-    argument at each stage, for an rhs without a ``trial_step`` of its own."""
-    return kernel(step_source(n, "q", [], "rhs(t, q)"), "trial_step")
-
-
-@lru_cache(maxsize=64)
-def _dense_output(n: int):
-    """Generated continuous extension on n-entry states.
-
-    ``dense_output(y, h, theta, k1, k3, k4, k5, k6, k7)`` is the state at
-    t + theta h within the accepted step from (t, y) with those stages.
-    """
-    y = numbered_names("y", n)
-    k = {s: numbered_names(f"k{s}_", n) for s in (1, 3, 4, 5, 6, 7)}
-    body = [f"{tuple_source(y)} = y", *(f"{tuple_source(k[s])} = k{s}" for s in k)]
-    for s in k:
-        p1, p2, p3, p4 = (repr(float(p)) for p in _P[s - 1])
-        body.append(f"d{s} = theta * ({p1} + theta * ({p2} + theta * ({p3} + theta * {p4})))")
-    values = (
-        f"{y[j]} + h * ({' + '.join(f'd{s} * {k[s][j]}' for s in k)})" for j in range(n)
-    )
-    body.append(f"return {tuple_source(values)}")
-    return kernel(
-        function_source("dense_output(y, h, theta, k1, k3, k4, k5, k6, k7)", body),
-        "dense_output",
-    )
+def _rk45_loop(n: int):
+    """Generated Dormand-Prince loop on n-entry states that calls its
+    ``rhs`` argument at each stage, for an rhs without a ``rk45_loop`` of
+    its own."""
+    return kernel(loop_source(n, "q", [], "rhs(t, q)"), "rk45_loop")
 
 
 def adaptive_rk45(
@@ -144,10 +100,15 @@ def adaptive_rk45(
     ``stop_when(t, y)`` get y as a tuple of floats: on 4 to 18 entries,
     numpy's per-call overhead would cost more than the stages.  An
     OverflowError from the rhs (``**`` past the float range) is non-finite.
-    The trial step is ``rhs.trial_step`` when the rhs carries one (compiled
-    fields do, :func:`codegen.rhs_source`), else :func:`_trial_step` of the
-    state size.  The error norm is the RMS of the scaled error over all n
-    entries.
+    The first trial step is ``h0`` (positive; inf is clipped to the span),
+    by default 1 % of the span but at least 1e-6.
+
+    The steps run in a generated loop (:func:`codegen.loop_source`):
+    ``rhs.rk45_loop`` when the rhs carries one (compiled fields do,
+    :func:`codegen.rhs_source`), else :func:`_rk45_loop` of the state
+    size.  This function checks the arguments, sets up the samples and
+    raises the loop's failures.  The error norm is the RMS of the scaled
+    error over all n entries.
     """
     t0, t1 = t_span
     # Read at call time, so a changed budget or floor applies to the next call.
@@ -159,6 +120,8 @@ def adaptive_rk45(
     if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
         raise ValueError(f"rtol and atol must be positive and finite, got rtol={rtol!r}, "
                          f"atol={atol!r}")
+    if h0 is not None and not h0 > 0.0:
+        raise ValueError(f"h0 must be positive, got h0={h0!r}")
     span = t1 - t0
     if span < h_floor * max(1.0, abs(t0)):
         raise ValueError(
@@ -175,78 +138,26 @@ def adaptive_rk45(
         raise ValueError("samples must lie in t_span")
     y = tuple(map(float, y0))
     n = len(y)
-    trial_step = getattr(rhs, "trial_step", None) or _trial_step(n)
-    dense_output = _dense_output(n) if times_at else None
+    loop = getattr(rhs, "rk45_loop", None) or _rk45_loop(n)
     sampled = [(math.nan,) * n] * len(times_at)
-    t = t0
-    times = [t]
-    states = [y]
-    try:
-        k1 = rhs(t, y)
-    except OverflowError:
-        k1 = (math.inf,) * n
+    times, states = [t0], [y]
     h = h0 if h0 is not None else min(span, max(1e-6, 1e-2 * span))
-    accepted = rejected = 0
-    h_min = math.inf
-    non_finite = False
-    while t < t1:
-        if accepted + rejected >= max_steps:
-            raise IntegrationError(
-                f"step budget of MAX_STEPS={max_steps} steps exhausted: {accepted} "
-                f"accepted, {rejected} rejected, smallest step {h_min!r}",
-                t,
-            )
-        proposal = h
-        # Stretch a step that would stop just short of t1 (Hairer-Norsett-
-        # Wanner's 1.01 rule), so no sliver step is left.
-        clipped = t + 1.01 * h >= t1
-        if clipped:
-            h = t1 - t
-        # (a if a > 1.0 else 1.0) is max(1.0, a) as the builtin evaluates it.
-        a = abs(t)
-        if h < h_floor * (a if a > 1.0 else 1.0):
-            if non_finite:
-                raise NonFiniteStateError(
-                    "step size underflow while rejecting non-finite trial states", t
-                )
-            raise StepSizeUnderflowError("step size underflow", t)
-        if h < h_min:
-            h_min = h
-        t_new = t1 if clipped else t + h
-        y_new, k3, k4, k5, k6, k7, err, trial_non_finite = trial_step(
-            rhs, t, h, t_new, y, k1, rtol, atol
+    status, t, h, accepted, rejected, h_min = loop(
+        rhs, t0, t1, y, h, rtol, atol, max_steps, h_floor, stop_when, pending, sampled, times,
+        states,
+    )
+    if status == "budget":
+        raise IntegrationError(
+            f"step budget of MAX_STEPS={max_steps} steps exhausted: {accepted} "
+            f"accepted, {rejected} rejected, smallest step {h_min!r}",
+            t,
         )
-        if err <= 1.0:
-            while pending[-1][0] <= t_new:
-                ts, i = pending.pop()
-                sampled[i] = (
-                    y_new if ts == t_new
-                    else dense_output(y, h, (ts - t) / h, k1, k3, k4, k5, k6, k7)
-                )
-            t = t_new
-            y = y_new
-            k1 = k7
-            times.append(t)
-            states.append(y)
-            if stop_when is not None and stop_when(t, y):
-                break
-            accepted += 1
-            # min(_MAX_FACTOR, max(_MIN_FACTOR, factor)) as the builtins
-            # evaluate it, without their calls.
-            factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-0.2)
-            h *= (
-                _MAX_FACTOR if factor >= _MAX_FACTOR
-                else factor if factor > _MIN_FACTOR else _MIN_FACTOR
-            )
-            if clipped:
-                # The clip was set by t1, not by the error: carry on from
-                # the step the controller had proposed.
-                h = max(h, proposal)
-        else:
-            rejected += 1
-            # Only a rejection sets this: it names the cause of a later underflow.
-            non_finite = trial_non_finite
-            h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+    if status == "non-finite":
+        raise NonFiniteStateError(
+            "step size underflow while rejecting non-finite trial states", t
+        )
+    if status == "underflow":
+        raise StepSizeUnderflowError("step size underflow", t)
     return times, states, h, sampled
 
 
@@ -479,6 +390,23 @@ def _tail_bound(
     return speed[-1] / rate
 
 
+@lru_cache(maxsize=1)
+def _cut_test():
+    """Generated ``cut(eps_cut)``: a fresh stop test for one surface sample,
+    false at its first two calls, then :data:`RHO` < eps_cut."""
+    return kernel(function_source("cut(eps_cut)", [
+        "skip = 2",
+        "def stop(t, q):",
+        "    nonlocal skip",
+        "    if skip:",
+        "        skip -= 1",
+        "        return False",
+        "    (x, y, z, w) = q",
+        f"    return {RHO.float_source()} < eps_cut",
+        "return stop",
+    ]), "cut")
+
+
 def singular_surface(
     model_or_pair: str | PfaffianPair,
     grid: Sequence[tuple[float, float]],
@@ -516,6 +444,7 @@ def singular_surface(
     skew = _is_skew_product(fld)
     rhs = fld.compile_rhs()
     rho_fn = RHO.compile()
+    cut = _cut_test()
     offsets: list[tuple[float, float]] = []
     converged: list[bool] = []
     failures: dict[int, str] = {}
@@ -524,16 +453,10 @@ def singular_surface(
         raise ValueError("grid points must be nonzero")
     for i, (z, w) in enumerate(grid):
         # The tail bound reads the last four states, so the cut is tested
-        # from the third accepted step on: next() gives False twice, then True.
-        early = iter((False, False))
+        # from the third accepted step on.
         try:
             times, states, _, _ = adaptive_rk45(
-                rhs,
-                (0.0, 0.0, z, w),
-                (0.0, t_max),
-                rtol,
-                atol,
-                stop_when=lambda t, y: next(early, True) and rho_fn(*y) < eps_cut,
+                rhs, (0.0, 0.0, z, w), (0.0, t_max), rtol, atol, stop_when=cut(eps_cut)
             )
         except IntegrationError as exc:
             failures[i] = str(exc)

@@ -24,27 +24,27 @@ def step_budget(monkeypatch):
 @pytest.fixture
 def step_counts(monkeypatch):
     """Accepted and rejected trial steps of each integrator call made by flow
-    and endpoint, one [accepted, rejected] pair per call in call order.
+    and endpoint, one [accepted, rejected] pair per call in call order, as
+    the generated loop counts them.
 
-    A step counts as accepted when its error norm is at most 1, as
-    ``adaptive_rk45`` decides."""
+    A step counts as accepted when its error norm is at most 1, the step
+    that meets a ``stop_when`` included."""
     calls: list[list[int]] = []
     integrate = flow.adaptive_rk45
 
     def counted_rk45(rhs, y0, *args, **kwargs):
-        step = getattr(rhs, "trial_step", None) or flow._trial_step(len(y0))
-        counts = [0, 0]
-        calls.append(counts)
+        loop = getattr(rhs, "rk45_loop", None) or flow._rk45_loop(len(y0))
 
-        def trial_step(*step_args):
-            result = step(*step_args)
-            counts[0 if result[6] <= 1.0 else 1] += 1
+        def rk45_loop(*loop_args):
+            result = loop(*loop_args)
+            _, _, _, accepted, rejected, _ = result
+            calls.append([accepted, rejected])
             return result
 
         def counted(t, y):
             return rhs(t, y)
 
-        counted.trial_step = trial_step
+        counted.rk45_loop = rk45_loop
         return integrate(counted, y0, *args, **kwargs)
 
     monkeypatch.setattr(flow, "adaptive_rk45", counted_rk45)

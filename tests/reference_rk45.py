@@ -8,13 +8,13 @@ difference in steps or states.  Same call and return as
 as a numpy array.
 
 ``reference_tuple_rk45`` is the generic loop over tuples of floats that the
-generated trial steps of ``flow.adaptive_rk45`` unroll, the call form and
-the fused steps of compiled fields alike: the same stage sums in the same
-order, so they agree bit for bit.
+generated loops of ``flow.adaptive_rk45`` unroll, the call form and the
+fused loops of compiled fields alike: the same stage sums in the same
+order, so they agree bit for bit.  ``tuple_stages`` is its trial step.
 
 Both take their step-size control and guards from ``_StepControl`` below,
-a copy of the controller that ``flow.adaptive_rk45`` runs inside its loop
-(Hairer, Norsett and Wanner, Solving ODEs I, II.4), kept here as methods
+a copy of the controller that the generated loops run inline (Hairer,
+Norsett and Wanner, Solving ODEs I, II.4), kept here as methods
 so that a slip in the driver's inlined control shows up as a difference
 in steps, in the carried step or in an error.  Only the budget
 ``flow.MAX_STEPS`` and the floor ``flow.H_FLOOR`` are read from flow, at
@@ -186,10 +186,41 @@ def reference_rk45(rhs, y0, t_span, rtol, atol, h0=None, stop_when=None, samples
     return times, np.array(states), control.h, sampled
 
 
-def reference_tuple_rk45(rhs, y0, t_span, rtol, atol, h0=None, stop_when=None, samples=()):
+def tuple_stages(rhs, t, h, t_new, y, k1):
+    """The stages k2 to k7 and the new state y_new of one trial step of
+    size h from (t, y), whose first stage is k1, as (k2, k3, k4, k5, k6,
+    k7, y_new); the last stage is evaluated at y_new itself."""
     _, c2, c3, c4, c5, c6, _ = codegen._C
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = codegen._A[1:5]
     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = codegen._A[5:]
+    k2 = rhs(t + c2 * h, tuple([a + h * (a21 * p) for a, p in zip(y, k1)]))
+    k3 = rhs(t + c3 * h, tuple([a + h * (a31 * p + a32 * q) for a, p, q in zip(y, k1, k2)]))
+    k4 = rhs(
+        t + c4 * h,
+        tuple([a + h * (a41 * p + a42 * q + a43 * r) for a, p, q, r in zip(y, k1, k2, k3)]),
+    )
+    k5 = rhs(
+        t + c5 * h,
+        tuple([
+            a + h * (a51 * p + a52 * q + a53 * r + a54 * s)
+            for a, p, q, r, s in zip(y, k1, k2, k3, k4)
+        ]),
+    )
+    k6 = rhs(
+        t + c6 * h,
+        tuple([
+            a + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
+            for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
+        ]),
+    )
+    y_new = tuple([
+        a + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v)
+        for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)
+    ])
+    return k2, k3, k4, k5, k6, rhs(t_new, y_new), y_new
+
+
+def reference_tuple_rk45(rhs, y0, t_span, rtol, atol, h0=None, stop_when=None, samples=()):
     e1, _, e3, e4, e5, e6, e7 = codegen._ERR
     control = _StepControl(t_span, rtol, atol, h0)
     t0, t1 = t_span
@@ -211,31 +242,7 @@ def reference_tuple_rk45(rhs, y0, t_span, rtol, atol, h0=None, stop_when=None, s
     while t < t1:
         h, t_new = control.trial(t)
         try:
-            k2 = rhs(t + c2 * h, tuple([a + h * (a21 * p) for a, p in zip(y, k1)]))
-            k3 = rhs(t + c3 * h, tuple([a + h * (a31 * p + a32 * q) for a, p, q in zip(y, k1, k2)]))
-            k4 = rhs(
-                t + c4 * h,
-                tuple([a + h * (a41 * p + a42 * q + a43 * r) for a, p, q, r in zip(y, k1, k2, k3)]),
-            )
-            k5 = rhs(
-                t + c5 * h,
-                tuple([
-                    a + h * (a51 * p + a52 * q + a53 * r + a54 * s)
-                    for a, p, q, r, s in zip(y, k1, k2, k3, k4)
-                ]),
-            )
-            k6 = rhs(
-                t + c6 * h,
-                tuple([
-                    a + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
-                    for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
-                ]),
-            )
-            y_new = tuple([
-                a + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v)
-                for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)
-            ])
-            k7 = rhs(t_new, y_new)
+            k2, k3, k4, k5, k6, k7, y_new = tuple_stages(rhs, t, h, t_new, y, k1)
             non_finite = not all(map(math.isfinite, (*k1, *k2, *k3, *k4, *k5, *k6, *k7, *y_new)))
         except OverflowError:
             non_finite = True
@@ -257,7 +264,7 @@ def reference_tuple_rk45(rhs, y0, t_span, rtol, atol, h0=None, stop_when=None, s
                 theta = (ts - t) / h
                 d1, _, d3, d4, d5, d6, d7 = (
                     theta * (p1 + theta * (p2 + theta * (p3 + theta * p4)))
-                    for p1, p2, p3, p4 in flow._P
+                    for p1, p2, p3, p4 in codegen._P
                 )
                 sampled[i] = [
                     a + h * (d1 * p + d3 * r + d4 * s + d5 * u + d6 * v + d7 * w)

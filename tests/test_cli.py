@@ -264,7 +264,7 @@ def test_importing_the_cli_builds_no_parser_and_no_kernel():
     probe = (
         "import engelkit.cli\n"
         "from engelkit import charfield, cli, codegen, distribution, endpoint, flow\n"
-        "caches = (cli._parser, codegen.kernel, flow._trial_step, flow._dense_output,\n"
+        "caches = (cli._parser, codegen.kernel, flow._rk45_loop, flow._cut_test,\n"
         "          endpoint._control_system, endpoint._default_samples,\n"
         "          distribution.bracket_levels, distribution.engel_certificate,\n"
         "          charfield.coefficients)\n"

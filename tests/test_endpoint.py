@@ -859,20 +859,20 @@ def test_characteristic_arcs_of_random_pairs_are_singular_with_the_annihilator_w
 
 def test_no_integration_takes_the_call_form_step(monkeypatch):
     # Every rhs the library hands the integrator is generated with its own
-    # fused trial step; flow._trial_step, the call-form step for any other
-    # rhs, is built only when one without it arrives.
+    # fused loop; flow._rk45_loop, the call-form loop for any other rhs, is
+    # built only when one without it arrives.
     from engelkit import flow
     from engelkit.charfield import char_field
     from engelkit.flow import integrate, singular_surface
 
     call_form_sizes = []
-    build = flow._trial_step
+    build = flow._rk45_loop
 
     def recording(n):
         call_form_sizes.append(n)
         return build(n)
 
-    monkeypatch.setattr(flow, "_trial_step", recording)
+    monkeypatch.setattr(flow, "_rk45_loop", recording)
     rng = np.random.default_rng(97)
     for name, pair in CATALOG.items():
         q0 = tuple(rng.uniform(-0.3, 0.3, 4).tolist())
@@ -887,3 +887,33 @@ def test_no_integration_takes_the_call_form_step(monkeypatch):
             singular_surface(pair, [(0.05, 0.02)], t_max=2.0)
             sard_sample(name, 2, seed=5, detector_subset=1)
     assert call_form_sizes == [], call_form_sizes
+
+
+def test_repeated_runs_generate_no_kernel(monkeypatch):
+    # The generated loops are cached with their fields' and pairs' sources:
+    # once warm, a surface and a Bryant-Hsu test per catalog model miss the
+    # kernel cache nowhere and generate no loop source.
+    from engelkit import codegen
+    from engelkit.flow import singular_surface
+
+    rng = np.random.default_rng(98)
+    controls = {name: ControlPath(rng.uniform(-1.0, 1.0, (8, 2))) for name in CATALOG}
+
+    def run():
+        singular_surface("d224", [(0.05, 0.02), (-0.01, 0.03)])
+        for name, pair in CATALOG.items():
+            bryant_hsu_test(pair, ORIGIN, controls[name])
+
+    run()
+    misses = codegen.kernel.cache_info().misses
+    generated = []
+    build = codegen.loop_source
+
+    def recording(*args):
+        generated.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(codegen, "loop_source", recording)
+    run()
+    run()
+    assert codegen.kernel.cache_info().misses == misses and generated == []

@@ -24,7 +24,8 @@ from engelkit.flow import (
 )
 from engelkit.endpoint import _RESTART, _control_system
 from engelkit.poly import Point4, SparsePoly, random_poly
-from reference_rk45 import reference_rk45, reference_tuple_rk45
+from reference_rk45 import reference_rk45, reference_tuple_rk45, tuple_stages
+from reference_surface import exact_offsets, star_node
 
 ZERO = SparsePoly.zero()
 
@@ -105,6 +106,19 @@ def test_non_finite_trial_step_is_rejected():
             h0=0.3,
         )
     assert abs(err.value.t_reached - 0.5) <= 1e-3
+
+
+@pytest.mark.parametrize("h0", [math.nan, 0.0, -0.1])
+def test_a_first_step_that_is_not_positive_is_rejected(h0):
+    # NaN would burn the whole step budget, 0.0 and -0.1 would underflow.
+    with pytest.raises(ValueError, match=f"h0 must be positive, got h0={h0!r}"):
+        adaptive_rk45(lambda t, y: (-y[0],), (1.0,), (0.0, 1.0), 1e-10, 1e-12, h0=h0)
+
+
+def test_an_infinite_first_step_is_clipped_to_the_span():
+    times, _, h, _ = adaptive_rk45(lambda t, y: (0.0,), (1.0,), (0.0, 1.0), 1e-10, 1e-12,
+                                   h0=math.inf)
+    assert times == [0.0, 1.0] and h == math.inf
 
 
 def test_step_budget_error_names_the_budget(monkeypatch):
@@ -257,15 +271,16 @@ def _zw_part(poly):
     return SparsePoly({e: c for e, c in poly.terms.items() if e[0] == e[1] == 0})
 
 
-# x' = 1e307 w^2, y' = 1e307 z^2 and a rotation in (z, w): from x = y = 8e307
+# x' = 1e307 w^2, y' = 1e307 z^2 and a rotation in (z, w): from x = y = 9e307
 # every stage and state stays finite, but the 8n values a trial step tests
-# for finiteness sum past the float range.
+# for finiteness sum past the float range, and so does the sum the loop
+# tests first, of the error norm's squares, k2 and the new state.
 BIG = int(1e307)
 SUM_OVERFLOWS = PolyVectorField(
     SparsePoly({(0, 0, 0, 2): BIG}), SparsePoly({(0, 0, 2, 0): BIG}),
     -1 * SparsePoly.var("w"), SparsePoly.var("z"),
 )
-SUM_OVERFLOWS_START = (8e307, 8e307, 0.6, 0.8)
+SUM_OVERFLOWS_START = (9e307, 9e307, 0.6, 0.8)
 
 
 def _unrolled_cases():
@@ -326,11 +341,11 @@ def _call_form(rhs):
 
 @pytest.mark.parametrize("rhs,y0,t_span,stop_when", _unrolled_cases())
 def test_generated_trial_step_is_bit_identical_to_the_tuple_loop(rhs, y0, t_span, stop_when):
-    # The unrolled, generated trial step and dense output against the generic
-    # tuple loop they replace: the same steps, states, carried step and
-    # samples, bit for bit.  A compiled field's fused step is also run in
-    # call form, through an opaque wrapper of the same rhs.
-    fused = hasattr(rhs, "trial_step")
+    # The generated loop, its unrolled trial steps and dense output, against
+    # the generic tuple loop they replace: the same steps, states, carried
+    # step and samples, bit for bit.  A compiled field's fused loop is also
+    # run in call form, through an opaque wrapper of the same rhs.
+    fused = hasattr(rhs, "rk45_loop")
     assert fused == (rhs.__name__ == "rhs")
     samples = np.random.default_rng(47).uniform(*t_span, 7)
     for h0 in (None, 0.01):
@@ -343,36 +358,54 @@ def test_generated_trial_step_is_bit_identical_to_the_tuple_loop(rhs, y0, t_span
             assert all(_bits(a) == _bits(b) for a, b in zip(got, called))
 
 
+def _run_loop(loop, rhs, t, t1, y, h, max_steps, h_floor, samples=()):
+    """A generated loop's result, with the times, states and samples it
+    recorded, from (t, y) towards t1, trying h first."""
+    n = len(y)
+    pending = [(math.inf, -1), *sorted(zip(samples, range(len(samples))), reverse=True)]
+    sampled = [(math.nan,) * n] * len(samples)
+    times, states = [t], [y]
+    result = loop(rhs, t, t1, y, h, 1e-10, 1e-12, max_steps, h_floor, None, pending, sampled,
+                  times, states)
+    return result, times, states, sampled
+
+
 @pytest.mark.parametrize(
     "rhs,y0,t_span,stop_when", [c for c in _unrolled_cases() if c.id != "n1"]
 )
 def test_fused_trial_step_returns_what_the_call_form_returns(rhs, y0, t_span, stop_when):
-    # One step from random states, with step sizes from tiny to ones that
-    # send some entries past the float range.
+    # At most two trial steps from random states towards t + 2h, with step
+    # sizes from tiny to ones that send some entries past the float range,
+    # and samples inside the first: the fused loop and the call form give
+    # the same status, counters, steps and samples.  With a floor of h / 2,
+    # a first trial rejected as non-finite ends the run as "non-finite", one
+    # rejected on its error as "underflow" or in a second trial.
     n = len(y0)
-    call_form = flow._trial_step(n)
+    call_form = flow._rk45_loop(n)
     rng = np.random.default_rng(53)
+    t = t_span[0]
     for h in (1e-9, 0.01, 0.5, 1e3, 1e60):
         y = tuple(np.add(y0, rng.uniform(-0.1, 0.1, n)).tolist())
-        k1 = rhs(t_span[0], y)
-        args = (t_span[0], h, t_span[0] + h, y, k1, 1e-10, 1e-12)
-        got, want = rhs.trial_step(rhs, *args), call_form(rhs, *args)
-        assert [None if v is None else _bits(v) for v in got] == [
-            None if v is None else _bits(v) for v in want
-        ]
+        args = (t, t + 2.0 * h, y, h, 2, 0.5 * h, (t + h / 3.0, t + 2.0 * h / 3.0))
+        got, want = _run_loop(rhs.rk45_loop, rhs, *args), _run_loop(call_form, rhs, *args)
+        assert repr(got) == repr(want), h
 
 
 def test_finite_stages_whose_sum_overflows_make_an_accepted_step():
-    # The sum of the tested values is inf, yet no value is: the step must
-    # test them one by one and accept, as the tuple loop does.
+    # The sum of the tested values is inf, yet no value is: the loop must
+    # test them one by one and accept the step, as the tuple loop does.
     rhs = SUM_OVERFLOWS.compile_rhs()
     k1 = rhs(0.0, SUM_OVERFLOWS_START)
-    args = (0.0, 0.01, 0.01, SUM_OVERFLOWS_START, k1, 1e-10, 1e-12)
-    for step in (rhs.trial_step, flow._trial_step(4)):
-        y_new, *stages, err, non_finite = step(rhs, *args)
-        assert not non_finite and err <= 1.0
-        values = [*k1, *(v for k in stages for v in k), *y_new]
-        assert all(map(math.isfinite, values)) and sum(values) == math.inf
+    *stages, y_new = tuple_stages(rhs, 0.0, 0.01, 0.01, SUM_OVERFLOWS_START, k1)
+    values = [*k1, *(v for k in stages for v in k), *y_new]
+    assert all(map(math.isfinite, values)) and sum(values) == math.inf
+    assert sum([*stages[0], *y_new]) == math.inf
+    for loop in (rhs.rk45_loop, flow._rk45_loop(4)):
+        (status, t, _, accepted, rejected, _), times, states, _ = _run_loop(
+            loop, rhs, 0.0, 0.01, SUM_OVERFLOWS_START, 0.01, 1, flow.H_FLOOR
+        )
+        assert (status, t, accepted, rejected) == (None, 0.01, 1, 0)
+        assert times == [0.0, 0.01] and _bits(states[-1]) == _bits(y_new)
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -380,7 +413,7 @@ def test_fused_stages_form_only_the_entries_the_field_reads(name):
     # z and w of the characteristic flow (z alone for engel_std); z, w and
     # the entries of L that the x and y rows read of the variational state
     def formed(rhs, names):
-        return [v for v in names if v in rhs.trial_step.__code__.co_varnames]
+        return [v for v in names if v in rhs.rk45_loop.__code__.co_varnames]
 
     zw = ["z"] if name == "engel_std" else ["z", "w"]
     rhs = char_field(CATALOG[name], ORACLE).compile_rhs()
@@ -395,20 +428,36 @@ def test_fused_stages_form_only_the_entries_the_field_reads(name):
 # gives inf without raising, blows up from y = 1e3.
 QUARTIC = PolyVectorField(SparsePoly({(4, 0, 0, 0): 1}), ZERO, ZERO, ZERO)
 PRODUCT = PolyVectorField(SparsePoly({(1, 1, 0, 0): 1}), ZERO, ZERO, ZERO)
+# f = x^2 z + y w and g = x y: from x = 1 with u2 = -1, the control system
+# runs x' = x^2 z + y w, which blows up in finite time; its variational pass
+# moves 18 of its 28 entries.
+BLOWS_UP = PfaffianPair(SparsePoly({(2, 0, 1, 0): 1, (0, 1, 0, 1): 1}),
+                        SparsePoly({(1, 1, 0, 0): 1}))
 
 
-@pytest.mark.parametrize(
-    "fld,y0",
-    [(QUARTIC, (1e60, 0.0, 0.0, 0.0)), (QUARTIC, (1.0, 0.0, 0.0, 0.0)),
-     (PRODUCT, (1.0, 1e3, 0.0, 0.0))],
-    ids=["1e+60", "1.0", "product"],
-)
-def test_generated_trial_step_fails_like_the_tuple_loop(fld, y0, monkeypatch):
-    # The fused step, the call form and the tuple loop raise the same error.
+def _failing_cases():
+    # (rhs, y0, t_span, budget)
+    sys = _control_system(BLOWS_UP)
+    start = _variational_start(sys, (1.0, 0.5, 1.0, 0.5))
+    return [
+        pytest.param(QUARTIC.compile_rhs(), (1e60, 0.0, 0.0, 0.0), (0.0, 1.0), 20_000,
+                     id="1e+60"),
+        pytest.param(QUARTIC.compile_rhs(), (1.0, 0.0, 0.0, 0.0), (0.0, 1.0), 20_000, id="1.0"),
+        pytest.param(PRODUCT.compile_rhs(), (1.0, 1e3, 0.0, 0.0), (0.0, 1.0), 20_000,
+                     id="product"),
+        pytest.param(sys.variational(0.0, -1.0), start, (0.0, 2.0), 20_000,
+                     id="variational-blow-up"),
+        pytest.param(sys.variational(0.3, -0.2), start, (0.0, 1.0), 5,
+                     id="variational-budget"),
+    ]
+
+
+@pytest.mark.parametrize("rhs,y0,t_span,budget", _failing_cases())
+def test_generated_trial_step_fails_like_the_tuple_loop(rhs, y0, t_span, budget, monkeypatch):
+    # The fused loop, the call form and the tuple loop raise the same error.
     # The product case takes 16,132 trial steps to reach it.
-    monkeypatch.setattr(flow, "MAX_STEPS", 20_000)
-    rhs = fld.compile_rhs()
-    args = (y0, (0.0, 1.0), 1e-10, 1e-12)
+    monkeypatch.setattr(flow, "MAX_STEPS", budget)
+    args = (y0, t_span, 1e-10, 1e-12)
     errors = []
     for rk45, f in ((adaptive_rk45, rhs), (adaptive_rk45, _call_form(rhs)),
                     (reference_tuple_rk45, rhs)):
@@ -419,16 +468,35 @@ def test_generated_trial_step_fails_like_the_tuple_loop(fld, y0, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fld,y0", [(QUARTIC, (1e60, 0.0, 0.0, 0.0)), (PRODUCT, (1e200, 1e200, 0.0, 0.0))],
-    ids=["overflow-in-a-stage", "inf-stages"],
+    "fld,y0",
+    [(QUARTIC, (1e60, 0.0, 0.0, 0.0)), (PRODUCT, (1e200, 1e200, 0.0, 0.0)),
+     (SUM_OVERFLOWS, (1.79e308, 0.0, 0.6, 0.8))],
+    ids=["overflow-in-a-stage", "inf-stages", "inf-state"],
 )
 def test_a_failing_fused_stage_returns_like_the_call_form(fld, y0):
-    # an OverflowError inside the inlined body, and stages that are inf
+    # An OverflowError inside the inlined body, stages that are inf, and a
+    # new state whose x is inf while every stage is finite: the first trial
+    # is rejected as non-finite, which shrinks the step by the factor 0.2
+    # to below the floor of 0.5, so the run ends as "non-finite".
     rhs = fld.compile_rhs()
-    k1 = rhs(0.0, y0)
-    args = (0.0, 1.0, 1.0, y0, k1, 1e-10, 1e-12)
-    failed = (None, None, None, None, None, None, math.inf, True)
-    assert rhs.trial_step(rhs, *args) == flow._trial_step(4)(rhs, *args) == failed
+    failed = (("non-finite", 0.0, 0.2, 0, 1, 1.0), [0.0], [y0], [])
+    for loop in (rhs.rk45_loop, flow._rk45_loop(4)):
+        assert _run_loop(loop, rhs, 0.0, 1.0, y0, 1.0, 2, 0.5) == failed
+
+
+def test_a_non_finite_k2_alone_rejects_the_step():
+    # Only the x entry of k2, at t = 0.2, is inf: no later stage reads x,
+    # and neither the new state nor the error norm weighs k2, so the first
+    # sum the loop tests must hold k2 itself.
+    def rhs(t, y):
+        return (math.inf if t == 0.2 else 0.0, -y[1])
+
+    assert _run_loop(flow._rk45_loop(2), rhs, 0.0, 2.0, (0.0, 1.0), 1.0, 2, 0.5) == (
+        ("non-finite", 0.0, 0.2, 0, 1, 1.0), [0.0], [(0.0, 1.0)], []
+    )
+    args = ((0.0, 1.0), (0.0, 2.0), 1e-10, 1e-12, 1.0)
+    got, want = adaptive_rk45(rhs, *args), reference_tuple_rk45(rhs, *args)
+    assert all(_bits(a) == _bits(b) for a, b in zip(got, want))
 
 
 def test_a_span_shorter_than_the_step_floor_is_rejected():
@@ -883,6 +951,57 @@ def test_d224_surface_samples_take_pinned_step_counts(step_counts):
     grid = [(0.01, 0.02), (-0.03, 0.05), (0.1, -0.07), (-0.002, -0.004)]
     assert singular_surface("d224", grid).converged == [True] * 4
     assert step_counts == [[105, 2], [128, 2], [146, 2], [71, 2]]
+
+
+def _star_node_pairs(seed, draws):
+    """The attracting star nodes among ``draws`` seeded homogeneous quadratic
+    (z, w) pairs with coefficients in -3..3, and the number skipped."""
+    rng = np.random.default_rng(seed)
+    kept, skipped = [], 0
+    for _ in range(draws):
+        (a, b, c), (d, e, f) = rng.integers(-3, 4, (2, 3)).tolist()
+        pair = PfaffianPair(SparsePoly({(0, 0, 2, 0): a, (0, 0, 1, 1): b, (0, 0, 0, 2): c}),
+                            SparsePoly({(0, 0, 2, 0): d, (0, 0, 1, 1): e, (0, 0, 0, 2): f}))
+        node = star_node(pair)
+        if node is None or node[0] >= 0:
+            skipped += 1
+        else:
+            kept.append(pair)
+    return kept, skipped
+
+
+# Relative offset error bound per sample magnitude: about 10x the worst
+# measured on d224 and the pairs below (6.1e-7, 5.2e-10 and 3.7e-11).  The
+# 1e-3 samples miss by more since the absolute tolerances bind there.
+STAR_NODE_BOUNDS = {1e-3: 6e-6, 1e-2: 5e-9, 1e-1: 4e-10}
+STAR_NODE_DIRECTIONS = [(1.0, 0.5), (-0.6, 1.0), (0.8, -0.9)]
+
+
+def _offset_error(pair, z, w, dx, dy) -> float:
+    """max(|dx - ex|, |dy - ey|) / max(|ex|, |ey|) against the exact offsets."""
+    ex, ey = exact_offsets(pair, z, w)
+    return float(max(abs(Fraction(dx) - ex), abs(Fraction(dy) - ey)) / max(abs(ex), abs(ey)))
+
+
+def test_surface_offsets_match_the_exact_star_node_reference():
+    # Against -(C^x, C^y) / (k lam) in exact arithmetic: every sample
+    # converges within its magnitude's bound.  With a cut at rho < 1e-4 the
+    # quadrature tail is far above the bound, and the tail bound must then
+    # mark every sample unconverged.
+    pairs, skipped = _star_node_pairs(151, 60)
+    assert len(pairs) >= 20, (len(pairs), skipped)
+    for pair in [CATALOG["d224"], *pairs]:
+        for m, bound in STAR_NODE_BOUNDS.items():
+            grid = [(m * a, m * b) for a, b in STAR_NODE_DIRECTIONS]
+            sample = singular_surface(pair, grid)
+            assert sample.converged == [True] * len(grid), (pair, m)
+            for (z, w), (dx, dy) in zip(grid, sample.offsets):
+                assert _offset_error(pair, z, w, dx, dy) <= bound, (pair, z, w)
+        grid = [(0.1 * a, 0.1 * b) for a, b in STAR_NODE_DIRECTIONS]
+        sample = singular_surface(pair, grid, eps_cut=1e-4)
+        assert not any(sample.converged), pair
+        for (z, w), (dx, dy) in zip(grid, sample.offsets):
+            assert _offset_error(pair, z, w, dx, dy) > STAR_NODE_BOUNDS[0.1], (pair, z, w)
 
 
 def test_surface_membership():
