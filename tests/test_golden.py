@@ -56,6 +56,32 @@ CASES = {
         ["flow", "--model", "d2334b", "--start", "0,0,1,0", "--t", "2", "--out", "flow.csv"],
         [], ["flow.csv"],
     ),
+    "surface-d2334a-signed": (
+        ["surface", "--model", "d2334a", "--grid", "0.01:0.1:2", "--signed",
+         "--out", "surface_d2334a.csv"],
+        [], ["surface_d2334a.csv"],
+    ),
+    # The seeded pair has x and y terms, so its variational pass moves 18
+    # entries, more than any catalog model's (12 or 13).
+    "random-pair": (
+        ["endpoint", "--model", "pair.json", "--random", "2", "--seed", "7",
+         "--out", "endpoint_pair.json"],
+        ["pair.json"], ["endpoint_pair.json"],
+    ),
+    "flow-pair": (
+        ["flow", "--model", "pair.json", "--start", "0.1,0.2,0.3,0.4", "--t", "1",
+         "--out", "flow_pair.csv"],
+        ["pair.json"], ["flow_pair.csv"],
+    ),
+    "char-pair": (
+        ["char", "--model", "pair.json", "--out", "char_pair.json"],
+        ["pair.json"], ["char_pair.json"],
+    ),
+    "analyze-pair": (
+        ["analyze", "--model", "pair.json", "--point", "1,2,3,4", "--point", "1/2,0,-1,1/3",
+         "--grid=-1:1:3", "--out", "analyze_pair.csv"],
+        ["pair.json"], ["analyze_pair.csv"],
+    ),
 }
 
 
@@ -84,12 +110,25 @@ def _write_controls() -> None:
         (GOLDEN / f"controls_{name}.json").write_text(json.dumps({"n_segments": 32, "u": u}))
 
 
+def _write_pair() -> None:
+    """The model file of a seeded ``random_poly`` pair with x and y terms."""
+    import numpy as np
+
+    from engelkit.distribution import PfaffianPair
+    from engelkit.poly import random_poly
+
+    rng = np.random.default_rng(9)
+    pair = PfaffianPair(random_poly(rng), random_poly(rng))
+    (GOLDEN / "pair.json").write_text(json.dumps(pair.to_json_dict()))
+
+
 if __name__ == "__main__":
     # Rewrite every golden file from the code on the path.
     import os
 
     GOLDEN.mkdir(parents=True, exist_ok=True)
     _write_controls()
+    _write_pair()
     os.chdir(GOLDEN)
     for case, (argv, _, _) in CASES.items():
         if main(argv) != 0:
