@@ -8,14 +8,14 @@ replace in the same order, so their results are equal bit for bit; they
 only drop the interpreted overhead of the loops.
 
 A field's rhs carries its own Dormand-Prince loop, generated from the
-same body (:func:`rhs_source`); any other rhs is stepped by the one
-generator with a body that calls it (:func:`loop_source`).  The loop
-runs the whole integration: step-size control, stages, the finiteness
-test, the error norm, dense samples and the stop test, with no Python
-call per trial step.  The generators interpolate nothing but
-``repr(float(c))`` of exact coefficients, integer exponents and fixed
-names.  Kernels are built on first use and kept in :func:`kernel`'s one
-cache of 256 sources.
+same body (:func:`rhs_source`), whose stages call no function; any other
+rhs is stepped by the same generator with a body that calls it
+(:func:`loop_source`).  The loop runs the whole integration: step-size
+control, stages, the finiteness test, the error norm, dense samples and
+the stop test, with no Python call per trial step.  The generators
+interpolate nothing but ``repr(float(c))`` of exact coefficients,
+integer exponents and fixed names.  Kernels are built on first use and
+kept in :func:`kernel`'s one cache of 256 sources.
 """
 
 from __future__ import annotations
@@ -99,30 +99,27 @@ def rhs_source(state: Sequence[str], body: Sequence[str], values: Sequence[str])
     rhs = function_source(
         "rhs(t, q)", [f"{tuple_source(state)} = q", *body, f"return {tuple_source(values)}"]
     )
-    return f"{rhs}{loop_source(len(state), state, body, values)}rhs.rk45_loop = rk45_loop\n"
+    return f"{rhs}{loop_source(state, body, values)}rhs.rk45_loop = rk45_loop\n"
 
 
-def loop_source(
-    n: int, state: str | Sequence[str], body: Sequence[str], value: str | Sequence[str]
-) -> str:
+def loop_source(state: Sequence[str], body: Sequence[str], values: Sequence[str]) -> str:
     """Source of ``rk45_loop(rhs, _t, _t1, _y, _h, _rtol, _atol,
     _max_steps, _h_floor, _stop, _pending, _sampled, _times, _states)``,
-    the loop of ``flow.adaptive_rk45`` on n-entry states, for the rhs that
-    runs ``body`` at time ``t`` on the state names ``state`` and returns
-    ``value``: one name and a tuple expression (the call form), or a name
-    and an expression per entry.
+    the loop of ``flow.adaptive_rk45`` for the rhs that binds the time to
+    ``t`` and the state to the names ``state``, one per entry, runs the
+    ``body`` statements and has the value ``values[j]`` in entry j.
 
-    It steps from (_t, _y) towards _t1, trying _h first.  It calls ``rhs``
-    for the first stage only; every other stage binds only the names that
-    body and value read and runs them inline.  Its own names start with
-    ``_``, but for ``rhs``; stages and sums go in tableau order.  It
-    appends each accepted step to _times and _states and writes
-    _sampled[i] for each (s, i) it pops off _pending, which is sorted in
-    decreasing order behind an (inf, -1) sentinel.  It returns (status,
-    t, h, accepted, rejected, h_min); status is None when it reached _t1
-    or ``_stop(t, y)`` held at an accepted step, else "budget",
-    "underflow" or "non-finite" (an underflow while non-finite trials were
-    being rejected).
+    It steps from (_t, _y) towards _t1, trying _h first.  One emitter
+    writes all seven stages: each binds only the names that body and
+    values read and runs them inline, so the loop calls ``rhs`` only where
+    the body does.  Its own names start with ``_``, but for ``rhs``;
+    stages and sums go in tableau order.  It appends each accepted step to
+    _times and _states and writes _sampled[i] for each (s, i) it pops off
+    _pending, which is sorted in decreasing order behind an (inf, -1)
+    sentinel.  It returns (status, t, h, accepted, rejected, h_min);
+    status is None when it reached _t1 or ``_stop(t, y)`` held at an
+    accepted step, else "budget", "underflow" or "non-finite" (an
+    underflow while non-finite trials were being rejected).
 
     A trial step is non-finite when a stage overflows or one of the 8n
     values of its stages and new state is not.  The test reads one sum
@@ -135,38 +132,33 @@ def loop_source(
     the float range, ±inf, never NaN.  The norm, needed anyway, and 2n
     additions so stand for a call of ``isfinite`` per value.
     """
-    read = set(_NAME.findall(" ".join([*body, *([value] if isinstance(value, str) else value)])))
+    n = len(state)
+    read = set(_NAME.findall(" ".join([*body, *values])))
     y, y_new = numbered_names("_y", n), numbered_names("_n", n)
     k = {s: numbered_names(f"_k{s}_", n) for s in range(1, 8)}
-    stages = []
-    for s in range(2, 8):
-        if s < 7:
-            entries = [
-                f"{y[j]} + _h * ({linear_source(zip(_A[s - 1], (k[i][j] for i in range(1, s))))})"
-                for j in range(n)
-            ]
-            t, whole = f"_t + {_C[s - 1]!r} * _h", tuple_source(entries)
-        else:
-            # The last stage is evaluated at the propagated solution itself;
-            # _B5 weighs k2 and k7 by zero, so linear_source leaves them out.
-            stages += [
-                f"{y_new[j]} = {y[j]} + _h * ({linear_source(zip(_B5, (k[i][j] for i in k)))})"
-                for j in range(n)
-            ]
-            stages.append(f"_y_new = {tuple_source(y_new)}")
-            entries, t, whole = y_new, "_t_new", "_y_new"
-        binds = [f"t = {t}", *(
-            [f"{state} = {whole}"] if isinstance(state, str)
-            else (f"{name} = {e}" for name, e in zip(state, entries))
-        )]
-        stages += [line for line in binds if line.split(" = ")[0] in read]
+
+    def stage(s: int, t: str, entries: Sequence[str]) -> list[str]:
+        """Stage s at time t on the state entries, stored as k[s]."""
+        binds = zip(["t", *state], [t, *entries])
         # Each entry is stored as it is evaluated: no value reads a stage
         # name, and a stage that raises is dropped whole.
-        stages += [*body, *(
-            [f"{tuple_source(k[s])} = {value}"] if isinstance(value, str)
-            else (f"{name} = {e}" for name, e in zip(k[s], value))
-        )]
-    values = [*(v for s in k for v in k[s]), *y_new]
+        return [*(f"{name} = {e}" for name, e in binds if name in read), *body,
+                *(f"{name} = {e}" for name, e in zip(k[s], values))]
+
+    stages = []
+    for s in range(2, 7):
+        stages += stage(s, f"_t + {_C[s - 1]!r} * _h", [
+            f"{y[j]} + _h * ({linear_source(zip(_A[s - 1], (k[i][j] for i in range(1, s))))})"
+            for j in range(n)
+        ])
+    # The last stage is evaluated at the propagated solution itself; _B5
+    # weighs k2 and k7 by zero, so linear_source leaves them out.
+    stages += [
+        f"{y_new[j]} = {y[j]} + _h * ({linear_source(zip(_B5, (k[i][j] for i in k)))})"
+        for j in range(n)
+    ]
+    stages += [f"_y_new = {tuple_source(y_new)}", *stage(7, "_t_new", y_new)]
+    all_values = [*(v for s in k for v in k[s]), *y_new]
     # (_b if _b > _a else _a) is max(_a, _b) as the builtin evaluates it.
     # The sign is dropped without a call of abs: that differs from abs only
     # at -0.0 and NaN, which the scale reads only where both are zeros (and
@@ -191,7 +183,7 @@ def loop_source(
     lines = [
         f"{tuple_source(y)} = _y",
         "try:",
-        f"    {tuple_source(k[1])} = rhs(_t, _y)",
+        *(f"    {line}" for line in stage(1, "_t", y)),
         "except OverflowError:",
         f"    {' = '.join(k[1])} = inf",
         "_accepted = _rejected = 0",
@@ -220,7 +212,7 @@ def loop_source(
         *(f"        {line}" for line in norm),
         f"        _squares = {squares}",
         f"        _finite = isfinite({' + '.join(['_squares', *k[2], *y_new])}) "
-        f"or all(map(isfinite, {tuple_source(values)}))",
+        f"or all(map(isfinite, {tuple_source(all_values)}))",
         # A rejection sets _non_finite: it names the cause of a later underflow.
         "    if not _finite:",
         "        _rejected += 1",

@@ -41,8 +41,9 @@ from .flow import (
     adaptive_rk45,
     integrate,
     singular_surface,
+    start_point,
 )
-from .poly import VARS, Point4
+from .poly import VARS
 
 SINGULAR_THRESHOLD = 1e-7
 REGULAR_THRESHOLD = 1e-4
@@ -213,10 +214,6 @@ def _variational_source(pair: PfaffianPair, grads, moving: Sequence[int]) -> str
     return function_source("variational(u1, u2)", [*inner.splitlines(), "return rhs"])
 
 
-def _as_floats(q0) -> tuple[float, ...]:
-    return q0.as_floats() if isinstance(q0, Point4) else tuple(map(float, q0))
-
-
 def _segments(rhs_of, q0, ctrl: ControlPath, restart: tuple[float, ...], samples, rtol, atol):
     """Integrate ``rhs_of(u1, u2)`` over each segment of the control, one
     integrator call per segment, and yield each call's (times, states,
@@ -225,7 +222,7 @@ def _segments(rhs_of, q0, ctrl: ControlPath, restart: tuple[float, ...], samples
     ``samples[j]`` from the dense output, and its first trial step is the
     step segment j - 1 ended with."""
     n = ctrl.n_segments
-    q, h = _as_floats(q0), None
+    q, h = start_point(q0), None
     for j, (u1, u2) in enumerate(ctrl.u.tolist()):
         times, states, h, sampled = adaptive_rk45(
             rhs_of(u1, u2), (*q, *restart), (j / n, (j + 1) / n), rtol, atol,
@@ -245,7 +242,7 @@ def horizontal_integrate(
     """Integrate the control system segment by segment with the pair's
     ``control`` kernel; endpoint = final state."""
     control = _control_system(pair).control
-    all_times, all_states = [0.0], [_as_floats(q0)]
+    all_times, all_states = [0.0], [start_point(q0)]
     for times, states, _ in _segments(control, q0, ctrl, (), None, rtol, atol):
         all_times += times[1:]
         all_states += states[1:]
@@ -519,14 +516,14 @@ def char_control(
     segment midpoints, and rescales time so the control lives on [0, 1]
     (velocities scale by ``duration``).
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
     if n_segments < 1:
         raise ValueError("need at least one segment")
     mids = [(j + 0.5) * duration / n_segments for j in range(n_segments)]
     field_rhs = char_field(pair, ORACLE).compile_rhs()
     _, _, _, states = adaptive_rk45(
-        field_rhs, _as_floats(p0), (0.0, mids[-1]), rtol, atol, samples=mids
+        field_rhs, start_point(p0), (0.0, mids[-1]), rtol, atol, samples=mids
     )
     u = np.zeros((n_segments, 2))
     for j, (t, q) in enumerate(zip(mids, states)):

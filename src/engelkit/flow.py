@@ -1,25 +1,25 @@
 """Numerical integration of characteristic fields and flow-based analyses.
 
-One Dormand-Prince 4(5) integrator, :func:`adaptive_rk45`, serves every flow:
-an embedded Runge-Kutta pair with per-step error control on mixed absolute
-and relative tolerances and dense output, run on tuples of Python floats.
-Its loop, with the step-size control of Hairer, Norsett and Wanner
-(Solving ODEs I, II.4) and every guard, is generated code
+One Dormand-Prince 4(5) integrator, :func:`adaptive_rk45`, serves every
+flow: an embedded Runge-Kutta pair with per-step error control on mixed
+absolute and relative tolerances and dense output, run on tuples of Python
+floats.  Its loop, with the step-size control of Hairer, Norsett and
+Wanner (Solving ODEs I, II.4) and every guard, is generated code
 (:mod:`engelkit.codegen`) that does the arithmetic of a plain tuple loop
-in its order, so results are bit-identical to that loop's.  Each
-generated rhs carries its own loop, which runs the rhs inline and forms
-only the state entries the rhs reads; the call-form :func:`_rk45_loop`
-serves any other rhs.  It calls no numpy: it returns its accepted states
-and dense samples as lists of float tuples, and each caller converts them
-once where it needs arrays.  It integrates the characteristic flows here
+in its order, so results are bit-identical to that loop's.  Each generated
+rhs carries its own loop, whose stages run the rhs inline and form only
+the entries it reads; :func:`_rk45_loop` steps any other rhs with stages
+that call it.  It calls no numpy: it returns its accepted states and dense
+samples as lists of float tuples, and each caller converts them once where
+it needs arrays.  It integrates the characteristic flows here
 (:func:`singular_surface` calls it directly, with one compiled rhs per
 grid) and, in :mod:`engelkit.endpoint`, the control system and its
 variational pass (one segment loop serves both) and the characteristic
 controls.  The error norm is the RMS over every entry of the state, so a
-caller integrates only the entries that move.  Generation happens on
-first use (about 2 ms for a field, 7 ms for a pair's control system),
-not at import.  Monitor channels are polynomial quantities sampled along
-the trajectory.  Everything is deterministic for fixed inputs.
+caller integrates only the entries that move.  Generation happens on first
+use (about 2 ms for a field, 7 ms for a pair's control system), not at
+import.  Monitor channels are polynomial quantities sampled along the
+trajectory.  Everything is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence, TextIO
 import numpy as np
 
 from .charfield import ORACLE, char_field
-from .codegen import function_source, kernel, loop_source
+from .codegen import function_source, kernel, loop_source, numbered_names, tuple_source
 from .distribution import CATALOG, PfaffianPair, PolyVectorField
 from .poly import Point4, SparsePoly
 
@@ -67,10 +67,11 @@ MAX_STEPS = 1_000_000
 
 @lru_cache(maxsize=64)
 def _rk45_loop(n: int):
-    """Generated Dormand-Prince loop on n-entry states that calls its
-    ``rhs`` argument at each stage, for an rhs without a ``rk45_loop`` of
-    its own."""
-    return kernel(loop_source(n, "q", [], "rhs(t, q)"), "rk45_loop")
+    """Generated loop on n-entry states for an rhs without a ``rk45_loop``
+    of its own: each stage's body is ``(v0, ...) = rhs(t, (q0, ...))``."""
+    q, v = numbered_names("q", n), numbered_names("v", n)
+    return kernel(loop_source(q, [f"{tuple_source(v)} = rhs(t, {tuple_source(q)})"], v),
+                  "rk45_loop")
 
 
 def adaptive_rk45(
@@ -212,6 +213,14 @@ def _monitor_channels(
     return out
 
 
+def start_point(q0: Point4 | Sequence[float]) -> tuple[float, ...]:
+    """q0's four coordinates as floats; any other length is a ValueError."""
+    q = q0.as_floats() if isinstance(q0, Point4) else tuple(map(float, q0))
+    if len(q) != 4:
+        raise ValueError(f"a start point has 4 coordinates (x, y, z, w), got {len(q)}: {q!r}")
+    return q
+
+
 def integrate(
     vector_field: PolyVectorField,
     q0: Point4 | Sequence[float],
@@ -228,7 +237,7 @@ def integrate(
     if t_end == 0:
         raise ValueError("t_end must be nonzero")
     fld = vector_field if t_end > 0 else -vector_field
-    y0 = q0.as_floats() if isinstance(q0, Point4) else q0
+    y0 = start_point(q0)
     times, states, _, _ = adaptive_rk45(fld.compile_rhs(), y0, (0.0, abs(t_end)), rtol, atol)
     states = np.array(states)
     return Trajectory(

@@ -30,13 +30,12 @@ from engelkit.endpoint import (
     JacobianResult,
     SingularVerdict,
     _RESTART,
-    _as_floats,
     _control_system,
     _default_samples,
     classify_statistic,
     singular_score,
 )
-from engelkit.flow import DEFAULT_ATOL, DEFAULT_RTOL
+from engelkit.flow import DEFAULT_ATOL, DEFAULT_RTOL, start_point
 from engelkit.poly import VARS
 from reference_poly import reference_compile
 from reference_rk45 import reference_tuple_rk45
@@ -84,7 +83,7 @@ def sensitivity_pass(pair, q0, ctrl, samples, rtol, atol, full=False):
     cells = [j - 4 for j in entries[4:]]
     n = ctrl.n_segments
     per_segment = samples or ((),) * n
-    q = _as_floats(q0)
+    q = start_point(q0)
     phi = np.eye(4)
     transitions, local_cols, qs, phis = [], [], [], []
     h_carry = None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from engelkit import endpoint
-from engelkit.charfield import ORACLE, coefficients
+from engelkit.charfield import ORACLE, char_field, coefficients
 from engelkit.distribution import CATALOG, PfaffianPair
 from engelkit.endpoint import (
     AMBIGUOUS,
@@ -27,7 +27,7 @@ from engelkit.endpoint import (
     _default_samples,
     _sensitivity_pass,
 )
-from engelkit.flow import IntegrationError, adaptive_rk45
+from engelkit.flow import IntegrationError, adaptive_rk45, integrate
 from engelkit.poly import VARS, Point4, SparsePoly, random_poly
 import reference_endpoint
 from reference_rk45 import reference_rk45, reference_tuple_rk45
@@ -135,10 +135,37 @@ def test_char_control_engel_std_is_constant_w_control():
 
 
 def test_char_control_rejects_bad_duration_and_vanishing_field():
-    with pytest.raises(ValueError):
-        char_control(CATALOG["d224"], Point4(0, 0, 0.1, 0.1), 0.0, 8)
+    p0 = Point4(0, 0, 0.1, 0.1)
+    for duration in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"duration must be positive and finite, got "
+                                             f"{duration!r}"):
+            char_control(CATALOG["d224"], p0, duration, 8)
+    with pytest.raises(ValueError, match="need at least one segment"):
+        char_control(CATALOG["d224"], p0, 0.5, 0)
     with pytest.raises(FieldVanishesError):
         char_control(CATALOG["d224"], ORIGIN, 1.0, 8)
+
+
+def _start_entry_points():
+    pair, ctrl = CATALOG["d224"], ControlPath.constant(0.5, -0.5, 4)
+    return {
+        "integrate": lambda q0: integrate(char_field(pair, ORACLE), q0, 1.0),
+        "horizontal_integrate": lambda q0: horizontal_integrate(pair, q0, ctrl),
+        "char_control": lambda q0: char_control(pair, q0, 0.1, 4),
+        "bryant_hsu_test": lambda q0: bryant_hsu_test(pair, q0, ctrl),
+        "endpoint_jacobian": lambda q0: endpoint_jacobian(pair, q0, ctrl),
+        "adjoint_transport": lambda q0: adjoint_transport(pair, q0, ctrl),
+    }
+
+
+@pytest.mark.parametrize("size", [3, 5])
+@pytest.mark.parametrize("entry", _start_entry_points())
+def test_a_start_point_without_four_coordinates_is_named(entry, size):
+    # Not the size of the state the entry point integrates (13 entries on
+    # d224's variational pass), nor an unpacking error of the rhs.
+    q0 = (0.1,) * size
+    with pytest.raises(ValueError, match=f"a start point has 4 coordinates .*, got {size}:"):
+        _start_entry_points()[entry](q0)
 
 
 @pytest.mark.parametrize("model", ["d224", "d2334a", "d2334b"])

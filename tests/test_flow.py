@@ -9,6 +9,10 @@ from engelkit import flow
 from engelkit.charfield import ORACLE, char_field
 from engelkit.distribution import CATALOG, PfaffianPair, PolyVectorField
 from engelkit.flow import (
+    DEFAULT_ATOL,
+    DEFAULT_EPS_CUT,
+    DEFAULT_RTOL,
+    DEFAULT_T_MAX,
     RHO,
     ZW,
     IntegrationError,
@@ -406,6 +410,63 @@ def test_finite_stages_whose_sum_overflows_make_an_accepted_step():
         )
         assert (status, t, accepted, rejected) == (None, 0.01, 1, 0)
         assert times == [0.0, 0.01] and _bits(states[-1]) == _bits(y_new)
+
+
+def _raises_if_called(t, q):
+    raise AssertionError("a fused loop called its rhs argument")
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_a_fused_loop_never_calls_its_rhs_argument(name):
+    # All seven stages of a generated field's loop, the first included, run
+    # its body inline: handed an rhs that raises if called, each catalog
+    # field's loop and each of its control system's loops returns what it
+    # returns when handed the rhs itself, samples and all.
+    sys = _control_system(CATALOG[name])
+    rng = np.random.default_rng(59)
+    u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
+    q = rng.uniform(-0.5, 0.5, 4).tolist()
+    cases = [
+        (char_field(CATALOG[name], ORACLE).compile_rhs(), tuple(q), 3.0),
+        (sys.control(u1, u2), tuple(q), 1.0),
+        (sys.variational(u1, u2), _variational_start(sys, q), 1.0),
+    ]
+    for rhs, y0, t1 in cases:
+        args = (0.0, t1, y0, 0.01, flow.MAX_STEPS, flow.H_FLOOR, (0.1, 0.35, t1))
+        got = _run_loop(rhs.rk45_loop, _raises_if_called, *args)
+        assert got[0][0] is None and got[0][3] > 2
+        assert repr(got) == repr(_run_loop(rhs.rk45_loop, rhs, *args))
+
+
+def _counting(rhs, calls):
+    """rhs as an opaque function that counts its calls."""
+    def opaque(t, q):
+        calls.append(t)
+        return rhs(t, q)
+
+    return opaque
+
+
+def test_an_opaque_rhs_is_called_once_and_then_six_times_per_trial_step(step_counts):
+    # The call form calls the rhs for the first stage, then for the six
+    # stages of each trial step, accepted or rejected: a d224 surface flow
+    # (the sample of the pinned [105, 2] counts, with the cut as its stop
+    # test) and a 13-entry d2334a variational segment.
+    sys = _control_system(CATALOG["d2334a"])
+    assert len(sys.moving) == 13
+    cases = [
+        (char_field(CATALOG["d224"], ORACLE).compile_rhs(), (0.0, 0.0, 0.01, 0.02),
+         (0.0, DEFAULT_T_MAX), flow._cut_test()(DEFAULT_EPS_CUT)),
+        (sys.variational(0.6, -0.8), _variational_start(sys, [0.1, -0.2, 0.3, 0.4]),
+         (0.25, 1.0), None),
+    ]
+    for rhs, y0, t_span, stop_when in cases:
+        calls = []
+        flow.adaptive_rk45(_counting(rhs, calls), y0, t_span, DEFAULT_RTOL, DEFAULT_ATOL,
+                           stop_when=stop_when)
+        accepted, rejected = step_counts[-1]
+        assert len(calls) == 1 + 6 * (accepted + rejected)
+    assert step_counts[0] == [105, 2]
 
 
 @pytest.mark.parametrize("name", CATALOG)
