@@ -52,6 +52,16 @@ CASES = {
          "--cloud", "cloud.csv"],
         [], ["sard.json", "cloud.csv"],
     ),
+    # The saddle model's curves come back along w = 0 and are measured
+    # against the surface; the rotational model's stay on the rho-sphere.
+    **{
+        f"sard-{name}": (
+            ["endpoint", "--model", name, "--sard", "3", "--seed", "3",
+             "--out", f"sard_{name}.json", "--cloud", f"cloud_{name}.csv"],
+            [], [f"sard_{name}.json", f"cloud_{name}.csv"],
+        )
+        for name in ("d2334a", "d2334b")
+    },
     "flow": (
         ["flow", "--model", "d2334b", "--start", "0,0,1,0", "--t", "2", "--out", "flow.csv"],
         [], ["flow.csv"],
