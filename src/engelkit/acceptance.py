@@ -51,8 +51,14 @@ MASTER_SEED = 20260810
 class CriterionResult:
     number: int
     title: str
-    passed: bool
     checks: list[tuple[str, bool, str]] = field(default_factory=list)
+
+    def add(self, label: str, ok: bool, detail: str = "") -> None:
+        self.checks.append((label, bool(ok), detail))
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok, _ in self.checks)
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -65,22 +71,6 @@ class CriterionResult:
         ]
 
 
-class _Checks:
-    def __init__(self) -> None:
-        self.items: list[tuple[str, bool, str]] = []
-
-    def add(self, label: str, ok: bool, detail: str = "") -> None:
-        self.items.append((label, bool(ok), detail))
-
-    def result(self, number: int, title: str) -> CriterionResult:
-        return CriterionResult(
-            number=number,
-            title=title,
-            passed=all(ok for _, ok, _ in self.items),
-            checks=self.items,
-        )
-
-
 def _rational_points(rng, count: int) -> list[Point4]:
     return [
         Point4(*(Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 9))) for _ in range(4)))
@@ -90,7 +80,7 @@ def _rational_points(rng, count: int) -> list[Point4]:
 
 def criterion_1() -> CriterionResult:
     """Growth vectors at the origin and across random rational points (exact rank)."""
-    ck = _Checks()
+    ck = CriterionResult(1, "growth vectors by exact rational rank")
     expected = {"d224": (2, 2, 4), "d2334a": (2, 3, 3, 4), "d2334b": (2, 3, 3, 4)}
     for model, dims in expected.items():
         gv = growth_vector(CATALOG[model], Point4.origin())
@@ -102,13 +92,13 @@ def criterion_1() -> CriterionResult:
         if gv.dims != (2, 3, 4):
             bad.append((q, gv.dims))
     ck.add("engel_std (2,3,4) at 50 rational points", not bad, f"failures: {bad!r}")
-    return ck.result(1, "growth vectors by exact rational rank")
+    return ck
 
 
 def criterion_2() -> CriterionResult:
     """Characteristic-field identities: bracket oracle vs reference closed
     forms, and corrected vs oracle as exact polynomials."""
-    ck = _Checks()
+    ck = CriterionResult(2, "characteristic-field identities (exact)")
     for model in DEGENERATE_MODELS:
         fld = char_field(CATALOG[model], ORACLE)
         ck.add(
@@ -134,12 +124,12 @@ def criterion_2() -> CriterionResult:
             mismatches += 1
     ck.add("corrected == oracle on 20 random degree<=3 pairs", mismatches == 0,
            f"{mismatches} mismatches")
-    return ck.result(2, "characteristic-field identities (exact)")
+    return ck
 
 
 def criterion_3() -> CriterionResult:
     """theta1(C) and theta2(C) vanish identically for every variant and model."""
-    ck = _Checks()
+    ck = CriterionResult(3, "horizontality of the characteristic field (exact)")
     for model, pair in CATALOG.items():
         for variant in VARIANTS:
             fld = char_field(pair, variant)
@@ -149,12 +139,12 @@ def criterion_3() -> CriterionResult:
                 r1.is_zero() and r2.is_zero(),
                 f"theta1(C)={r1}, theta2(C)={r2}",
             )
-    return ck.result(3, "horizontality of the characteristic field (exact)")
+    return ck
 
 
 def criterion_4() -> CriterionResult:
     """Conserved quantities and the Lyapunov decay along characteristic flows."""
-    ck = _Checks()
+    ck = CriterionResult(4, "conservation and Lyapunov decay along flows")
     rng = np.random.default_rng(MASTER_SEED + 4)
 
     fld_b = char_field(CATALOG["d2334b"], ORACLE)
@@ -190,12 +180,12 @@ def criterion_4() -> CriterionResult:
            f"{bad_monotone} non-monotone runs")
     ck.add("d224 final rho < 1e-6 at t=10", worst_final < 1e-6,
            f"max final rho {worst_final:.3e}")
-    return ck.result(4, "conservation and Lyapunov decay along flows")
+    return ck
 
 
 def criterion_5() -> CriterionResult:
     """Integrating the closed-form models reproduces their explicit solutions."""
-    ck = _Checks()
+    ck = CriterionResult(5, "closed-form flow regression")
     starts = [
         Point4(0.0, 0.0, 1.0, 1.0),
         Point4(0.3, -0.2, 0.7, 0.4),
@@ -211,7 +201,7 @@ def criterion_5() -> CriterionResult:
                 worst = max(worst, float(np.max(np.abs(traj.endpoint - ref))))
         ck.add(f"{model} closed form at t in {{0.5, 1, 2}}", worst <= 1e-8,
                f"max |numeric - closed| = {worst:.3e} <= 1e-8")
-    return ck.result(5, "closed-form flow regression")
+    return ck
 
 
 def _surface_grid(magnitudes: tuple[float, ...]) -> list[tuple[float, float]]:
@@ -222,14 +212,14 @@ def _surface_grid(magnitudes: tuple[float, ...]) -> list[tuple[float, float]]:
 
 def criterion_6() -> CriterionResult:
     """Singular-endpoint surface of d224: graph offsets and membership."""
-    ck = _Checks()
+    ck = CriterionResult(6, "singular-endpoint surface reconstruction (d224)")
     fld = char_field(CATALOG["d224"], ORACLE)
     for magnitudes, rel_tol, label in (
         ((0.01, 0.04, 0.07, 0.1), 0.05, "0.01<=|z|,|w|<=0.1"),
         ((0.001, 0.004, 0.007, 0.01), 0.005, "0.001<=|z|,|w|<=0.01"),
     ):
         grid = _surface_grid(magnitudes)
-        sample = singular_surface("d224", grid)
+        sample = singular_surface(CATALOG["d224"], grid)
         ck.add(f"all samples converged ({label})", all(sample.converged),
                f"{sum(sample.converged)}/{len(grid)}")
         worst_rel = 0.0
@@ -255,29 +245,24 @@ def criterion_6() -> CriterionResult:
             worst_origin < 1e-6 and worst_rho < 2 * sample.eps_cut,
             f"max |x|+|y| = {worst_origin:.3e}, max rho = {worst_rho:.3e}",
         )
-    return ck.result(6, "singular-endpoint surface reconstruction (d224)")
+    return ck
 
 
 def criterion_7() -> CriterionResult:
     """The rotational model never approaches the origin: min rho stays at rho(0)."""
-    ck = _Checks()
-    fld = char_field(CATALOG["d2334b"], ORACLE)
-    rng = np.random.default_rng(MASTER_SEED + 7)
-    worst = 0.0
-    for _ in range(50):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        start = (0.0, 0.0, 0.1 * math.cos(theta), 0.1 * math.sin(theta))
-        rho = integrate(fld, start, 10.0, monitors={"rho": RHO}).monitors["rho"]
-        worst = max(worst, float(rho[0] - rho.min()))
+    ck = CriterionResult(7, "no origin approach for the rotational model (d2334b)")
+    rep = sard_sample("d2334b", 50, seed=MASTER_SEED + 7, detector_subset=0)
+    # 0.0 - keeps a zero drop positive.
+    worst = 0.0 - rep.min_rho_deviation
     ck.add("min rho >= rho(0) - 1e-8 over 50 starts on rho=0.01", worst <= 1e-8,
            f"max drop {worst:.3e}")
-    return ck.result(7, "no origin approach for the rotational model (d2334b)")
+    return ck
 
 
 def criterion_8() -> CriterionResult:
     """Singularity detectors: known singular curve, random-control calibration,
     and characteristic arcs of all three degenerate models."""
-    ck = _Checks()
+    ck = CriterionResult(8, "singular-curve detectors (rank and covector routes)")
     pair = CATALOG["engel_std"]
     ctrl = ControlPath.constant(0.0, 1.0, 32)
     verdict = bryant_hsu_test(pair, Point4.origin(), ctrl)
@@ -333,12 +318,12 @@ def criterion_8() -> CriterionResult:
             v.classification == SINGULAR,
             f"bh={v.bh_smallest:.3e}, score={v.sigma_ratio:.3e}",
         )
-    return ck.result(8, "singular-curve detectors (rank and covector routes)")
+    return ck
 
 
 def criterion_9() -> CriterionResult:
     """Variational endpoint Jacobian agrees with central finite differences."""
-    ck = _Checks()
+    ck = CriterionResult(9, "endpoint Jacobian correctness")
     rng = np.random.default_rng(MASTER_SEED + 9)
     for model, pair in CATALOG.items():
         worst = 0.0
@@ -348,13 +333,13 @@ def criterion_9() -> CriterionResult:
             worst = max(worst, res.fd_max_discrepancy)
         ck.add(f"{model}: Jacobian vs finite differences (n=4,16,32)", worst <= 1e-5,
                f"max entrywise discrepancy {worst:.3e} <= 1e-5")
-    return ck.result(9, "endpoint Jacobian correctness")
+    return ck
 
 
 def criterion_10() -> CriterionResult:
     """Endpoint clouds: 2-parameter graph for d224, empty origin-reaching set
     for d2334b."""
-    ck = _Checks()
+    ck = CriterionResult(10, "singular endpoint sampling (2-disc vs single point)")
     rep = sard_sample("d224", 200, seed=MASTER_SEED, detector_subset=10)
     ck.add(
         "d224: 200 singular-curve endpoints within 1e-6 of the surface graph",
@@ -373,7 +358,7 @@ def criterion_10() -> CriterionResult:
         f"origin-reaching {rep_b.origin_reaching_count}, "
         f"min rho deviation {rep_b.min_rho_deviation:.3e}",
     )
-    return ck.result(10, "singular endpoint sampling (2-disc vs single point)")
+    return ck
 
 
 CRITERIA = dict(enumerate((

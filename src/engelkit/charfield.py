@@ -59,7 +59,6 @@ class CharCoefficients:
 
     c: SparsePoly
     e: SparsePoly
-    variant: str
 
 
 def char_covector(pair: PfaffianPair) -> CharCovector:
@@ -67,7 +66,7 @@ def char_covector(pair: PfaffianPair) -> CharCovector:
     return CharCovector(lambda1=pair.g.diff("z"), lambda2=-pair.f.diff("z"))
 
 
-def _closed_form(pair: PfaffianPair, wx, wy, variant: str) -> CharCoefficients:
+def _closed_form(pair: PfaffianPair, wx, wy) -> CharCoefficients:
     """The closed form with weights (wx, wy) on the mixed x and y partials:
 
     c = g_z*(f_zw - wx*f_zx - wy*f_zy + g_z*f_y - f_z*g_y + f_z*f_x)
@@ -85,13 +84,13 @@ def _closed_form(pair: PfaffianPair, wx, wy, variant: str) -> CharCoefficients:
         + f_z * f.diff("x")
     )
     h = wy * g_z.diff("y") - g_z.diff("w") + wx * g_z.diff("x") - f_z * g.diff("x")
-    return CharCoefficients(c=g_z * k + f_z * h, e=-engel_certificate(pair), variant=variant)
+    return CharCoefficients(c=g_z * k + f_z * h, e=-engel_certificate(pair))
 
 
 def coeffs_printed(pair: PfaffianPair) -> CharCoefficients:
     """Closed-form coefficients with bare mixed partials: the weights
     (wx, wy) of :func:`_closed_form` are (1, 1)."""
-    return _closed_form(pair, 1, 1, PRINTED)
+    return _closed_form(pair, 1, 1)
 
 
 def coeffs_corrected(pair: PfaffianPair) -> CharCoefficients:
@@ -101,7 +100,7 @@ def coeffs_corrected(pair: PfaffianPair) -> CharCoefficients:
     Identical to the bracket oracle as an exact polynomial identity; the
     test suite re-checks this on the catalog and on random pairs.
     """
-    return _closed_form(pair, pair.f, pair.g, CORRECTED)
+    return _closed_form(pair, pair.f, pair.g)
 
 
 def coeffs_oracle(pair: PfaffianPair) -> CharCoefficients:
@@ -111,7 +110,7 @@ def coeffs_oracle(pair: PfaffianPair) -> CharCoefficients:
     cov = char_covector(pair)
     e = cov.lambda1 * zb[0] + cov.lambda2 * zb[1]
     c = -(cov.lambda1 * wb[0] + cov.lambda2 * wb[1])
-    return CharCoefficients(c=c, e=e, variant=ORACLE)
+    return CharCoefficients(c=c, e=e)
 
 
 _COEFF_FUNCS = {PRINTED: coeffs_printed, CORRECTED: coeffs_corrected, ORACLE: coeffs_oracle}

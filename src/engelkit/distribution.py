@@ -230,7 +230,6 @@ class SigmaReport:
     growth (for the (2,2,4) model this happens on w = 0, z != 0).
     """
 
-    point: Point4
     certificate: Fraction
     growth: GrowthVector
     is_engel_by_growth: bool
@@ -245,12 +244,8 @@ class SigmaReport:
             return math.inf if self.certificate > 0 else -math.inf
 
     @property
-    def certificate_nonzero(self) -> bool:
-        return self.certificate != 0
-
-    @property
     def tests_disagree(self) -> bool:
-        return self.certificate_nonzero != self.is_engel_by_growth
+        return (self.certificate != 0) != self.is_engel_by_growth
 
 
 def sigma_check(pair: PfaffianPair, q: Point4) -> SigmaReport:
@@ -259,7 +254,6 @@ def sigma_check(pair: PfaffianPair, q: Point4) -> SigmaReport:
     certificate = engel_certificate(pair).eval_exact(q)
     growth = growth_vector(pair, q)
     return SigmaReport(
-        point=q,
         certificate=certificate,
         growth=growth,
         is_engel_by_growth=growth.dims == ENGEL_GROWTH,

@@ -23,7 +23,7 @@ REGULAR above 1e-4, AMBIGUOUS between.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Sequence, TextIO
 
@@ -560,15 +560,11 @@ class SardReport:
     origin_reaching_count: int | None = None
 
     def to_json_dict(self) -> dict:
+        """Every field but the per-curve ``endpoints`` and ``scores``."""
         return {
-            "model": self.model,
-            "n_curves": self.n_curves,
-            "seed": self.seed,
-            "max_surface_distance": self.max_surface_distance,
-            "min_rho_deviation": self.min_rho_deviation,
-            "detector_agreement": self.detector_agreement,
-            "ambiguous_count": self.ambiguous_count,
-            "origin_reaching_count": self.origin_reaching_count,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("endpoints", "scores")
         }
 
     def write_endpoints_csv(self, fh: TextIO) -> None:

@@ -371,14 +371,9 @@ class Point4:
         return cls(0, 0, 0, 0)
 
 
-def random_poly(
-    rng,
-    max_degree: int = 3,
-    max_terms: int = 6,
-    coeff_range: tuple[int, int] = (-4, 4),
-    max_denominator: int = 3,
-) -> SparsePoly:
-    """Random low-degree polynomial with small rational coefficients.
+def random_poly(rng, max_degree: int = 3, max_terms: int = 6) -> SparsePoly:
+    """Random low-degree polynomial with rational coefficients p/q,
+    |p| <= 4 and 1 <= q <= 3.
 
     Uses a numpy Generator so sampling is reproducible from a seed.
     """
@@ -389,8 +384,8 @@ def random_poly(
             expo = tuple(int(e) for e in rng.integers(0, max_degree + 1, size=4))
             if sum(expo) <= max_degree:
                 break
-        num = int(rng.integers(coeff_range[0], coeff_range[1] + 1))
-        den = int(rng.integers(1, max_denominator + 1))
+        num = int(rng.integers(-4, 5))
+        den = int(rng.integers(1, 4))
         if num == 0:
             continue
         terms[expo] = terms.get(expo, Fraction(0)) + Fraction(num, den)  # type: ignore[index]

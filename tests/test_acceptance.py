@@ -33,6 +33,16 @@ def test_criterion(number):
     assert [list(check) for check in result.checks] == expected
 
 
+def test_a_result_passes_exactly_when_every_check_does():
+    result = acceptance.CriterionResult(0, "two checks")
+    assert result.passed and result.checks == []
+    result.add("first", 1, "detail")
+    assert result.passed and result.checks == [("first", True, "detail")]
+    result.add("second", 0)
+    assert not result.passed and result.summary_line() == "criterion  0 [FAIL] two checks"
+    assert result.detail_lines()[1] == "    [FAIL] second: "
+
+
 if __name__ == "__main__":
     # One check a line, so a moved figure reads as a one-line diff.
     blocks = [

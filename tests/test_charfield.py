@@ -45,7 +45,6 @@ def test_catalog_coefficients(model, variant):
     c_ref, e_ref = EXPECTED_COEFFS[model]
     assert co.c == c_ref
     assert co.e == e_ref
-    assert co.variant == variant
 
 
 def test_zero_pair_gives_zero_coefficients():

@@ -927,7 +927,7 @@ def test_repeated_runs_generate_no_kernel(monkeypatch):
     controls = {name: ControlPath(rng.uniform(-1.0, 1.0, (8, 2))) for name in CATALOG}
 
     def run():
-        singular_surface("d224", [(0.05, 0.02), (-0.01, 0.03)])
+        singular_surface(CATALOG["d224"], [(0.05, 0.02), (-0.01, 0.03)])
         for name, pair in CATALOG.items():
             bryant_hsu_test(pair, ORIGIN, controls[name])
 

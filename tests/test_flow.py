@@ -844,7 +844,7 @@ def test_reversibility_bound_on_catalog_fields():
 
 
 def test_surface_d224_leading_order():
-    sample = singular_surface("d224", [(0.1, 0.1)])
+    sample = singular_surface(CATALOG["d224"], [(0.1, 0.1)])
     assert sample.converged == [True]
     dx, dy = sample.offsets[0]
     ref = (1 / 3) * 0.1**3
@@ -863,7 +863,7 @@ def test_surface_d224_matches_the_closed_form_up_to_the_cut():
                                             10.0 ** rng.uniform(-3.0, -1.0, 2)))
         for _ in range(16)
     ]
-    sample = singular_surface("d224", grid)
+    sample = singular_surface(CATALOG["d224"], grid)
     assert sample.converged == [True] * 16
     for (z, w), offset in zip(grid, sample.offsets):
         shortfall = (sample.eps_cut / (z * z + w * w)) ** 1.5
@@ -885,8 +885,8 @@ def test_surface_d224_offsets_scale_as_the_cube_of_the_dilation():
     for _ in range(16):
         signs, mags = rng.choice([-1.0, 1.0], 2), 10.0 ** rng.uniform(-3.0, -1.0, 2)
         grid.append(tuple((signs * mags).tolist()))
-    base = singular_surface("d224", grid)
-    dilated = singular_surface("d224", [(lam * z, lam * w) for lam, (z, w) in zip(lams, grid)])
+    base = singular_surface(CATALOG["d224"], grid)
+    dilated = singular_surface(CATALOG["d224"], [(lam * z, lam * w) for lam, (z, w) in zip(lams, grid)])
     assert base.converged == dilated.converged == [True] * 16
     for lam, (z, w), offset, got in zip(lams, grid, base.offsets, dilated.offsets):
         shortfall = (base.eps_cut / (min(1.0, lam * lam) * (z * z + w * w))) ** 1.5
@@ -895,22 +895,58 @@ def test_surface_d224_offsets_scale_as_the_cube_of_the_dilation():
 
 
 def test_surface_invariant_axis_is_exact():
-    sample = singular_surface("d224", [(0.05, 0.0), (0.12, 0.0)])
+    sample = singular_surface(CATALOG["d224"], [(0.05, 0.0), (0.12, 0.0)])
     assert sample.converged == [True, True]
     assert sample.offsets == [(0.0, 0.0), (0.0, 0.0)]
 
 
 def test_surface_d2334b_never_converges():
-    sample = singular_surface("d2334b", [(0.1, 0.0), (0.07, 0.07)], t_max=5.0)
+    sample = singular_surface(CATALOG["d2334b"], [(0.1, 0.0), (0.07, 0.07)], t_max=5.0)
     assert sample.converged == [False, False]
     assert sample.surface_points() == []
 
 
 def test_surface_rejects_origin_and_bad_params():
     with pytest.raises(ValueError):
-        singular_surface("d224", [(0.0, 0.0)])
+        singular_surface(CATALOG["d224"], [(0.0, 0.0)])
     with pytest.raises(ValueError):
-        singular_surface("d224", [(0.1, 0.1)], eps_cut=0.0)
+        singular_surface(CATALOG["d224"], [(0.1, 0.1)], eps_cut=0.0)
+
+
+D224_FIELD = char_field(CATALOG["d224"], ORACLE)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: integrate(D224_FIELD, (0, 0, 0.1, 0.1), math.nan), "t_end must be finite, got nan"),
+        (lambda: integrate(D224_FIELD, (0, 0, 0.1, 0.1), math.inf), "t_end must be finite, got inf"),
+        (lambda: integrate(D224_FIELD, (0, 0, 0.1, 0.1), -math.inf),
+         "t_end must be finite, got -inf"),
+        (lambda: integrate(D224_FIELD, (0, 0, 0.1, 0.1), 0.0),
+         "t_end=0.0 is shorter than the step floor H_FLOOR=1e-15"),
+        (lambda: integrate(D224_FIELD, (0, 0, 0.1, 0.1), -1e-20),
+         "t_end=-1e-20 is shorter than the step floor H_FLOOR=1e-15"),
+        (lambda: lyapunov_report(Point4(0, 0, 0.1, 0.1), t_end=math.nan),
+         "t_end must be finite, got nan"),
+        (lambda: singular_surface(CATALOG["d224"], [(0.1, 0.1)], t_max=1e-20),
+         "t_max=1e-20 is shorter than the step floor H_FLOOR=1e-15"),
+    ],
+    ids=["nan", "inf", "minus-inf", "zero", "below-floor", "lyapunov-nan", "surface-t-max"],
+)
+def test_a_bad_time_is_named_by_the_callers_parameter(call, message):
+    # these named the integrator's t_span, which no caller passes
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_the_step_floor_of_t_end_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(flow, "H_FLOOR", 1e-3)
+    with pytest.raises(ValueError, match=r"^t_end=0\.0005 is shorter than .* H_FLOOR=0\.001$"):
+        integrate(D224_FIELD, (0, 0, 0.1, 0.1), 5e-4)
+    with pytest.raises(ValueError, match=r"^t_max=0\.0005 is shorter than .* H_FLOOR=0\.001$"):
+        singular_surface(CATALOG["d224"], [(0.1, 0.1)], t_max=5e-4)
 
 
 def test_surface_sample_whose_flow_fails_does_not_stop_the_grid():
@@ -925,7 +961,7 @@ def test_surface_sample_whose_flow_fails_does_not_stop_the_grid():
     assert sample.converged == [False, False, False]
     assert all(math.isnan(v) for v in sample.offsets[1])
     assert all(math.isfinite(v) for i in (0, 2) for v in sample.offsets[i])
-    assert singular_surface("d224", [(0.05, 0.1)]).failures == {}
+    assert singular_surface(CATALOG["d224"], [(0.05, 0.1)]).failures == {}
 
 
 def test_surface_samples_inside_the_cut_converge():
@@ -934,7 +970,7 @@ def test_surface_samples_inside_the_cut_converge():
     # tail bound has its four states.  The offsets are
     # the closed form's z^2 w / 3, z w^2 / 3 up to the tail, which is below
     # 1e-10; measured, they are 0.77 to 0.89 of the closed form.
-    sample = singular_surface("d224", [(1e-6, 1e-6), (8e-6, 8e-6), (-1e-6, 2e-6)])
+    sample = singular_surface(CATALOG["d224"], [(1e-6, 1e-6), (8e-6, 8e-6), (-1e-6, 2e-6)])
     assert sample.converged == [True, True, True]
     for (z, w), (dx, dy) in zip(sample.grid, sample.offsets):
         for got, ref in zip((dx, dy), (z * z * w / 3.0, z * w * w / 3.0)):
@@ -1010,7 +1046,7 @@ def test_d224_surface_samples_take_pinned_step_counts(step_counts):
     # [accepted, rejected] trial steps per sample, exact: a controller or
     # tableau fault moves them at once.
     grid = [(0.01, 0.02), (-0.03, 0.05), (0.1, -0.07), (-0.002, -0.004)]
-    assert singular_surface("d224", grid).converged == [True] * 4
+    assert singular_surface(CATALOG["d224"], grid).converged == [True] * 4
     assert step_counts == [[105, 2], [128, 2], [146, 2], [71, 2]]
 
 
@@ -1067,7 +1103,7 @@ def test_surface_offsets_match_the_exact_star_node_reference():
 
 def test_surface_membership():
     fld = char_field(CATALOG["d224"], ORACLE)
-    sample = singular_surface("d224", [(0.08, 0.03), (-0.05, 0.1)])
+    sample = singular_surface(CATALOG["d224"], [(0.08, 0.03), (-0.05, 0.1)])
     for px, py, z, w in sample.surface_points():
         final = integrate(fld, (px, py, z, w), sample.t_max).endpoint
         assert abs(final[0]) + abs(final[1]) < 1e-6
@@ -1075,7 +1111,7 @@ def test_surface_membership():
 
 
 def test_surface_csv_roundtrip_format():
-    sample = singular_surface("d224", [(0.1, 0.1)])
+    sample = singular_surface(CATALOG["d224"], [(0.1, 0.1)])
     out = io.StringIO()
     sample.write_csv(out)
     lines = out.getvalue().splitlines()

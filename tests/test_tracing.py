@@ -42,7 +42,7 @@ def test_tracer_installs_on_every_hook_and_unpatches():
     try:
         tracer.start_ops()
         # one surface flow, through integrate, and a two-segment detector pass
-        flow.singular_surface("d224", [(0.1, 0.1)])
+        flow.singular_surface(CATALOG["d224"], [(0.1, 0.1)])
         cli.bryant_hsu_test(CATALOG["d224"], Point4.origin(), ControlPath.constant(0.3, 0.8, 2))
         metrics = tracer.metrics(2, 0.0)
     finally:
