@@ -561,7 +561,7 @@ def test_a_non_finite_k2_alone_rejects_the_step():
 
 
 def test_a_span_shorter_than_the_step_floor_is_rejected():
-    # No step can be taken, so the error names the span, not a step underflow.
+    # No step can be taken, so the error names the floor, not a step underflow.
     fld = char_field(CATALOG["d224"], ORACLE)
     with pytest.raises(ValueError, match="shorter than the step floor H_FLOOR"):
         integrate(fld, Point4(0, 0, 0.1, 0.1), 1e-300)
