@@ -33,6 +33,7 @@ e = f_z*g_zz - g_z*f_zz as the negated ``distribution.engel_certificate``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -125,6 +126,47 @@ def coefficients(pair: PfaffianPair, variant: str = ORACLE) -> CharCoefficients:
         return _COEFF_FUNCS[variant](pair)
     except KeyError:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}") from None
+
+
+NODE, SADDLE, CENTER = "node", "saddle", "center"
+
+
+@dataclass(frozen=True)
+class OriginKind:
+    """The origin as a zero of the oracle field C, by M = d(C^z, C^w)/d(z, w)(0)
+    (Perko, Differential Equations and Dynamical Systems, 2.6-2.10).
+
+    NODE is a node or focus (det M > 0, tr M != 0): every nearby curve
+    reaches the origin under ``sign`` * C, +1 if tr M < 0 and -1 if tr M > 0.
+    At a SADDLE (det M < 0) curves reach it under +C along the unit stable
+    eigenline ``stable``, its largest component positive; CENTER: tr M = 0 < det M.
+    """
+
+    name: str
+    sign: int = 1
+    stable: tuple[float, float] | None = None
+
+
+@lru_cache(maxsize=64)
+def origin_kind(pair: PfaffianPair) -> OriginKind | None:
+    """The kind of the origin by the exact tr M and det M, cached per pair as
+    :func:`coefficients` is; None when C(0) != 0 or det M = 0.  C = (-e*f,
+    -e*g, c, e) vanishes at 0 exactly when c and e do."""
+    co = coefficients(pair, ORACLE)
+    cz, cw = co.c.terms, co.e.terms
+    (a, b), (c, d) = ((p.get((0, 0, 1, 0), 0), p.get((0, 0, 0, 1), 0)) for p in (cz, cw))
+    tr, det = a + d, a * d - b * c
+    if (0, 0, 0, 0) in cz or (0, 0, 0, 0) in cw or det == 0:
+        return None
+    if det > 0:
+        return OriginKind(CENTER) if tr == 0 else OriginKind(NODE, 1 if tr < 0 else -1)
+    lam = (tr - math.sqrt(tr * tr - 4 * det)) / 2
+    # Both candidates solve (M - lam I) v = 0; M - lam I has rank 1, so the
+    # longer one is not zero.
+    v = max(((float(b), lam - float(a)), (lam - float(d), float(c))),
+            key=lambda u: math.hypot(*u))
+    n = math.copysign(math.hypot(*v), max(v, key=abs))
+    return OriginKind(SADDLE, stable=(v[0] / n, v[1] / n))
 
 
 def char_field(pair: PfaffianPair, variant: str = ORACLE) -> PolyVectorField:

@@ -29,9 +29,9 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .charfield import ORACLE, char_field
+from .charfield import CENTER, NODE, ORACLE, char_field, origin_kind
 from .codegen import function_source, kernel, rhs_source
-from .distribution import CATALOG, PfaffianPair
+from .distribution import CATALOG, DEGENERATE_MODELS, PfaffianPair
 from .flow import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -609,17 +609,17 @@ def sard_sample(
 ) -> SardReport:
     """Sample singular curves attached to the origin and test the endpoint sets.
 
-    For the node-type model (d224) and the saddle-type model (d2334a),
-    curves leaving the origin are generated by backward integration of the
-    characteristic field from points near the origin; each endpoint is then
-    checked against the surface graph reconstructed independently by
-    forward quadrature from the endpoint's own (z, w).  For the rotational
-    model (d2334b), trajectories start on the sphere rho = 0.01 and the
-    report records how far rho ever drops (it never approaches the origin).
-    Detector agreement is measured on characteristic arcs from the first
-    ``detector_subset`` (non-negative) of the sampled curves.
+    The origin's kind (:func:`charfield.origin_kind`) picks the curves, run
+    back under -C from rho = 1e-7: in random directions at an attracting node
+    (d224), along the stable eigenline at a saddle (d2334a); each one is
+    checked against the surface graph at its endpoint's (z, w).  d2334a's
+    eigenline is w = 0, where C^x = C^y = 0, so its endpoints form a curve,
+    not a disc: ``max_surface_distance`` is 0 by construction and shows only
+    that they stay on it.  At a linear center (d2334b), curves start on
+    rho = 0.01 and the report records how far rho drops.  Detector agreement
+    is read on arcs from the first ``detector_subset`` (>= 0) sampled curves.
     """
-    if model not in CATALOG or model == "engel_std":
+    if model not in DEGENERATE_MODELS:
         raise ValueError(f"sard_sample expects a degenerate catalog model, got {model!r}")
     if n_curves < 0:
         raise ValueError(f"n_curves must be non-negative, got {n_curves}")
@@ -630,10 +630,11 @@ def sard_sample(
     if n_curves == 0:
         return SardReport(model, 0, seed, None, None, 1.0, 0)
     fld = char_field(pair, ORACLE)
+    kind = origin_kind(pair)
     endpoints: list[tuple[float, float, float, float]] = []
     max_distance = min_dev = reaching = None
 
-    if model == "d2334b":
+    if kind.name == CENTER:
         min_dev = math.inf
         reaching = 0
         starts = []
@@ -650,13 +651,11 @@ def sard_sample(
     else:
         rho_start = 1e-7
         for _ in range(n_curves):
-            if model == "d224":
+            if kind.name == NODE:
                 theta = rng.uniform(0.0, 2.0 * math.pi)
                 direction = np.array([math.cos(theta), math.sin(theta)])
             else:
-                # origin-convergent characteristic curves of the saddle model lie
-                # on the invariant axis w = 0
-                direction = np.array([rng.choice([-1.0, 1.0]), 0.0])
+                direction = rng.choice([-1.0, 1.0]) * np.array(kind.stable)
             z_s, w_s = math.sqrt(rho_start) * direction
             t_back = rng.uniform(1.75, 3.0)
             back = integrate(fld, (0.0, 0.0, z_s, w_s), -t_back, rtol=rtol, atol=atol)

@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .charfield import ORACLE, char_field
+from .charfield import ORACLE, char_field, origin_kind
 from .codegen import function_source, kernel, loop_source, numbered_names, tuple_source
 from .distribution import CATALOG, PfaffianPair, PolyVectorField
 from .poly import Point4, SparsePoly
@@ -420,21 +420,18 @@ def singular_surface(
     For each (z, w) on the grid, integrates the characteristic flow from
     (0, 0, z, w) until rho = z^2 + w^2 < eps_cut or t_max elapses; the cut
     is tested from the third accepted step on, so a sample that starts
-    inside it still has the four states the tail bound reads.  The x,
-    y components of the state accumulate the offsets (the x, y dynamics of
-    every catalog model depend on (z, w) only, so the flow from any base
-    point differs from this one by a translation in x, y).  A sample
+    inside it still has the four states the tail bound reads.  A sample
     converges when the cut was reached and the estimated quadrature tail is
-    below 1e-10.  On models whose flow never re-enters rho < eps_cut (the
-    rotationally conserved one in particular) every sample reports
-    ``converged=False``.
+    below 1e-10.  The flow is -C when the field is a skew product and the
+    origin a node or focus with tr M > 0 (:func:`charfield.origin_kind`),
+    else +C.  So samples can converge near a node or focus, either way; near
+    a saddle only on its stable eigenline; near a linear center never.
 
-    The graph interpretation (surface point at (-dx, -dy, z, w)) relies on
-    that translation invariance; user pairs whose characteristic components
-    involve x or y are still integrated the same way but are flagged with
-    ``skew_product=False``, and their offsets describe only the trajectory
-    from the (0, 0, z, w) base point.  A sample whose flow raises
-    IntegrationError is recorded in ``failures`` and the grid goes on.
+    The x, y entries of the state accumulate the offsets (dx, dy); the surface
+    point (-dx, -dy, z, w) is a graph over (z, w) when the x, y dynamics
+    depend on (z, w) only (``skew_product``), else the offsets describe only
+    the flow from (0, 0, z, w).  A sample whose flow raises IntegrationError
+    is recorded in ``failures`` and the grid goes on.
     """
     if not (0.0 < eps_cut < math.inf and 0.0 < t_max < math.inf):
         raise ValueError(f"eps_cut and t_max must be positive and finite, got "
@@ -443,6 +440,8 @@ def singular_surface(
         raise ValueError(f"t_max={t_max!r} is shorter than the step floor H_FLOOR={H_FLOOR!r}")
     fld = char_field(pair, ORACLE)
     skew = _is_skew_product(fld)
+    if skew and (kind := origin_kind(pair)) is not None and kind.sign < 0:
+        fld = -fld
     rhs = fld.compile_rhs()
     rho_fn = RHO.compile()
     cut = _cut_test()

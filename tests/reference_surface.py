@@ -12,9 +12,14 @@ C^x(exp(lam t) q) = exp(k lam t) C^x(q), so x and y reach exactly
 
     -(C^x, C^y)(z0, w0) / (k lam).
 
-On d224 (lam = -2, k = 3) that is (z0^2 w0 / 3, z0 w0^2 / 3).  Every
-homogeneous quadratic pair whose (C^z, C^w) is not zero is such a star
-node, with k = 3.
+On d224 (lam = -2, k = 3) that is (z0^2 w0 / 3, z0 w0^2 / 3).  When
+lam > 0 the origin is reached under -C, whose components are those of C
+negated, and the same formula holds: -(-C^x) / (k (-lam)) = -C^x / (k lam).
+Every homogeneous quadratic pair whose (C^z, C^w) is not zero is such a
+star node, with k = 3.
+
+``OUTWARD`` is one of them with lam = 20 > 0: f = 2z^2 - 3zw - 2w^2,
+g = -2z^2 - 2zw + 2w^2.  Its growth at the origin is (2, 2, 4), as d224's.
 
 Everything here is exact ``SparsePoly`` and ``Fraction`` arithmetic: the
 field comes from the formula above, not from ``engelkit.charfield``, and
@@ -31,6 +36,8 @@ from engelkit.poly import Point4, SparsePoly
 
 Z = SparsePoly.var("z")
 W = SparsePoly.var("w")
+
+OUTWARD = PfaffianPair(2 * Z * Z - 3 * Z * W - 2 * W * W, -2 * Z * Z - 2 * Z * W + 2 * W * W)
 
 
 def zw_char_field(pair: PfaffianPair) -> tuple[SparsePoly, ...]:
@@ -56,11 +63,11 @@ def star_node(pair: PfaffianPair) -> tuple[Fraction, int] | None:
 
 
 def exact_offsets(pair: PfaffianPair, z0: float, w0: float) -> tuple[Fraction, Fraction]:
-    """The exact offsets (dx, dy) that the flow from (0, 0, z0, w0) of an
-    attracting star node accumulates, at the binary values of z0 and w0."""
+    """The exact offsets (dx, dy) that the flow from (0, 0, z0, w0) into a
+    star node accumulates, at the binary values of z0 and w0."""
     node = star_node(pair)
-    if node is None or node[0] >= 0:
-        raise ValueError("the origin is not an attracting star node of the pair")
+    if node is None:
+        raise ValueError("the origin is not a star node of the pair")
     lam, k = node
     cx, cy, _, _ = zw_char_field(pair)
     q = Point4(0, 0, Fraction(z0), Fraction(w0))

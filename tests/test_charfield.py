@@ -1,14 +1,19 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from engelkit.charfield import (
+    CENTER,
     CORRECTED,
+    NODE,
     ORACLE,
     PRINTED,
     REFERENCE_FIELDS,
+    SADDLE,
     VARIANTS,
+    OriginKind,
     assemble_field,
     char_covector,
     char_field,
@@ -17,10 +22,12 @@ from engelkit.charfield import (
     coeffs_oracle,
     cross_check,
     horizontality_residuals,
+    origin_kind,
 )
 from engelkit.distribution import CATALOG, DEGENERATE_MODELS, PfaffianPair, engel_certificate
 from engelkit.poly import Point4, SparsePoly, random_poly
 from reference_growth import field_eval, frame, lie_bracket
+from reference_surface import OUTWARD, zw_char_field
 
 X = SparsePoly.var("x")
 Z = SparsePoly.var("z")
@@ -215,3 +222,96 @@ def test_coefficient_cache_is_transparent():
         assert coefficients(pair, ORACLE) == fresh
     with pytest.raises(ValueError, match="unknown variant"):
         coefficients(CATALOG["d224"], "bogus")
+
+
+def test_catalog_origin_kinds():
+    # M = -2I on d224, diag(-2, 2) on d2334a, [[0, -2], [2, 0]] on d2334b;
+    # engel_std's field does not vanish at the origin (e = 1).
+    assert origin_kind(CATALOG["d224"]) == OriginKind(NODE, 1)
+    assert origin_kind(CATALOG["d2334a"]) == OriginKind(SADDLE, 1, (1.0, 0.0))
+    assert origin_kind(CATALOG["d2334b"]) == OriginKind(CENTER)
+    assert origin_kind(CATALOG["engel_std"]) is None
+    assert origin_kind(OUTWARD) == OriginKind(NODE, -1)
+
+
+def _kind_from_trace_and_determinant(pair):
+    """(name, sign, M) from the exact trace and determinant of M, read from
+    the reference field ``zw_char_field``; name None when C(0) != 0 or
+    det M = 0."""
+    comps = zw_char_field(pair)
+    cz, cw = comps[2].terms, comps[3].terms
+    m = [[p.get((0, 0, 1, 0), 0), p.get((0, 0, 0, 1), 0)] for p in (cz, cw)]
+    tr, det = m[0][0] + m[1][1], m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if any((0, 0, 0, 0) in p.terms for p in comps) or det == 0:
+        return None, 1, m
+    if det < 0:
+        return SADDLE, 1, m
+    if tr == 0:
+        return CENTER, 1, m
+    return NODE, 1 if tr < 0 else -1, m
+
+
+def _kind_families(seed):
+    """120 seeded pairs free of x and y of each family, with its name:
+    homogeneous quadratic (f, g) with coefficients in -3..3, whose (C^z, C^w)
+    is lam (z, w); and f = z with a homogeneous cubic g, whose M has trace 0."""
+    rng = np.random.default_rng(seed)
+    quadratic = [Z * Z, Z * W, W * W]
+    cubic = [Z ** 3, Z * Z * W, Z * W * W, W ** 3]
+    for _ in range(120):
+        a, b = rng.integers(-3, 4, (2, 3)).tolist()
+        yield "quadratic", PfaffianPair(sum(map(lambda k, m: k * m, a, quadratic), ZERO),
+                                        sum(map(lambda k, m: k * m, b, quadratic), ZERO))
+    for _ in range(120):
+        c = rng.integers(-3, 4, 4).tolist()
+        yield "cubic", PfaffianPair(Z, sum(map(lambda k, m: k * m, c, cubic), ZERO))
+
+
+# Fewest pairs of each (family, kind, sign) the seeded draw must hold; it
+# holds 40 and 62 nodes, 18 with no kind, 74 saddles, 38 centers and 8
+# with det M = 0.
+KIND_MINIMUMS = {
+    ("quadratic", NODE, 1): 20,
+    ("quadratic", NODE, -1): 20,
+    ("quadratic", None, 1): 5,
+    ("cubic", SADDLE, 1): 20,
+    ("cubic", CENTER, 1): 20,
+    ("cubic", None, 1): 5,
+}
+
+
+def test_origin_kind_agrees_with_the_exact_trace_and_determinant():
+    # On seeded pairs of both families, the kind's name and orientation
+    # equal those read from tr M and det M of the reference field; a
+    # saddle's stable line is a unit eigenvector of M for its negative
+    # eigenvalue, with its largest component positive.
+    counts = dict.fromkeys(KIND_MINIMUMS, 0)
+    for family, pair in _kind_families(7):
+        name, sign, m = _kind_from_trace_and_determinant(pair)
+        counts[family, name, sign] += 1
+        kind = origin_kind(pair)
+        if name is None:
+            assert kind is None, pair
+            continue
+        assert (kind.name, kind.sign) == (name, sign), pair
+        if name != SADDLE:
+            assert kind.stable is None, pair
+            continue
+        (a, b), (c, d) = ((float(v) for v in row) for row in m)
+        vz, vw = kind.stable
+        lam = (a + d - math.sqrt((a - d) ** 2 + 4 * b * c)) / 2
+        assert lam < 0 and math.isclose(math.hypot(vz, vw), 1.0, rel_tol=1e-15), pair
+        assert max((vz, vw), key=abs) > 0, pair
+        scale = max(abs(a), abs(b), abs(c), abs(d))
+        assert abs(a * vz + b * vw - lam * vz) <= 1e-14 * scale, pair
+        assert abs(c * vz + d * vw - lam * vw) <= 1e-14 * scale, pair
+    assert all(counts[key] >= least for key, least in KIND_MINIMUMS.items()), counts
+
+
+def test_origin_kind_cache_is_transparent():
+    # origin_kind keeps its last 64 pairs as coefficients does: a second call
+    # returns the same object, equal to a fresh computation.
+    for _, pair in _kind_families(8):
+        kind = origin_kind(pair)
+        assert origin_kind(pair) is kind
+        assert origin_kind.__wrapped__(pair) == kind

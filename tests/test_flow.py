@@ -29,7 +29,7 @@ from engelkit.flow import (
 from engelkit.endpoint import _RESTART, _control_system
 from engelkit.poly import Point4, SparsePoly, random_poly
 from reference_rk45 import reference_rk45, reference_tuple_rk45, tuple_stages
-from reference_surface import exact_offsets, star_node
+from reference_surface import OUTWARD, exact_offsets, star_node
 
 ZERO = SparsePoly.zero()
 
@@ -1050,26 +1050,37 @@ def test_d224_surface_samples_take_pinned_step_counts(step_counts):
     assert step_counts == [[105, 2], [128, 2], [146, 2], [71, 2]]
 
 
+def test_outward_surface_samples_take_pinned_step_counts(step_counts):
+    # The origin of OUTWARD is a repelling star node, so the samples
+    # integrate -C into it: [accepted, rejected] per sample of
+    # ``surface --grid 0.01:0.05:2``, exact.
+    grid = [(0.01, 0.01), (0.01, 0.05), (0.05, 0.01), (0.05, 0.05)]
+    assert singular_surface(OUTWARD, grid).converged == [True] * 4
+    assert step_counts == [[95, 3], [123, 4], [123, 4], [133, 4]]
+
+
 def _star_node_pairs(seed, draws):
-    """The attracting star nodes among ``draws`` seeded homogeneous quadratic
-    (z, w) pairs with coefficients in -3..3, and the number skipped."""
+    """The star nodes among ``draws`` seeded homogeneous quadratic (z, w)
+    pairs with coefficients in -3..3, attracting (lam < 0) and repelling
+    (lam > 0), and the number skipped (no star node)."""
     rng = np.random.default_rng(seed)
-    kept, skipped = [], 0
+    attracting, repelling, skipped = [], [], 0
     for _ in range(draws):
         (a, b, c), (d, e, f) = rng.integers(-3, 4, (2, 3)).tolist()
         pair = PfaffianPair(SparsePoly({(0, 0, 2, 0): a, (0, 0, 1, 1): b, (0, 0, 0, 2): c}),
                             SparsePoly({(0, 0, 2, 0): d, (0, 0, 1, 1): e, (0, 0, 0, 2): f}))
         node = star_node(pair)
-        if node is None or node[0] >= 0:
+        if node is None:
             skipped += 1
         else:
-            kept.append(pair)
-    return kept, skipped
+            (attracting if node[0] < 0 else repelling).append(pair)
+    return attracting, repelling, skipped
 
 
 # Relative offset error bound per sample magnitude: about 10x the worst
-# measured on d224 and the pairs below (6.1e-7, 5.2e-10 and 3.7e-11).  The
-# 1e-3 samples miss by more since the absolute tolerances bind there.
+# measured on d224, OUTWARD and the 52 star nodes below, in either
+# orientation (6.1e-7, 5.2e-10 and 3.7e-11).  The 1e-3 samples miss by more
+# since the absolute tolerances bind there.
 STAR_NODE_BOUNDS = {1e-3: 6e-6, 1e-2: 5e-9, 1e-1: 4e-10}
 STAR_NODE_DIRECTIONS = [(1.0, 0.5), (-0.6, 1.0), (0.8, -0.9)]
 
@@ -1082,12 +1093,14 @@ def _offset_error(pair, z, w, dx, dy) -> float:
 
 def test_surface_offsets_match_the_exact_star_node_reference():
     # Against -(C^x, C^y) / (k lam) in exact arithmetic: every sample
-    # converges within its magnitude's bound.  With a cut at rho < 1e-4 the
-    # quadrature tail is far above the bound, and the tail bound must then
-    # mark every sample unconverged.
-    pairs, skipped = _star_node_pairs(151, 60)
-    assert len(pairs) >= 20, (len(pairs), skipped)
-    for pair in [CATALOG["d224"], *pairs]:
+    # converges within its magnitude's bound, whether the origin is reached
+    # under +C (lam < 0) or under -C (lam > 0).  With a cut at rho < 1e-4
+    # the quadrature tail is far above the bound, and the tail bound must
+    # then mark every sample unconverged.  Of the 60 draws, 29 are
+    # attracting, 23 repelling and 8 skipped.
+    attracting, repelling, skipped = _star_node_pairs(151, 60)
+    assert min(len(attracting), len(repelling)) >= 20, (len(attracting), len(repelling), skipped)
+    for pair in [CATALOG["d224"], OUTWARD, *attracting, *repelling]:
         for m, bound in STAR_NODE_BOUNDS.items():
             grid = [(m * a, m * b) for a, b in STAR_NODE_DIRECTIONS]
             sample = singular_surface(pair, grid)

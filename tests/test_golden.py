@@ -71,6 +71,12 @@ CASES = {
          "--out", "surface_d2334a.csv"],
         [], ["surface_d2334a.csv"],
     ),
+    # OUTWARD's origin is a repelling star node: its samples integrate -C.
+    "surface-outward": (
+        ["surface", "--model", "outward.json", "--grid", "0.01:0.05:2",
+         "--out", "surface_outward.csv"],
+        ["outward.json"], ["surface_outward.csv"],
+    ),
     # The seeded pair has x and y terms, so its variational pass moves 18
     # entries, more than any catalog model's (12 or 13).
     "random-pair": (
@@ -120,16 +126,19 @@ def _write_controls() -> None:
         (GOLDEN / f"controls_{name}.json").write_text(json.dumps({"n_segments": 32, "u": u}))
 
 
-def _write_pair() -> None:
-    """The model file of a seeded ``random_poly`` pair with x and y terms."""
+def _write_pairs() -> None:
+    """The model files of a seeded ``random_poly`` pair with x and y terms
+    and of ``reference_surface.OUTWARD``."""
     import numpy as np
 
     from engelkit.distribution import PfaffianPair
     from engelkit.poly import random_poly
+    from reference_surface import OUTWARD
 
     rng = np.random.default_rng(9)
     pair = PfaffianPair(random_poly(rng), random_poly(rng))
     (GOLDEN / "pair.json").write_text(json.dumps(pair.to_json_dict()))
+    (GOLDEN / "outward.json").write_text(json.dumps(OUTWARD.to_json_dict()))
 
 
 if __name__ == "__main__":
@@ -138,7 +147,7 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(parents=True, exist_ok=True)
     _write_controls()
-    _write_pair()
+    _write_pairs()
     os.chdir(GOLDEN)
     for case, (argv, _, _) in CASES.items():
         if main(argv) != 0:
