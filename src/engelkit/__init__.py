@@ -52,14 +52,11 @@ from .endpoint import (
     singular_score,
 )
 from .flow import (
-    LyapunovReport,
     SurfaceSample,
     Trajectory,
-    closed_form,
     conserved_drift,
     integrate,
     lie_derivative,
-    lyapunov_report,
     singular_surface,
 )
 from .poly import Point4, SparsePoly, random_poly
@@ -79,7 +76,6 @@ __all__ = [
     "CrossCheckReport",
     "GrowthVector",
     "JacobianResult",
-    "LyapunovReport",
     "PfaffianPair",
     "Point4",
     "PolyVectorField",
@@ -95,7 +91,6 @@ __all__ = [
     "char_covector",
     "char_field",
     "classify_statistic",
-    "closed_form",
     "coefficients",
     "coeffs_corrected",
     "coeffs_oracle",
@@ -109,7 +104,6 @@ __all__ = [
     "integrate",
     "lie_derivative",
     "load_pair",
-    "lyapunov_report",
     "random_poly",
     "resolve_model",
     "sard_sample",

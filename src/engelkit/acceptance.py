@@ -24,13 +24,13 @@ from .charfield import (
     CORRECTED,
     ORACLE,
     PRINTED,
-    REFERENCE_FIELDS,
     VARIANTS,
     char_field,
     coefficients,
     horizontality_residuals,
+    origin_kind,
 )
-from .distribution import CATALOG, DEGENERATE_MODELS, PfaffianPair, growth_vector
+from .distribution import CATALOG, DEGENERATE_MODELS, PfaffianPair, PolyVectorField, growth_vector
 from .endpoint import (
     CHAR_ARC_DURATION,
     REGULAR,
@@ -39,12 +39,81 @@ from .endpoint import (
     bryant_hsu_test,
     char_control,
     endpoint_jacobian,
+    horizontal_integrate,
     sard_sample,
 )
-from .flow import RHO, ZW, closed_form, conserved_drift, integrate, lyapunov_report, singular_surface
-from .poly import Point4, random_poly
+from .flow import RHO, ZW, conserved_drift, integrate, singular_surface
+from .poly import Point4, SparsePoly, random_poly
 
 MASTER_SEED = 20260810
+# Control perturbation of the central finite differences of criterion 9.
+FD_STEP = 1e-6
+
+_Z, _W = SparsePoly.var("z"), SparsePoly.var("w")
+# Hand-derived characteristic fields (C^x, C^y, C^z, C^w) of the degenerate
+# catalog models, the independent references of criterion 2.
+REFERENCE_FIELDS: dict[str, PolyVectorField] = {
+    "d224": PolyVectorField(2 * _Z**2 * _W, 2 * _Z * _W**2, -2 * _Z, -2 * _W),
+    "d2334a": PolyVectorField(-2 * _Z * _W, -2 * _Z**2 * _W**2, -2 * _Z, 2 * _W),
+    "d2334b": PolyVectorField(
+        -2 * _Z**2, Fraction(-2, 3) * _Z**4 - 2 * _Z**2 * _W**2, -2 * _W, 2 * _Z
+    ),
+}
+
+
+def closed_form(model: str, q_init: Point4, t: float) -> Point4:
+    """Exact solution through ``q_init`` at t = 0 of the characteristic flow
+    of d224 or d2334a at time t:
+
+      d224:    z = z0 exp(-2t), w = w0 exp(-2t),
+               x = x0 + (z0^2 w0 / 3)(1 - exp(-6t)),
+               y = y0 + (z0 w0^2 / 3)(1 - exp(-6t))
+      d2334a:  z = z0 exp(-2t), w = w0 exp(2t),
+               x = x0 - 2 z0 w0 t,  y = y0 - 2 z0^2 w0^2 t
+    """
+    x0, y0, z0, w0 = q_init.as_floats()
+    if model == "d224":
+        decay = math.exp(-2.0 * t)
+        shrink = 1.0 - math.exp(-6.0 * t)
+        return Point4(x0 + (z0 * z0 * w0 / 3.0) * shrink, y0 + (z0 * w0 * w0 / 3.0) * shrink,
+                      z0 * decay, w0 * decay)
+    if model == "d2334a":
+        return Point4(x0 - 2.0 * z0 * w0 * t, y0 - 2.0 * z0 * z0 * w0 * w0 * t,
+                      z0 * math.exp(-2.0 * t), w0 * math.exp(2.0 * t))
+    raise ValueError(f"no closed form for model {model!r}")
+
+
+@dataclass(frozen=True)
+class LyapunovReport:
+    rho_monotone: bool
+    final_rho: float
+
+
+def lyapunov_report(q0: Point4, t_end: float = 10.0) -> LyapunovReport:
+    """Check that rho = z^2 + w^2 is non-increasing along the d224 flow.
+
+    Requires |z0|, |w0| <= 1/2 (a box well inside the basin of the origin).
+    """
+    if abs(float(q0.z)) > 0.5 or abs(float(q0.w)) > 0.5:
+        raise ValueError("lyapunov_report requires |z0|, |w0| <= 1/2")
+    traj = integrate(char_field(CATALOG["d224"], ORACLE), q0, t_end, monitors={"rho": RHO})
+    rho = traj.monitors["rho"]
+    return LyapunovReport(rho_monotone=not np.any(np.diff(rho) > 0), final_rho=float(rho[-1]))
+
+
+def fd_jacobian(pair: PfaffianPair, q0, ctrl: ControlPath) -> np.ndarray:
+    """The endpoint Jacobian by central finite differences of step
+    ``FD_STEP`` in each control entry, columns ordered as
+    :func:`endpoint.endpoint_jacobian` orders them."""
+    fd = np.zeros((4, 2 * ctrl.n_segments))
+    for k in range(2 * ctrl.n_segments):
+        ends = []
+        for delta in (FD_STEP, -FD_STEP):
+            u = ctrl.u.copy()
+            u[k // 2, k % 2] += delta
+            ends.append(horizontal_integrate(pair, q0, ControlPath(u)).endpoint)
+        fd[:, k] = (ends[0] - ends[1]) / (2 * FD_STEP)
+    return fd
 
 
 @dataclass
@@ -251,7 +320,7 @@ def criterion_6() -> CriterionResult:
 def criterion_7() -> CriterionResult:
     """The rotational model never approaches the origin: min rho stays at rho(0)."""
     ck = CriterionResult(7, "no origin approach for the rotational model (d2334b)")
-    rep = sard_sample("d2334b", 50, seed=MASTER_SEED + 7, detector_subset=0)
+    rep = sard_sample(CATALOG["d2334b"], 50, seed=MASTER_SEED + 7, detector_subset=0)
     # 0.0 - keeps a zero drop positive.
     worst = 0.0 - rep.min_rho_deviation
     ck.add("min rho >= rho(0) - 1e-8 over 50 starts on rho=0.01", worst <= 1e-8,
@@ -311,7 +380,7 @@ def criterion_8() -> CriterionResult:
     }
     for model, p0 in arcs.items():
         arc_pair = CATALOG[model]
-        arc = char_control(arc_pair, p0, CHAR_ARC_DURATION[model], 64)
+        arc = char_control(arc_pair, p0, CHAR_ARC_DURATION[origin_kind(arc_pair).name], 64)
         v = bryant_hsu_test(arc_pair, p0, arc)
         ck.add(
             f"{model}: 64-segment characteristic arc is SINGULAR",
@@ -329,8 +398,8 @@ def criterion_9() -> CriterionResult:
         worst = 0.0
         for n in (4, 16, 32):
             ctrl = ControlPath(rng.uniform(-1.0, 1.0, size=(n, 2)))
-            res = endpoint_jacobian(pair, Point4.origin(), ctrl, fd_check=True)
-            worst = max(worst, res.fd_max_discrepancy)
+            jac = endpoint_jacobian(pair, Point4.origin(), ctrl).matrix
+            worst = max(worst, float(np.abs(fd_jacobian(pair, Point4.origin(), ctrl) - jac).max()))
         ck.add(f"{model}: Jacobian vs finite differences (n=4,16,32)", worst <= 1e-5,
                f"max entrywise discrepancy {worst:.3e} <= 1e-5")
     return ck
@@ -340,7 +409,7 @@ def criterion_10() -> CriterionResult:
     """Endpoint clouds: 2-parameter graph for d224, empty origin-reaching set
     for d2334b."""
     ck = CriterionResult(10, "singular endpoint sampling (2-disc vs single point)")
-    rep = sard_sample("d224", 200, seed=MASTER_SEED, detector_subset=10)
+    rep = sard_sample(CATALOG["d224"], 200, seed=MASTER_SEED, detector_subset=10)
     ck.add(
         "d224: 200 singular-curve endpoints within 1e-6 of the surface graph",
         rep.max_surface_distance <= 1e-6,
@@ -351,7 +420,7 @@ def criterion_10() -> CriterionResult:
         rep.detector_agreement == 1.0,
         f"agreement {rep.detector_agreement:.2f}, ambiguous {rep.ambiguous_count}",
     )
-    rep_b = sard_sample("d2334b", 50, seed=MASTER_SEED, detector_subset=5)
+    rep_b = sard_sample(CATALOG["d2334b"], 50, seed=MASTER_SEED, detector_subset=5)
     ck.add(
         "d2334b: no trajectory reaches toward the origin",
         rep_b.origin_reaching_count == 0 and rep_b.min_rho_deviation >= -1e-8,

@@ -133,40 +133,59 @@ NODE, SADDLE, CENTER = "node", "saddle", "center"
 
 @dataclass(frozen=True)
 class OriginKind:
-    """The origin as a zero of the oracle field C, by M = d(C^z, C^w)/d(z, w)(0)
-    (Perko, Differential Equations and Dynamical Systems, 2.6-2.10).
+    """The origin as a zero of the oracle field C, by its frame matrix
+    M~ = [[Z c, W c], [Z e, W e]](0), whose eigenvalues are the nonzero ones
+    of the 4 x 4 Jacobian of C at 0 (Perko, Differential Equations and
+    Dynamical Systems, 2.6-2.10).
 
-    NODE is a node or focus (det M > 0, tr M != 0): every nearby curve
-    reaches the origin under ``sign`` * C, +1 if tr M < 0 and -1 if tr M > 0.
-    At a SADDLE (det M < 0) curves reach it under +C along the unit stable
-    eigenline ``stable``, its largest component positive; CENTER: tr M = 0 < det M.
+    NODE is a node or focus (det M~ > 0, tr M~ != 0): every nearby curve
+    reaches the origin under ``sign`` * C, +1 if tr M~ < 0 and -1 if
+    tr M~ > 0.  At a SADDLE (det M~ < 0) curves reach it under +C along the
+    unit stable eigenline ``stable``, its largest component positive; CENTER:
+    tr M~ = 0 < det M~.  ``rate`` is the largest |Re lam| over the
+    eigenvalues lam of M~: |lam_s| of the stable one at a saddle, the
+    angular speed at a center.
     """
 
     name: str
+    rate: float
     sign: int = 1
     stable: tuple[float, float] | None = None
 
 
+_ONE, _X, _Y, _Z, _W = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+
+
 @lru_cache(maxsize=64)
 def origin_kind(pair: PfaffianPair) -> OriginKind | None:
-    """The kind of the origin by the exact tr M and det M, cached per pair as
-    :func:`coefficients` is; None when C(0) != 0 or det M = 0.  C = (-e*f,
-    -e*g, c, e) vanishes at 0 exactly when c and e do."""
+    """The kind of the origin by the exact tr M~ and det M~, cached per pair
+    as :func:`coefficients` is; None when C(0) != 0 or det M~ = 0.  C = (-e*f,
+    -e*g, c, e) vanishes at 0 exactly when c and e do.  With W = d/dw -
+    f d/dx - g d/dy, the second column of M~ is that of M = d(c, e)/d(z, w)(0)
+    less f(0) (c_x, e_x)(0) + g(0) (c_y, e_y)(0)."""
     co = coefficients(pair, ORACLE)
     cz, cw = co.c.terms, co.e.terms
-    (a, b), (c, d) = ((p.get((0, 0, 1, 0), 0), p.get((0, 0, 0, 1), 0)) for p in (cz, cw))
+    if _ONE in cz or _ONE in cw:
+        return None
+    f0, g0 = pair.f.terms.get(_ONE, 0), pair.g.terms.get(_ONE, 0)
+    (a, b), (c, d) = (
+        (p.get(_Z, 0), p.get(_W, 0) - f0 * p.get(_X, 0) - g0 * p.get(_Y, 0)) for p in (cz, cw)
+    )
     tr, det = a + d, a * d - b * c
-    if (0, 0, 0, 0) in cz or (0, 0, 0, 0) in cw or det == 0:
+    if det == 0:
         return None
     if det > 0:
-        return OriginKind(CENTER) if tr == 0 else OriginKind(NODE, 1 if tr < 0 else -1)
+        if tr == 0:
+            return OriginKind(CENTER, math.sqrt(det))
+        rate = (abs(tr) + math.sqrt(max(tr * tr - 4 * det, 0))) / 2
+        return OriginKind(NODE, rate, 1 if tr < 0 else -1)
     lam = (tr - math.sqrt(tr * tr - 4 * det)) / 2
-    # Both candidates solve (M - lam I) v = 0; M - lam I has rank 1, so the
+    # Both candidates solve (M~ - lam I) v = 0; M~ - lam I has rank 1, so the
     # longer one is not zero.
     v = max(((float(b), lam - float(a)), (lam - float(d), float(c))),
             key=lambda u: math.hypot(*u))
     n = math.copysign(math.hypot(*v), max(v, key=abs))
-    return OriginKind(SADDLE, stable=(v[0] / n, v[1] / n))
+    return OriginKind(SADDLE, -lam, stable=(v[0] / n, v[1] / n))
 
 
 def char_field(pair: PfaffianPair, variant: str = ORACLE) -> PolyVectorField:
@@ -237,33 +256,6 @@ def cross_check(pair: PfaffianPair) -> CrossCheckReport:
             )
         )
     return CrossCheckReport(coefficients=coeffs, comparisons=tuple(comparisons))
-
-
-def _field(cx: dict, cy: dict, cz: dict, cw: dict) -> PolyVectorField:
-    return PolyVectorField(
-        cx=SparsePoly(cx), cy=SparsePoly(cy), cz=SparsePoly(cz), cw=SparsePoly(cw)
-    )
-
-
-# Hand-derived closed forms of the characteristic fields of the degenerate
-# catalog models, used as independent regression references:
-#   d224   : 2z^2w dx + 2zw^2 dy - 2z dz - 2w dw
-#   d2334a : -2zw dx - 2z^2w^2 dy - 2z dz + 2w dw
-#   d2334b : -2z^2 dx - 2(z^4/3 + z^2w^2) dy - 2w dz + 2z dw
-REFERENCE_FIELDS: dict[str, PolyVectorField] = {
-    "d224": _field(
-        {(0, 0, 2, 1): 2}, {(0, 0, 1, 2): 2}, {(0, 0, 1, 0): -2}, {(0, 0, 0, 1): -2}
-    ),
-    "d2334a": _field(
-        {(0, 0, 1, 1): -2}, {(0, 0, 2, 2): -2}, {(0, 0, 1, 0): -2}, {(0, 0, 0, 1): 2}
-    ),
-    "d2334b": _field(
-        {(0, 0, 2, 0): -2},
-        {(0, 0, 4, 0): "-2/3", (0, 0, 2, 2): -2},
-        {(0, 0, 0, 1): -2},
-        {(0, 0, 1, 0): 2},
-    ),
-}
 
 
 def horizontality_residuals(pair: PfaffianPair, field: PolyVectorField) -> tuple[SparsePoly, SparsePoly]:

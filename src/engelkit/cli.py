@@ -241,7 +241,7 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
     if args.sard is not None:
         if args.sard < 0:
             raise CliError(f"--sard must be non-negative, got {args.sard}")
-        report = sard_sample(model, args.sard, seed=args.seed, rtol=args.rtol, atol=args.atol)
+        report = sard_sample(pair, args.sard, seed=args.seed, rtol=args.rtol, atol=args.atol)
         print(
             f"{model}: sard sample n={args.sard} seed={args.seed}: "
             f"max_surface_distance={report.max_surface_distance}, "
@@ -250,7 +250,8 @@ def cmd_endpoint(args: argparse.Namespace) -> int:
             f"ambiguous={report.ambiguous_count}"
         )
         if args.out:
-            _write_json(args.out, report.to_json_dict(), _header_lines(args, model))
+            _write_json(args.out, {"model": model, **report.to_json_dict()},
+                        _header_lines(args, model))
         if args.cloud:
             with _open_out(args.cloud, _header_lines(args, model)) as fh:
                 report.write_endpoints_csv(fh)

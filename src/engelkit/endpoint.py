@@ -29,15 +29,16 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .charfield import CENTER, NODE, ORACLE, char_field, origin_kind
+from .charfield import CENTER, NODE, ORACLE, SADDLE, char_field, origin_kind
 from .codegen import function_source, kernel, rhs_source
-from .distribution import CATALOG, DEGENERATE_MODELS, PfaffianPair
+from .distribution import PfaffianPair, resolve_model
 from .flow import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     FLOAT_FMT,
     RHO,
     Trajectory,
+    _is_skew_product,
     adaptive_rk45,
     integrate,
     singular_surface,
@@ -47,8 +48,6 @@ from .poly import VARS
 
 SINGULAR_THRESHOLD = 1e-7
 REGULAR_THRESHOLD = 1e-4
-# Control perturbation of the central finite-difference Jacobian check.
-FD_STEP = 1e-6
 
 SINGULAR = "SINGULAR"
 REGULAR = "REGULAR"
@@ -333,13 +332,11 @@ class JacobianResult:
     """Endpoint Jacobian with respect to all control entries.
 
     Columns are ordered (u1 of segment 0, u2 of segment 0, u1 of segment 1,
-    ...).  ``fd_max_discrepancy`` is filled when the finite-difference
-    cross-check was requested.
+    ...).
     """
 
     matrix: np.ndarray
     endpoint: np.ndarray
-    fd_max_discrepancy: float | None = None
 
 
 def endpoint_jacobian(
@@ -348,28 +345,14 @@ def endpoint_jacobian(
     ctrl: ControlPath,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    fd_check: bool = False,
 ) -> JacobianResult:
     """Derivative of the endpoint with respect to the control entries.
 
     Integrates, per segment, the 4x4 state-transition matrix and the local
     input response, then chains transitions across the remaining segments.
-    With ``fd_check`` the matrix is compared entrywise against central
-    finite differences of step ``FD_STEP``.
     """
     endpoint, jac, _, _ = _sensitivity_pass(_control_system(pair), q0, ctrl, None, rtol, atol)
-    fd_disc = None
-    if fd_check:
-        fd = np.zeros_like(jac)
-        for k in range(2 * ctrl.n_segments):
-            ends = []
-            for delta in (FD_STEP, -FD_STEP):
-                u = ctrl.u.copy()
-                u[k // 2, k % 2] += delta
-                ends.append(horizontal_integrate(pair, q0, ControlPath(u), rtol, atol).endpoint)
-            fd[:, k] = (ends[0] - ends[1]) / (2 * FD_STEP)
-        fd_disc = float(np.max(np.abs(fd - jac)))
-    return JacobianResult(matrix=jac, endpoint=endpoint, fd_max_discrepancy=fd_disc)
+    return JacobianResult(matrix=jac, endpoint=endpoint)
 
 
 def singular_score(jac: np.ndarray) -> float:
@@ -536,19 +519,29 @@ def char_control(
     return ControlPath(u)
 
 
-# Arc durations and segment count used when generating detector test
-# curves; short arcs keep the piecewise-constant discretization error of a
-# curved characteristic orbit below the SINGULAR band at 64 segments (a
-# subarc of a singular curve is itself singular).
-CHAR_ARC_DURATION = {"d224": 0.4, "d2334a": 0.05, "d2334b": 0.03}
+class _ArcDurations(dict):
+    """Arc durations by kind name; a model id (``bench/workloads.py`` passes
+    catalog names) reads the duration of its origin's kind."""
+
+    def __missing__(self, model: str) -> float:
+        kind = origin_kind(resolve_model(model)[1])
+        if kind is None:
+            raise KeyError(f"{model!r}: the origin has no kind, so it has no arc duration")
+        return self[kind.name]
+
+
+# Arc durations by the origin's kind and segment count used when generating
+# detector test curves; short arcs keep the piecewise-constant
+# discretization error of a curved characteristic orbit below the SINGULAR
+# band at 64 segments (a subarc of a singular curve is itself singular).
+CHAR_ARC_DURATION = _ArcDurations({NODE: 0.4, SADDLE: 0.05, CENTER: 0.03})
 CHAR_ARC_SEGMENTS = 64
 
 
 @dataclass
 class SardReport:
-    """Sampling summary for the singular-endpoint sets of one model."""
+    """Sampling summary for the singular-endpoint sets of one pair."""
 
-    model: str
     n_curves: int
     seed: int
     max_surface_distance: float | None
@@ -600,7 +593,7 @@ def _detector_stats(
 
 
 def sard_sample(
-    model: str,
+    pair: PfaffianPair,
     n_curves: int,
     seed: int,
     rtol: float = DEFAULT_RTOL,
@@ -609,40 +602,51 @@ def sard_sample(
 ) -> SardReport:
     """Sample singular curves attached to the origin and test the endpoint sets.
 
-    The origin's kind (:func:`charfield.origin_kind`) picks the curves, run
-    back under -C from rho = 1e-7: in random directions at an attracting node
-    (d224), along the stable eigenline at a saddle (d2334a); each one is
-    checked against the surface graph at its endpoint's (z, w).  d2334a's
-    eigenline is w = 0, where C^x = C^y = 0, so its endpoints form a curve,
-    not a disc: ``max_surface_distance`` is 0 by construction and shows only
-    that they stay on it.  At a linear center (d2334b), curves start on
-    rho = 0.01 and the report records how far rho drops.  Detector agreement
-    is read on arcs from the first ``detector_subset`` (>= 0) sampled curves.
+    The origin's kind (:func:`charfield.origin_kind`) picks the curves.  At a
+    node they start in random directions on rho = 1e-7, at a saddle on its
+    stable eigenline, and each is run back under -sign * C; its endpoint is
+    checked against the surface graph at its (z, w).  On a saddle whose
+    C^x = C^y = 0 along that eigenline, such as the axis w = 0 of f = z,
+    g = z^2 w, the endpoints form a curve, not a disc, and
+    ``max_surface_distance`` is 0 by construction.  At a linear center,
+    curves start on rho = 0.01 and the report records how far rho drops.
+    Every time span is in units of 2 / ``kind.rate``: the back-runs last
+    U(1.75, 3), the center's runs 10.  Detector agreement is read on arcs of
+    the kind's ``CHAR_ARC_DURATION`` from the first ``detector_subset``
+    (>= 0) sampled curves.
+
+    The pair's characteristic field must be a skew product (free of x and
+    y), so that its surface is a graph over (z, w); a ValueError names a
+    pair whose origin has no kind or whose field is not one.
     """
-    if model not in DEGENERATE_MODELS:
-        raise ValueError(f"sard_sample expects a degenerate catalog model, got {model!r}")
+    kind = origin_kind(pair)
+    fld = char_field(pair, ORACLE)
+    if kind is None:
+        cause = ("C(0) != 0" if any((0, 0, 0, 0) in p.terms for p in fld.components())
+                 else "the frame matrix of C at 0 is singular")
+        raise ValueError(f"sard_sample needs the origin to be a node, saddle or center of the "
+                         f"characteristic field C, but {cause}, so the origin has no kind")
+    if not _is_skew_product(fld):
+        raise ValueError("sard_sample needs a skew product: this pair's characteristic field "
+                         "depends on x or y, so its singular surface is not a graph over (z, w)")
     if n_curves < 0:
         raise ValueError(f"n_curves must be non-negative, got {n_curves}")
     if detector_subset < 0:
         raise ValueError(f"detector_subset must be non-negative, got {detector_subset}")
-    pair = CATALOG[model]
     rng = np.random.default_rng(seed)
     if n_curves == 0:
-        return SardReport(model, 0, seed, None, None, 1.0, 0)
-    fld = char_field(pair, ORACLE)
-    kind = origin_kind(pair)
+        return SardReport(0, seed, None, None, 1.0, 0)
+    unit = 2.0 / kind.rate
     endpoints: list[tuple[float, float, float, float]] = []
     max_distance = min_dev = reaching = None
 
     if kind.name == CENTER:
-        min_dev = math.inf
-        reaching = 0
-        starts = []
+        min_dev, reaching, starts = math.inf, 0, []
         for _ in range(n_curves):
             theta = rng.uniform(0.0, 2.0 * math.pi)
             start = np.array([0.0, 0.0, 0.1 * math.cos(theta), 0.1 * math.sin(theta)])
             starts.append(start)
-            traj = integrate(fld, start, 10.0, rtol=rtol, atol=atol, monitors={"rho": RHO})
+            traj = integrate(fld, start, 10.0 * unit, rtol=rtol, atol=atol, monitors={"rho": RHO})
             rho = traj.monitors["rho"]
             min_dev = min(min_dev, float(rho.min() - rho[0]))
             if rho.min() < 0.5 * rho[0]:
@@ -657,8 +661,8 @@ def sard_sample(
             else:
                 direction = rng.choice([-1.0, 1.0]) * np.array(kind.stable)
             z_s, w_s = math.sqrt(rho_start) * direction
-            t_back = rng.uniform(1.75, 3.0)
-            back = integrate(fld, (0.0, 0.0, z_s, w_s), -t_back, rtol=rtol, atol=atol)
+            t_back = rng.uniform(1.75, 3.0) * unit
+            back = integrate(fld, (0.0, 0.0, z_s, w_s), -kind.sign * t_back, rtol=rtol, atol=atol)
             endpoints.append(tuple(back.endpoint))
         sample = singular_surface(pair, [(p[2], p[3]) for p in endpoints], rtol=rtol, atol=atol)
         max_distance = float(max(
@@ -668,10 +672,9 @@ def sard_sample(
         starts = endpoints
 
     agreement, ambiguous, scores = _detector_stats(
-        pair, starts[:detector_subset], CHAR_ARC_DURATION[model], rtol, atol
+        pair, starts[:detector_subset], CHAR_ARC_DURATION[kind.name], rtol, atol
     )
     return SardReport(
-        model=model,
         n_curves=n_curves,
         seed=seed,
         max_surface_distance=max_distance,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .charfield import ORACLE, char_field, origin_kind
 from .codegen import function_source, kernel, loop_source, numbered_names, tuple_source
-from .distribution import CATALOG, PfaffianPair, PolyVectorField
+from .distribution import PfaffianPair, PolyVectorField
 from .poly import Point4, SparsePoly
 
 DEFAULT_RTOL = 1e-10
@@ -272,64 +272,6 @@ def lie_derivative(quantity: SparsePoly, vector_field: PolyVectorField) -> Spars
     return out
 
 
-def closed_form(model: str, q_init: Point4, t: float) -> Point4:
-    """Exact solution of the reference characteristic field at time t.
-
-    Available for the models with elementary flows:
-
-      d224:    z = z0 exp(-2t), w = w0 exp(-2t),
-               x = x0 + (z0^2 w0 / 3)(1 - exp(-6t)),
-               y = y0 + (z0 w0^2 / 3)(1 - exp(-6t))
-      d2334a:  z = z0 exp(-2t), w = w0 exp(2t),
-               x = x0 - 2 z0 w0 t,  y = y0 - 2 z0^2 w0^2 t
-
-    The integration constants are fixed so the solution passes through
-    ``q_init`` at t = 0.
-    """
-    x0, y0, z0, w0 = q_init.as_floats()
-    if model == "d224":
-        decay = math.exp(-2.0 * t)
-        shrink = 1.0 - math.exp(-6.0 * t)
-        return Point4(
-            x0 + (z0 * z0 * w0 / 3.0) * shrink,
-            y0 + (z0 * w0 * w0 / 3.0) * shrink,
-            z0 * decay,
-            w0 * decay,
-        )
-    if model == "d2334a":
-        return Point4(
-            x0 - 2.0 * z0 * w0 * t,
-            y0 - 2.0 * z0 * z0 * w0 * w0 * t,
-            z0 * math.exp(-2.0 * t),
-            w0 * math.exp(2.0 * t),
-        )
-    raise ValueError(f"no closed form for model {model!r}")
-
-
-@dataclass(frozen=True)
-class LyapunovReport:
-    rho_monotone: bool
-    final_rho: float
-
-
-def lyapunov_report(
-    q0: Point4,
-    t_end: float = 10.0,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> LyapunovReport:
-    """Check that rho = z^2 + w^2 is non-increasing along the d224 flow.
-
-    Requires |z0|, |w0| <= 1/2 (a box well inside the basin of the origin).
-    """
-    if abs(float(q0.z)) > 0.5 or abs(float(q0.w)) > 0.5:
-        raise ValueError("lyapunov_report requires |z0|, |w0| <= 1/2")
-    fld = char_field(CATALOG["d224"], ORACLE)
-    traj = integrate(fld, q0, t_end, rtol=rtol, atol=atol, monitors={"rho": RHO})
-    rho = traj.monitors["rho"]
-    return LyapunovReport(rho_monotone=not np.any(np.diff(rho) > 0), final_rho=float(rho[-1]))
-
-
 @dataclass
 class SurfaceSample:
     """Reconstructed singular-endpoint surface as a graph over (z, w).
@@ -423,7 +365,7 @@ def singular_surface(
     inside it still has the four states the tail bound reads.  A sample
     converges when the cut was reached and the estimated quadrature tail is
     below 1e-10.  The flow is -C when the field is a skew product and the
-    origin a node or focus with tr M > 0 (:func:`charfield.origin_kind`),
+    origin a node or focus with tr M~ > 0 (:func:`charfield.origin_kind`),
     else +C.  So samples can converge near a node or focus, either way; near
     a saddle only on its stable eigenline; near a linear center never.
 
@@ -452,8 +394,6 @@ def singular_surface(
     if (0.0, 0.0) in grid:
         raise ValueError("grid points must be nonzero")
     for i, (z, w) in enumerate(grid):
-        # The tail bound reads the last four states, so the cut is tested
-        # from the third accepted step on.
         try:
             times, states, _, _ = adaptive_rk45(
                 rhs, (0.0, 0.0, z, w), (0.0, t_max), rtol, atol, stop_when=cut(eps_cut)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from engelkit.charfield import (
     NODE,
     ORACLE,
     PRINTED,
-    REFERENCE_FIELDS,
     SADDLE,
     VARIANTS,
     OriginKind,
@@ -24,6 +24,7 @@ from engelkit.charfield import (
     horizontality_residuals,
     origin_kind,
 )
+from engelkit.acceptance import REFERENCE_FIELDS
 from engelkit.distribution import CATALOG, DEGENERATE_MODELS, PfaffianPair, engel_certificate
 from engelkit.poly import Point4, SparsePoly, random_poly
 from reference_growth import field_eval, frame, lie_bracket
@@ -225,13 +226,14 @@ def test_coefficient_cache_is_transparent():
 
 
 def test_catalog_origin_kinds():
-    # M = -2I on d224, diag(-2, 2) on d2334a, [[0, -2], [2, 0]] on d2334b;
-    # engel_std's field does not vanish at the origin (e = 1).
-    assert origin_kind(CATALOG["d224"]) == OriginKind(NODE, 1)
-    assert origin_kind(CATALOG["d2334a"]) == OriginKind(SADDLE, 1, (1.0, 0.0))
-    assert origin_kind(CATALOG["d2334b"]) == OriginKind(CENTER)
+    # M~ = -2I on d224, diag(-2, 2) on d2334a, [[0, -2], [2, 0]] on d2334b,
+    # each with rate 2.0 exactly, and 20I on OUTWARD; engel_std's field does
+    # not vanish at the origin (e = 1).
+    assert origin_kind(CATALOG["d224"]) == OriginKind(NODE, 2.0, 1)
+    assert origin_kind(CATALOG["d2334a"]) == OriginKind(SADDLE, 2.0, 1, (1.0, 0.0))
+    assert origin_kind(CATALOG["d2334b"]) == OriginKind(CENTER, 2.0)
     assert origin_kind(CATALOG["engel_std"]) is None
-    assert origin_kind(OUTWARD) == OriginKind(NODE, -1)
+    assert origin_kind(OUTWARD) == OriginKind(NODE, 20.0, -1)
 
 
 def _kind_from_trace_and_determinant(pair):
@@ -315,3 +317,132 @@ def test_origin_kind_cache_is_transparent():
         kind = origin_kind(pair)
         assert origin_kind(pair) is kind
         assert origin_kind.__wrapped__(pair) == kind
+
+
+_LINEAR = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _jacobian_at_origin(pair):
+    """The exact 4 x 4 Jacobian of the oracle field C at 0, or None when
+    C(0) != 0."""
+    comps = char_field(pair, ORACLE).components()
+    if any((0, 0, 0, 0) in p.terms for p in comps):
+        return None
+    return [[Fraction(p.terms.get(e, 0)) for e in _LINEAR] for p in comps]
+
+
+def _char_poly(a):
+    """Coefficients (p0, ..., p4) of det(lam I - A) = sum p_k lam^k, exactly,
+    by the Faddeev-LeVerrier recursion."""
+    n = len(a)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][l] * m[l][j] for l in range(n)) + (coeffs[n - k + 1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        am = [[sum(a[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        coeffs[n - k] = -sum(am[i][i] for i in range(n)) / k
+    return coeffs
+
+
+def _xy_kind_families(seed):
+    """Seeded pairs with constant, x and y terms and C(0) = 0, with their
+    family's name.  "flat": f and g have no z term, so f_z(0) = g_z(0) = 0;
+    their frame matrix is -det(B) I for B = [[Z f_z, W f_z], [Z g_z, W g_z]](0),
+    a star node of either orientation or degenerate.  "tilted": f = z + ...
+    and g without z or z^2 terms, whose z w coefficient is set so that
+    c(0) = 0 (the closed form's c(0) = g(0) g_zy - g_zw + f(0) g_zx - g_x);
+    saddles, centers and degenerate ones."""
+    rng = np.random.default_rng(seed)
+    flat = [e for e in itertools.product(range(3), repeat=4) if 1 <= sum(e) <= 2
+            and e != (0, 0, 1, 0)]
+
+    def constant():
+        return Fraction(int(rng.choice([-2, -1, 1, 2])))
+
+    for _ in range(80):
+        f, g = ({(0, 0, 0, 0): constant(),
+                 **{flat[i]: constant() for i in rng.choice(len(flat), 4, replace=False)}}
+                for _ in range(2))
+        yield "flat", PfaffianPair(SparsePoly(f), SparsePoly(g))
+    for _ in range(80):
+        f, g = dict(random_poly(rng).terms), dict(random_poly(rng).terms)
+        f[0, 0, 1, 0], f[0, 0, 0, 0], g[0, 0, 0, 0] = 1, constant(), constant()
+        g.pop((0, 0, 1, 0), None)
+        g.pop((0, 0, 2, 0), None)
+        g[0, 0, 1, 1] = (f[0, 0, 0, 0] * g.get((1, 0, 1, 0), 0) - g.get((1, 0, 0, 0), 0)
+                         + g[0, 0, 0, 0] * g.get((0, 1, 1, 0), 0))
+        yield "tilted", PfaffianPair(SparsePoly(f), SparsePoly(g))
+
+
+# Fewest pairs of each (family, kind, sign) the seeded draw must hold, and of
+# pairs on which M = d(c, e)/d(z, w)(0) gives another kind than M~; the
+# draw holds 16 attracting and 17 repelling nodes and 47 degenerate flat
+# pairs, 20 saddles, 1 center and 59 degenerate tilted pairs, and M
+# misreads 35.
+XY_KIND_MINIMUMS = {
+    ("flat", NODE, 1): 10,
+    ("flat", NODE, -1): 10,
+    ("flat", None, 1): 10,
+    ("tilted", SADDLE, 1): 10,
+    ("tilted", CENTER, 1): 1,
+    ("tilted", None, 1): 10,
+    "misread by M": 20,
+}
+
+
+def _kind_of(tr, det):
+    if det == 0:
+        return None, 1
+    if det < 0:
+        return SADDLE, 1
+    return (CENTER, 1) if tr == 0 else (NODE, 1 if tr < 0 else -1)
+
+
+def test_origin_kind_reads_the_4x4_jacobian_on_pairs_with_x_and_y_terms():
+    # The characteristic polynomial of the 4 x 4 Jacobian J of C at 0 is
+    # lam^2 (lam^2 - tr M~ lam + det M~); the kind, its orientation, its rate
+    # (the largest |Re lam| over J's eigenvalues, |lam_s| at a saddle) and a
+    # saddle's stable line are read from J, not from c and e.
+    counts = dict.fromkeys(XY_KIND_MINIMUMS, 0)
+    for family, pair in _xy_kind_families(11):
+        jac = _jacobian_at_origin(pair)
+        assert jac is not None, pair
+        p0, p1, p2, p3, _ = _char_poly(jac)
+        assert p0 == p1 == 0, pair
+        name, sign = _kind_of(-p3, p2)
+        counts[family, name, sign] += 1
+        kind = origin_kind(pair)
+        m = [[jac[i][j] for j in (2, 3)] for i in (2, 3)]
+        if _kind_of(m[0][0] + m[1][1], m[0][0] * m[1][1] - m[0][1] * m[1][0]) != (name, sign):
+            counts["misread by M"] += 1
+        if name is None:
+            assert kind is None, pair
+            continue
+        assert (kind.name, kind.sign) == (name, sign), pair
+        eig = np.linalg.eigvals(np.array(jac, dtype=float))
+        rate = -eig.real.min() if name == SADDLE else np.abs(eig.real).max()
+        if name == CENTER:
+            rate = np.abs(eig.imag).max()
+        assert math.isclose(kind.rate, rate, rel_tol=1e-9), pair
+        if name != SADDLE:
+            assert kind.stable is None, pair
+            continue
+        # J U v = U M~ v for U = [Z | W](0), so U v is J's stable eigenvector.
+        vz, vw = kind.stable
+        f0, g0 = (float(p.terms.get((0, 0, 0, 0), 0)) for p in (pair.f, pair.g))
+        u = np.array([-f0 * vw, -g0 * vw, vz, vw])
+        assert np.max(np.abs(np.array(jac, dtype=float) @ u + kind.rate * u)) <= 1e-12 * max(
+            1.0, np.abs(np.array(jac, dtype=float)).max()), pair
+    assert all(counts[key] >= least for key, least in XY_KIND_MINIMUMS.items()), str(counts)
+
+
+def test_origin_kind_of_a_pair_whose_m_and_frame_matrix_disagree():
+    # f = -2 - 2xw + xz - 2xz^2, g = -1 - 2w^2 - 2z^2 + 2xz + 2xz^2: M reads
+    # det 0, so the old reading gave no kind, but J's eigenvalues are
+    # 0, 0, -8, -8, an attracting star node.
+    x = SparsePoly.var("x")
+    pair = PfaffianPair(-2 - 2 * x * W + x * Z - 2 * x * Z * Z,
+                        -1 - 2 * W * W - 2 * Z * Z + 2 * x * Z + 2 * x * Z * Z)
+    assert _char_poly(_jacobian_at_origin(pair)) == [0, 0, 64, 16, 1]
+    assert origin_kind(pair) == OriginKind(NODE, 8.0, 1)

@@ -733,6 +733,43 @@ def test_non_finite_numbers_on_the_command_line_are_usage_errors(argv, message, 
     assert captured.err == message + "\n"
 
 
+GOLDEN_PAIR = str(Path(__file__).resolve().parent / "data" / "golden" / "pair.json")
+
+
+@pytest.mark.parametrize(
+    "model,message",
+    [
+        ("engel_std", "sard_sample needs the origin to be a node, saddle or center of the "
+         "characteristic field C, but C(0) != 0, so the origin has no kind"),
+        (GOLDEN_PAIR, "sard_sample needs a skew product: this pair's characteristic field "
+         "depends on x or y, so its singular surface is not a graph over (z, w)"),
+    ],
+    ids=["no-kind", "not-skew"],
+)
+def test_sard_on_a_pair_it_cannot_sample_is_a_usage_error_that_names_the_cause(
+        model, message, capsys):
+    # engel_std's field does not vanish at the origin; the golden pair's
+    # depends on x and y.  Both used to read "expects a degenerate catalog
+    # model", which named no cause.
+    start = time.perf_counter()
+    assert main(["endpoint", "--model", model, "--sard", "4"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_sard_runs_on_a_user_pair_with_a_repelling_node(capsys):
+    # OUTWARD's origin is a repelling star node: its curves run back under +C.
+    # A curve whose surface sample did not converge reads as an infinite
+    # distance; measured 2.1e-11.
+    model = str(Path(GOLDEN_PAIR).with_name("outward.json"))
+    assert main(["endpoint", "--model", model, "--sard", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("user:outward.json: sard sample n=4 seed=0: ")
+    assert float(re.search(r"max_surface_distance=(\S+),", out).group(1)) < 1e-9
+
+
 FLOW = ["flow", "--model", "d224", "--start", "0,0,0.1,0.1"]
 SURFACE = ["surface", "--model", "d224", "--grid", "0.01:0.1:2"]
 

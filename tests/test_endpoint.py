@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from engelkit import endpoint
-from engelkit.charfield import ORACLE, char_field, coefficients
+from engelkit.acceptance import fd_jacobian
+from engelkit.charfield import ORACLE, char_field, coefficients, origin_kind
 from engelkit.distribution import CATALOG, PfaffianPair
 from engelkit.endpoint import (
     AMBIGUOUS,
@@ -65,10 +66,9 @@ def test_endpoint_diagonal_control_quadrature():
 
 
 def test_jacobian_against_finite_differences_single_segment():
-    res = endpoint_jacobian(
-        CATALOG["d224"], ORIGIN, ControlPath.constant(1.0, 0.0, 1), fd_check=True
-    )
-    assert res.fd_max_discrepancy < 1e-6
+    ctrl = ControlPath.constant(1.0, 0.0, 1)
+    res = endpoint_jacobian(CATALOG["d224"], ORIGIN, ctrl)
+    assert np.max(np.abs(fd_jacobian(CATALOG["d224"], ORIGIN, ctrl) - res.matrix)) < 1e-6
 
 
 def test_jacobian_last_segment_u1_column_moves_z():
@@ -178,9 +178,20 @@ def test_char_control_curves_are_singular(model):
         "d2334b": Point4(0, 0, 0.1, 0.0),
     }[model]
     pair = CATALOG[model]
-    ctrl = char_control(pair, p0, CHAR_ARC_DURATION[model], 64)
+    ctrl = char_control(pair, p0, CHAR_ARC_DURATION[origin_kind(pair).name], 64)
     verdict = bryant_hsu_test(pair, p0, ctrl)
     assert verdict.classification == SINGULAR, (verdict.bh_smallest, verdict.sigma_ratio)
+
+
+def test_arc_durations_are_keyed_by_kind_and_read_a_model_ids_kind():
+    # The benchmark's detect set-up reads CHAR_ARC_DURATION[model] by catalog name.
+    durations = endpoint.CHAR_ARC_DURATION
+    assert dict(durations) == {"node": 0.4, "saddle": 0.05, "center": 0.03}
+    assert [durations[m] for m in ("d224", "d2334a", "d2334b")] == [0.4, 0.05, 0.03]
+    with pytest.raises(KeyError, match="'engel_std': the origin has no kind"):
+        durations["engel_std"]
+    # the fallback stores no model id
+    assert dict(durations) == {"node": 0.4, "saddle": 0.05, "center": 0.03}
 
 
 def test_adjoint_record_structure():
@@ -289,25 +300,26 @@ def test_detectors_agree_on_random_controls():
 
 
 def test_sard_sample_empty():
-    rep = sard_sample("d224", 0, seed=0)
+    rep = sard_sample(CATALOG["d224"], 0, seed=0)
     assert rep.n_curves == 0
     assert rep.endpoints == []
 
 
 def test_sard_sample_rejects_engel_std():
-    with pytest.raises(ValueError):
-        sard_sample("engel_std", 5, seed=0)
+    # C(0) = (-1, -1/2, 0, 1) on engel_std
+    with pytest.raises(ValueError, match=r"but C\(0\) != 0, so the origin has no kind"):
+        sard_sample(CATALOG["engel_std"], 5, seed=0)
 
 
 def test_sard_sample_rejects_a_negative_detector_subset():
     # a negative subset sliced the curves from the end: with 4 curves,
     # detector_subset=-1 checked 3 arcs
     with pytest.raises(ValueError, match="detector_subset must be non-negative, got -1"):
-        sard_sample("d224", 4, seed=9, detector_subset=-1)
+        sard_sample(CATALOG["d224"], 4, seed=9, detector_subset=-1)
 
 
 def test_sard_sample_d224_small():
-    rep = sard_sample("d224", 8, seed=9, detector_subset=2)
+    rep = sard_sample(CATALOG["d224"], 8, seed=9, detector_subset=2)
     assert rep.max_surface_distance <= 1e-6
     assert rep.detector_agreement == 1.0
     assert len(rep.endpoints) == 8
@@ -315,7 +327,7 @@ def test_sard_sample_d224_small():
 
 
 def test_sard_sample_d2334a_reports_reference_family():
-    rep = sard_sample("d2334a", 4, seed=9, detector_subset=0)
+    rep = sard_sample(CATALOG["d2334a"], 4, seed=9, detector_subset=0)
     assert rep.max_surface_distance <= 1e-6
     # origin-convergent endpoints lie on the invariant axis w = 0, x = y = 0
     for x, y, z, w in rep.endpoints:
@@ -323,20 +335,90 @@ def test_sard_sample_d2334a_reports_reference_family():
 
 
 def test_sard_sample_d2334b_no_origin_approach():
-    rep = sard_sample("d2334b", 6, seed=9, detector_subset=2)
+    rep = sard_sample(CATALOG["d2334b"], 6, seed=9, detector_subset=2)
     assert rep.origin_reaching_count == 0
     assert rep.min_rho_deviation >= -1e-8
     assert rep.max_surface_distance is None
 
 
 def test_sard_report_csv(tmp_path):
-    rep = sard_sample("d224", 3, seed=9, detector_subset=1)
+    rep = sard_sample(CATALOG["d224"], 3, seed=9, detector_subset=1)
     out = tmp_path / "cloud.csv"
     with open(out, "w") as fh:
         rep.write_endpoints_csv(fh)
     lines = out.read_text().splitlines()
     assert lines[0] == "x,y,z,w,score"
     assert len(lines) == 4
+
+
+def _sard_pairs(seed, per_kind):
+    """``per_kind`` seeded pairs in z and w of each (kind, sign) for
+    sard_sample: homogeneous quadratic (f, g) with coefficients in -3..3,
+    star nodes of either orientation, and f = z with a homogeneous cubic g,
+    saddles whose C^x or C^y is nonzero on the stable eigenline (d2334a's
+    are zero there, which makes its surface check vacuous)."""
+    rng = np.random.default_rng(seed)
+    z, w = SparsePoly.var("z"), SparsePoly.var("w")
+    quadratic, cubic = [z * z, z * w, w * w], [z ** 3, z * z * w, z * w * w, w ** 3]
+    found = {("node", 1): [], ("node", -1): [], ("saddle", 1): []}
+    while min(map(len, found.values())) < per_kind:
+        a, b = rng.integers(-3, 4, (2, 3)).tolist()
+        c = rng.integers(-3, 4, 4).tolist()
+        for pair in (PfaffianPair(sum(map(lambda k, m: k * m, a, quadratic), SparsePoly.zero()),
+                                  sum(map(lambda k, m: k * m, b, quadratic), SparsePoly.zero())),
+                     PfaffianPair(z, sum(map(lambda k, m: k * m, c, cubic), SparsePoly.zero()))):
+            kind = origin_kind(pair)
+            key = kind and (kind.name, kind.sign)
+            if key not in found or len(found[key]) == per_kind:
+                continue
+            if kind.name == "saddle":
+                cx, cy, _, _ = char_field(pair, ORACLE).compile_rhs()(0.0, (0, 0, *kind.stable))
+                if max(abs(cx), abs(cy)) < 1e-9:
+                    continue
+            found[key].append((pair, kind))
+    return found
+
+
+# Seed 17 draws nodes of rates 2 to 20 and saddles of rates 2 to 12.  Their
+# largest measured max_surface_distance is 3.7e-11 on nodes and 2.5e-8 on
+# saddles, so the bounds leave 27x and 40x headroom.  Each back-run starts
+# on rho = 1e-7 and lasts 2 U(1.75, 3) / rate, so rho grows by exp(4 U),
+# to between 1.1e-4 and 1.6e-2 (measured 1.19e-4 to 1.53e-2).  The
+# saddles' smallest offset max(|x|, |y|) is 2e-8.
+SARD_DISTANCE_BOUND = {"node": 1e-9, "saddle": 1e-6}
+
+
+def test_sard_sample_on_random_nodes_and_saddles():
+    # Back-runs under -sign * C in units of 2 / rate: a repelling node's run
+    # under -C, or a run not scaled by 2 / rate, leaves the rho window.  The
+    # arcs of the first five pairs of each kind read SINGULAR on both
+    # detectors at their kind's duration (each pair's first arc builds its
+    # control system, about 7 ms).
+    for (name, sign), cases in _sard_pairs(17, 20).items():
+        for i, (pair, kind) in enumerate(cases):
+            rep = sard_sample(pair, 2, seed=i, detector_subset=int(i < 5))
+            label = (name, sign, i, kind.rate, pair)
+            for x, y, z, w in rep.endpoints:
+                assert 1e-4 < z * z + w * w < 2e-2, label
+                if name == "saddle":
+                    assert max(abs(x), abs(y)) > 1e-9, label
+            assert rep.max_surface_distance <= SARD_DISTANCE_BOUND[name], label
+            assert rep.detector_agreement == 1.0 and rep.ambiguous_count == 0, label
+            assert i >= 5 or rep.scores[0] < endpoint.SINGULAR_THRESHOLD, label
+
+
+def test_sard_sample_names_a_pair_it_cannot_sample():
+    # x z^2 in f makes C^x depend on x; its origin is OUTWARD's star node.
+    from reference_surface import OUTWARD
+
+    x, z = SparsePoly.var("x"), SparsePoly.var("z")
+    non_skew = PfaffianPair(OUTWARD.f + x * z * z, OUTWARD.g)
+    assert origin_kind(non_skew) is not None
+    with pytest.raises(ValueError, match="needs a skew product: .* depends on x or y"):
+        sard_sample(non_skew, 2, seed=0)
+    # f = z^2, g = z w^2 has (C^z, C^w) = (-4 z w, -2 w^2), so M~ = 0
+    with pytest.raises(ValueError, match="frame matrix of C at 0 is singular, so the origin"):
+        sard_sample(PfaffianPair(z * z, z * SparsePoly.var("w") ** 2), 2, seed=0)
 
 
 def _pairs_and_controls(seed):
@@ -374,8 +456,8 @@ def test_sampled_pass_jacobian_matches_finite_differences():
         _, jac, _, _ = _sensitivity_pass(
             _control_system(pair), ORIGIN, ctrl, _default_samples(ctrl.n_segments), 1e-10, 1e-12
         )
-        res = endpoint_jacobian(pair, ORIGIN, ctrl, fd_check=True)
-        assert res.fd_max_discrepancy <= 1e-5
+        res = endpoint_jacobian(pair, ORIGIN, ctrl)
+        assert np.max(np.abs(fd_jacobian(pair, ORIGIN, ctrl) - res.matrix)) <= 1e-5
         assert np.max(np.abs(jac - res.matrix)) <= 1e-5
 
 
@@ -699,7 +781,7 @@ def _stacked_pass_cases():
         ("d2334b", Point4(0, 0, 0.1, 0.0)),
     ):
         pair = CATALOG[model]
-        ctrl = char_control(pair, p0, endpoint.CHAR_ARC_DURATION[model], 64)
+        ctrl = char_control(pair, p0, endpoint.CHAR_ARC_DURATION[origin_kind(pair).name], 64)
         cases.append((pair, p0, ctrl))
     return cases
 
@@ -789,7 +871,7 @@ def test_weighted_dilations_keep_characteristic_arcs_singular(model):
     # SINGULAR band.
     pair = CATALOG[model]
     a, b = DILATION_WEIGHTS[model]
-    duration = endpoint.CHAR_ARC_DURATION[model]
+    duration = endpoint.CHAR_ARC_DURATION[origin_kind(pair).name]
     ctrl = char_control(pair, p0, duration, 64)
     for lam in (0.3, 1.7, 3.0):
         q0 = lam ** np.array([a, b, 1.0, 1.0]) * np.array(p0.as_floats())
@@ -905,14 +987,15 @@ def test_no_integration_takes_the_call_form_step(monkeypatch):
         q0 = tuple(rng.uniform(-0.3, 0.3, 4).tolist())
         ctrl = ControlPath(rng.uniform(-1.0, 1.0, (4, 2)))
         horizontal_integrate(pair, q0, ctrl)
-        endpoint_jacobian(pair, q0, ctrl, fd_check=True)
+        endpoint_jacobian(pair, q0, ctrl)
+        fd_jacobian(pair, q0, ctrl)
         bryant_hsu_test(pair, q0, ctrl)
         adjoint_transport(pair, q0, ctrl)
         integrate(char_field(pair, ORACLE), (0.0, 0.0, 0.1, 0.05), -0.5)
         if name != "engel_std":
             char_control(pair, (0.0, 0.0, 0.1, 0.05), 0.05, 4)
             singular_surface(pair, [(0.05, 0.02)], t_max=2.0)
-            sard_sample(name, 2, seed=5, detector_subset=1)
+            sard_sample(pair, 2, seed=5, detector_subset=1)
     assert call_form_sizes == [], call_form_sizes
 
 

@@ -19,13 +19,12 @@ from engelkit.flow import (
     NonFiniteStateError,
     Trajectory,
     adaptive_rk45,
-    closed_form,
     conserved_drift,
     integrate,
     lie_derivative,
-    lyapunov_report,
     singular_surface,
 )
+from engelkit.acceptance import closed_form, lyapunov_report
 from engelkit.endpoint import _RESTART, _control_system
 from engelkit.poly import Point4, SparsePoly, random_poly
 from reference_rk45 import reference_rk45, reference_tuple_rk45, tuple_stages

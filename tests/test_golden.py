@@ -62,9 +62,27 @@ CASES = {
         )
         for name in ("d2334a", "d2334b")
     },
+    # OUTWARD's origin is a repelling star node: its curves run back under +C.
+    "sard-outward": (
+        ["endpoint", "--model", "outward.json", "--sard", "3", "--seed", "3",
+         "--out", "sard_outward.json", "--cloud", "cloud_outward.csv"],
+        ["outward.json"], ["sard_outward.json", "cloud_outward.csv"],
+    ),
     "flow": (
         ["flow", "--model", "d2334b", "--start", "0,0,1,0", "--t", "2", "--out", "flow.csv"],
         [], ["flow.csv"],
+    ),
+    "flow-d224-backward": (
+        ["flow", "--model", "d224", "--start", "0.01,-0.02,0.1,0.05", "--t", "-1",
+         "--out", "flow_d224_backward.csv"],
+        [], ["flow_d224_backward.csv"],
+    ),
+    # A linear center: no sample converges.  --t-max 10 keeps each flow
+    # well inside the tests' step budget.
+    "surface-d2334b-signed": (
+        ["surface", "--model", "d2334b", "--grid", "0.01:0.1:2", "--signed", "--t-max", "10",
+         "--out", "surface_d2334b.csv"],
+        [], ["surface_d2334b.csv"],
     ),
     "surface-d2334a-signed": (
         ["surface", "--model", "d2334a", "--grid", "0.01:0.1:2", "--signed",
