@@ -89,6 +89,33 @@ CASES = {
          "--out", "surface_d2334a.csv"],
         [], ["surface_d2334a.csv"],
     ),
+    # Unsigned grids: the saddle converges on its stable line only, the
+    # center nowhere, and engel_std's field does not vanish at the origin.
+    **{
+        f"surface-{name}-unsigned": (
+            ["surface", "--model", name, "--grid", "0.01:0.1:2", *extra,
+             "--out", f"surface_{name}_unsigned.csv"],
+            [], [f"surface_{name}_unsigned.csv"],
+        )
+        for name, extra in (("d2334a", []), ("d2334b", ["--t-max", "10"]), ("engel_std", []))
+    },
+    **{
+        f"sard40-{name}": (
+            ["endpoint", "--model", name, "--sard", "40", "--seed", "5",
+             "--out", f"sard40_{name}.json", "--cloud", f"cloud40_{name}.csv"],
+            [], [f"sard40_{name}.json", f"cloud40_{name}.csv"],
+        )
+        for name in ("d224", "d2334a", "d2334b")
+    },
+    **{
+        f"flow-{name}-{way}": (
+            ["flow", "--model", name, "--start", "0.01,-0.02,0.1,0.05", "--t", t,
+             "--out", f"flow_{name}_{way}.csv"],
+            [], [f"flow_{name}_{way}.csv"],
+        )
+        for name, way, t in (("d224", "forward", "1"), ("d2334a", "forward", "1"),
+                             ("d2334a", "backward", "-1"), ("d2334b", "backward", "-1"))
+    },
     # OUTWARD's origin is a repelling star node: its samples integrate -C.
     "surface-outward": (
         ["surface", "--model", "outward.json", "--grid", "0.01:0.05:2",
