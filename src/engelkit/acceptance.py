@@ -42,7 +42,7 @@ from .endpoint import (
     horizontal_integrate,
     sard_sample,
 )
-from .flow import RHO, ZW, conserved_drift, integrate, singular_surface
+from .flow import RHO, ZW, conserved_drift, integrate, singular_surface, surface_grid
 from .poly import Point4, SparsePoly, random_poly
 
 MASTER_SEED = 20260810
@@ -273,12 +273,6 @@ def criterion_5() -> CriterionResult:
     return ck
 
 
-def _surface_grid(magnitudes: tuple[float, ...]) -> list[tuple[float, float]]:
-    signs = (1.0, -1.0)
-    return [(sz * mz, sw * mw)
-            for mz in magnitudes for mw in magnitudes for sz in signs for sw in signs]
-
-
 def criterion_6() -> CriterionResult:
     """Singular-endpoint surface of d224: graph offsets and membership."""
     ck = CriterionResult(6, "singular-endpoint surface reconstruction (d224)")
@@ -287,7 +281,7 @@ def criterion_6() -> CriterionResult:
         ((0.01, 0.04, 0.07, 0.1), 0.05, "0.01<=|z|,|w|<=0.1"),
         ((0.001, 0.004, 0.007, 0.01), 0.005, "0.001<=|z|,|w|<=0.01"),
     ):
-        grid = _surface_grid(magnitudes)
+        grid = surface_grid(magnitudes, signed=True)
         sample = singular_surface(CATALOG["d224"], grid)
         ck.add(f"all samples converged ({label})", all(sample.converged),
                f"{sum(sample.converged)}/{len(grid)}")

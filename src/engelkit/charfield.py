@@ -144,11 +144,13 @@ class OriginKind:
     unit stable eigenline ``stable``, its largest component positive; CENTER:
     tr M~ = 0 < det M~.  ``rate`` is the largest |Re lam| over the
     eigenvalues lam of M~: |lam_s| of the stable one at a saddle, the
-    angular speed at a center.
+    angular speed at a center.  ``skew`` says whether C is a skew product
+    (free of x and y), so that its singular surface is a graph over (z, w).
     """
 
     name: str
     rate: float
+    skew: bool
     sign: int = 1
     stable: tuple[float, float] | None = None
 
@@ -174,18 +176,20 @@ def origin_kind(pair: PfaffianPair) -> OriginKind | None:
     tr, det = a + d, a * d - b * c
     if det == 0:
         return None
+    skew = all(p.degree_in("x") <= 0 and p.degree_in("y") <= 0
+               for p in assemble_field(pair, co).components())
     if det > 0:
         if tr == 0:
-            return OriginKind(CENTER, math.sqrt(det))
+            return OriginKind(CENTER, math.sqrt(det), skew)
         rate = (abs(tr) + math.sqrt(max(tr * tr - 4 * det, 0))) / 2
-        return OriginKind(NODE, rate, 1 if tr < 0 else -1)
+        return OriginKind(NODE, rate, skew, 1 if tr < 0 else -1)
     lam = (tr - math.sqrt(tr * tr - 4 * det)) / 2
     # Both candidates solve (M~ - lam I) v = 0; M~ - lam I has rank 1, so the
     # longer one is not zero.
     v = max(((float(b), lam - float(a)), (lam - float(d), float(c))),
             key=lambda u: math.hypot(*u))
     n = math.copysign(math.hypot(*v), max(v, key=abs))
-    return OriginKind(SADDLE, -lam, stable=(v[0] / n, v[1] / n))
+    return OriginKind(SADDLE, -lam, skew, stable=(v[0] / n, v[1] / n))
 
 
 def char_field(pair: PfaffianPair, variant: str = ORACLE) -> PolyVectorField:

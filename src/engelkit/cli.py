@@ -33,6 +33,7 @@ from .flow import (
     IntegrationError,
     integrate,
     singular_surface,
+    surface_grid,
 )
 from .poly import Point4
 
@@ -213,8 +214,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
     magnitudes = _parse_grid(args.grid)
     if np.any(magnitudes == 0.0):
         raise CliError("surface grid magnitudes must be nonzero")
-    signs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] if args.signed else [(1.0, 1.0)]
-    grid = [(sz * z, sw * w) for z in magnitudes for w in magnitudes for sz, sw in signs]
+    grid = surface_grid(magnitudes, args.signed)
     _check_positive(args, "--rtol", "--atol", "--eps-cut", "--t-max")
     _check_steppable("--t-max", args.t_max, args.t_max)
     sample = singular_surface(

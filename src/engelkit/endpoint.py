@@ -38,7 +38,6 @@ from .flow import (
     FLOAT_FMT,
     RHO,
     Trajectory,
-    _is_skew_product,
     adaptive_rk45,
     integrate,
     singular_surface,
@@ -231,18 +230,12 @@ def _segments(rhs_of, q0, ctrl: ControlPath, restart: tuple[float, ...], samples
         q = states[-1][:4]
 
 
-def horizontal_integrate(
-    pair: PfaffianPair,
-    q0,
-    ctrl: ControlPath,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> Trajectory:
+def horizontal_integrate(pair: PfaffianPair, q0, ctrl: ControlPath) -> Trajectory:
     """Integrate the control system segment by segment with the pair's
     ``control`` kernel; endpoint = final state."""
     control = _control_system(pair).control
     all_times, all_states = [0.0], [start_point(q0)]
-    for times, states, _ in _segments(control, q0, ctrl, (), None, rtol, atol):
+    for times, states, _ in _segments(control, q0, ctrl, (), None, DEFAULT_RTOL, DEFAULT_ATOL):
         all_times += times[1:]
         all_states += states[1:]
     return Trajectory(times=all_times, states=all_states)
@@ -339,19 +332,15 @@ class JacobianResult:
     endpoint: np.ndarray
 
 
-def endpoint_jacobian(
-    pair: PfaffianPair,
-    q0,
-    ctrl: ControlPath,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> JacobianResult:
+def endpoint_jacobian(pair: PfaffianPair, q0, ctrl: ControlPath) -> JacobianResult:
     """Derivative of the endpoint with respect to the control entries.
 
     Integrates, per segment, the 4x4 state-transition matrix and the local
     input response, then chains transitions across the remaining segments.
     """
-    endpoint, jac, _, _ = _sensitivity_pass(_control_system(pair), q0, ctrl, None, rtol, atol)
+    endpoint, jac, _, _ = _sensitivity_pass(
+        _control_system(pair), q0, ctrl, None, DEFAULT_RTOL, DEFAULT_ATOL
+    )
     return JacobianResult(matrix=jac, endpoint=endpoint)
 
 
@@ -396,13 +385,7 @@ class AdjointRecord:
     constraint_matrix: np.ndarray
 
 
-def adjoint_transport(
-    pair: PfaffianPair,
-    q0,
-    ctrl: ControlPath,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> AdjointRecord:
+def adjoint_transport(pair: PfaffianPair, q0, ctrl: ControlPath) -> AdjointRecord:
     """Covector transport and frame pairings at the sample times of
     :func:`bryant_hsu_test`: k / (m - 1) for k < m = max(16, 2 n).
 
@@ -411,7 +394,7 @@ def adjoint_transport(
     """
     sys = _control_system(pair)
     samples = _default_samples(ctrl.n_segments)
-    _, _, states, phis = _sensitivity_pass(sys, q0, ctrl, samples, rtol, atol)
+    _, _, states, phis = _sensitivity_pass(sys, q0, ctrl, samples, DEFAULT_RTOL, DEFAULT_ATOL)
     return AdjointRecord(
         times=np.array([t for times in samples for t in times]),
         states=states,
@@ -616,8 +599,9 @@ def sard_sample(
     (>= 0) sampled curves.
 
     The pair's characteristic field must be a skew product (free of x and
-    y), so that its surface is a graph over (z, w); a ValueError names a
-    pair whose origin has no kind or whose field is not one.
+    y, the kind's ``skew``), so that its surface is a graph over (z, w); a
+    ValueError names a pair whose origin has no kind or whose field is not
+    one.
     """
     kind = origin_kind(pair)
     fld = char_field(pair, ORACLE)
@@ -626,7 +610,7 @@ def sard_sample(
                  else "the frame matrix of C at 0 is singular")
         raise ValueError(f"sard_sample needs the origin to be a node, saddle or center of the "
                          f"characteristic field C, but {cause}, so the origin has no kind")
-    if not _is_skew_product(fld):
+    if not kind.skew:
         raise ValueError("sard_sample needs a skew product: this pair's characteristic field "
                          "depends on x or y, so its singular surface is not a graph over (z, w)")
     if n_curves < 0:

@@ -290,7 +290,6 @@ class SurfaceSample:
     converged: list[bool]
     eps_cut: float
     t_max: float
-    skew_product: bool
     failures: dict[int, str] = field(default_factory=dict)
 
     def surface_points(self) -> list[tuple[float, float, float, float]]:
@@ -306,13 +305,6 @@ class SurfaceSample:
             fh.write(
                 ",".join(FLOAT_FMT % v for v in (z, w, -dx, -dy)) + f",{int(ok)}\n"
             )
-
-
-def _is_skew_product(fld: PolyVectorField) -> bool:
-    return all(
-        comp.degree_in("x") <= 0 and comp.degree_in("y") <= 0
-        for comp in fld.components()
-    )
 
 
 def _tail_bound(
@@ -349,6 +341,14 @@ def _cut_test():
     ]), "cut")
 
 
+def surface_grid(magnitudes: Sequence[float], signed: bool) -> list[tuple[float, float]]:
+    """The grid (z, w) = (sz * mz, sw * mw) over every pair of magnitudes,
+    mz outer, each in the sign quadrants (sz, sw) = (+, +), (+, -), (-, +),
+    (-, -) in that order when ``signed``, else (+, +) alone."""
+    signs = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)) if signed else ((1.0, 1.0),)
+    return [(sz * mz, sw * mw) for mz in magnitudes for mw in magnitudes for sz, sw in signs]
+
+
 def singular_surface(
     pair: PfaffianPair,
     grid: Sequence[tuple[float, float]],
@@ -364,14 +364,14 @@ def singular_surface(
     is tested from the third accepted step on, so a sample that starts
     inside it still has the four states the tail bound reads.  A sample
     converges when the cut was reached and the estimated quadrature tail is
-    below 1e-10.  The flow is -C when the field is a skew product and the
-    origin a node or focus with tr M~ > 0 (:func:`charfield.origin_kind`),
-    else +C.  So samples can converge near a node or focus, either way; near
-    a saddle only on its stable eigenline; near a linear center never.
+    below 1e-10.  The flow is -C when C is a skew product and the origin a
+    node or focus with tr M~ > 0 (:func:`charfield.origin_kind`), else +C.
+    So samples can converge near a node or focus, either way; near a saddle
+    only on its stable eigenline; near a linear center never.
 
     The x, y entries of the state accumulate the offsets (dx, dy); the surface
     point (-dx, -dy, z, w) is a graph over (z, w) when the x, y dynamics
-    depend on (z, w) only (``skew_product``), else the offsets describe only
+    depend on (z, w) only (the kind's ``skew``), else the offsets describe only
     the flow from (0, 0, z, w).  A sample whose flow raises IntegrationError
     is recorded in ``failures`` and the grid goes on.
     """
@@ -381,8 +381,7 @@ def singular_surface(
     if t_max < H_FLOOR:
         raise ValueError(f"t_max={t_max!r} is shorter than the step floor H_FLOOR={H_FLOOR!r}")
     fld = char_field(pair, ORACLE)
-    skew = _is_skew_product(fld)
-    if skew and (kind := origin_kind(pair)) is not None and kind.sign < 0:
+    if (kind := origin_kind(pair)) is not None and kind.skew and kind.sign < 0:
         fld = -fld
     rhs = fld.compile_rhs()
     rho_fn = RHO.compile()
@@ -417,6 +416,5 @@ def singular_surface(
         converged=converged,
         eps_cut=eps_cut,
         t_max=t_max,
-        skew_product=skew,
         failures=failures,
     )

@@ -40,8 +40,14 @@ FAULTS = {
     # A node's orientation read backwards: attracting nodes get sign -1.
     "node-sign": (
         "src/engelkit/charfield.py",
-        "return OriginKind(NODE, rate, 1 if tr < 0 else -1)",
-        "return OriginKind(NODE, rate, -1 if tr < 0 else 1)",
+        "return OriginKind(NODE, rate, skew, 1 if tr < 0 else -1)",
+        "return OriginKind(NODE, rate, skew, -1 if tr < 0 else 1)",
+    ),
+    # Every field with a kind called a skew product.
+    "kind-always-skew": (
+        "src/engelkit/charfield.py",
+        'skew = all(p.degree_in("x") <= 0',
+        'skew = True or all(p.degree_in("x") <= 0',
     ),
     # The kind read from M = d(c, e)/d(z, w)(0) in place of the frame matrix.
     "m-for-frame-matrix": (
@@ -65,8 +71,15 @@ FAULTS = {
     # Surfaces of repelling skew-product nodes integrated under +C.
     "surface-ignores-sign": (
         "src/engelkit/flow.py",
+        "and kind.skew and kind.sign < 0:",
+        "and kind.skew and kind.sign < -1:",
+    ),
+    # Surfaces of repelling nodes integrated under -C even when C involves
+    # x or y, so the flow from (0, 0, z, w) is not the fibre's.
+    "surface-flips-non-skew": (
+        "src/engelkit/flow.py",
+        "is not None and kind.skew and kind.sign < 0:",
         "is not None and kind.sign < 0:",
-        "is not None and kind.sign < -1:",
     ),
     # A surface sample converged without the quadrature tail bound.
     "no-tail-bound": (

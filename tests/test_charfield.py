@@ -229,11 +229,11 @@ def test_catalog_origin_kinds():
     # M~ = -2I on d224, diag(-2, 2) on d2334a, [[0, -2], [2, 0]] on d2334b,
     # each with rate 2.0 exactly, and 20I on OUTWARD; engel_std's field does
     # not vanish at the origin (e = 1).
-    assert origin_kind(CATALOG["d224"]) == OriginKind(NODE, 2.0, 1)
-    assert origin_kind(CATALOG["d2334a"]) == OriginKind(SADDLE, 2.0, 1, (1.0, 0.0))
-    assert origin_kind(CATALOG["d2334b"]) == OriginKind(CENTER, 2.0)
+    assert origin_kind(CATALOG["d224"]) == OriginKind(NODE, 2.0, True, 1)
+    assert origin_kind(CATALOG["d2334a"]) == OriginKind(SADDLE, 2.0, True, 1, (1.0, 0.0))
+    assert origin_kind(CATALOG["d2334b"]) == OriginKind(CENTER, 2.0, True)
     assert origin_kind(CATALOG["engel_std"]) is None
-    assert origin_kind(OUTWARD) == OriginKind(NODE, 20.0, -1)
+    assert origin_kind(OUTWARD) == OriginKind(NODE, 20.0, True, -1)
 
 
 def _kind_from_trace_and_determinant(pair):
@@ -284,7 +284,8 @@ KIND_MINIMUMS = {
 
 def test_origin_kind_agrees_with_the_exact_trace_and_determinant():
     # On seeded pairs of both families, the kind's name and orientation
-    # equal those read from tr M and det M of the reference field; a
+    # equal those read from tr M and det M of the reference field, and the
+    # kind says C is a skew product, as every pair free of x and y is; a
     # saddle's stable line is a unit eigenvector of M for its negative
     # eigenvalue, with its largest component positive.
     counts = dict.fromkeys(KIND_MINIMUMS, 0)
@@ -295,7 +296,7 @@ def test_origin_kind_agrees_with_the_exact_trace_and_determinant():
         if name is None:
             assert kind is None, pair
             continue
-        assert (kind.name, kind.sign) == (name, sign), pair
+        assert (kind.name, kind.sign, kind.skew) == (name, sign, True), pair
         if name != SADDLE:
             assert kind.stable is None, pair
             continue
@@ -376,10 +377,11 @@ def _xy_kind_families(seed):
 
 
 # Fewest pairs of each (family, kind, sign) the seeded draw must hold, and of
-# pairs on which M = d(c, e)/d(z, w)(0) gives another kind than M~; the
-# draw holds 16 attracting and 17 repelling nodes and 47 degenerate flat
-# pairs, 20 saddles, 1 center and 59 degenerate tilted pairs, and M
-# misreads 35.
+# pairs on which M = d(c, e)/d(z, w)(0) gives another kind than M~, and of
+# pairs with a kind whose C is not a skew product; the draw holds 16
+# attracting and 17 repelling nodes and 47 degenerate flat pairs, 20
+# saddles, 1 center and 59 degenerate tilted pairs, M misreads 35, and all
+# 54 with a kind depend on x or y.
 XY_KIND_MINIMUMS = {
     ("flat", NODE, 1): 10,
     ("flat", NODE, -1): 10,
@@ -388,6 +390,7 @@ XY_KIND_MINIMUMS = {
     ("tilted", CENTER, 1): 1,
     ("tilted", None, 1): 10,
     "misread by M": 20,
+    "not skew": 50,
 }
 
 
@@ -420,6 +423,11 @@ def test_origin_kind_reads_the_4x4_jacobian_on_pairs_with_x_and_y_terms():
             assert kind is None, pair
             continue
         assert (kind.name, kind.sign) == (name, sign), pair
+        # A skew product: no component of C has a nonzero x or y partial.
+        comps = char_field(pair, ORACLE).components()
+        skew = all(p.diff(v).is_zero() for p in comps for v in "xy")
+        counts["not skew"] += not skew
+        assert kind.skew == skew, pair
         eig = np.linalg.eigvals(np.array(jac, dtype=float))
         rate = -eig.real.min() if name == SADDLE else np.abs(eig.real).max()
         if name == CENTER:
@@ -445,4 +453,4 @@ def test_origin_kind_of_a_pair_whose_m_and_frame_matrix_disagree():
     pair = PfaffianPair(-2 - 2 * x * W + x * Z - 2 * x * Z * Z,
                         -1 - 2 * W * W - 2 * Z * Z + 2 * x * Z + 2 * x * Z * Z)
     assert _char_poly(_jacobian_at_origin(pair)) == [0, 0, 64, 16, 1]
-    assert origin_kind(pair) == OriginKind(NODE, 8.0, 1)
+    assert origin_kind(pair) == OriginKind(NODE, 8.0, False, 1)
