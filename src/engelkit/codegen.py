@@ -12,7 +12,9 @@ same body (:func:`rhs_source`), whose stages call no function; any other
 rhs is stepped by the same generator with a body that calls it
 (:func:`loop_source`).  The loop runs the whole integration: step-size
 control, stages, the finiteness test, the error norm, dense samples and
-the stop test, with no Python call per trial step.  The generators
+the stop test, with no Python call per trial step.  A pass kernel
+(:func:`pass_source`) wraps the same loop in a segment loop, so one call
+integrates a whole piecewise-constant control.  The generators
 interpolate nothing but ``repr(float(c))`` of exact coefficients,
 integer exponents and fixed names.  Kernels are built on first use and
 kept in :func:`kernel`'s one cache of 256 sources.
@@ -132,6 +134,114 @@ def loop_source(state: Sequence[str], body: Sequence[str], values: Sequence[str]
     the float range, ±inf, never NaN.  The norm, needed anyway, and 2n
     additions so stand for a call of ``isfinite`` per value.
     """
+    counters = "_t, _h, _accepted, _rejected, _h_min"
+    record = [
+        "_times.append(_t)",
+        "_states.append(_y_new)",
+        "_accepted += 1",
+        "if _stop is not None and _stop(_t, _y_new):",
+        f"    return None, {counters}",
+    ]
+    lines = [
+        f"{tuple_source(numbered_names('_y', len(state)))} = _y",
+        *_step_lines(state, body, values, counters, "pending", range(len(state)), record),
+        f"return None, {counters}",
+    ]
+    signature = ("rk45_loop(rhs, _t, _t1, _y, _h, _rtol, _atol, _max_steps, _h_floor, _stop, "
+                 "_pending, _sampled, _times, _states)")
+    return function_source(signature, lines)
+
+
+def pass_source(
+    name: str,
+    inputs: Sequence[str],
+    state: Sequence[str],
+    body: Sequence[str],
+    values: Sequence[str],
+    restart: Sequence[float],
+    kept: Sequence[int] | None,
+    keep_steps: bool,
+) -> str:
+    """Source of ``name(_u, _y, _rtol, _atol, _max_steps, _h_floor,
+    _samples, _sampled, _times, _states, _counts)``, which runs the loop of
+    :func:`loop_source` on (state, body, values) over every segment of a
+    piecewise-constant input in one call.
+
+    Segment j of the n rows of ``_u`` binds the names ``inputs`` to row j
+    and runs from t = j / n to (j + 1) / n, as ``flow.adaptive_rk45``
+    would: the same span check against the floor, counters and budget
+    per segment, and the first stage taken afresh.  Its state is the q
+    that ``_y`` (the leading entries) or segment j - 1 ended with, and
+    the entries after q restart at the float literals ``restart``.  Its
+    first trial step is the step segment j - 1 ended with; segment 0's is
+    the default of ``flow.adaptive_rk45``, 1 % of the span but at least
+    1e-6.  Each segment appends (accepted, rejected) to _counts and its
+    end state to _states, or, with ``keep_steps``, every accepted time and
+    state to _times and _states.  With ``kept``, ``_samples[j]`` (None for
+    no samples) holds segment j's sample times in ascending order, and
+    the dense sample of the entries ``kept`` at each is appended to
+    _sampled.  It returns (status, j, t, h, accepted, rejected, h_min) of
+    the last segment it ran, j its index; status is None when it reached
+    t = 1, "span" when segment j is shorter than the floor (no step
+    taken), else the loop's failure.
+    """
+    y = numbered_names("_y", len(state))
+    restarted = len(state) - len(restart)
+    counters = "_j, _t, _h, _accepted, _rejected, _h_min"
+    record = ["_times.append(_t)", "_states.append(_y_new)"] if keep_steps else []
+    lines = [
+        f"{tuple_source(y[:restarted])} = _y",
+        "_segments = len(_u)",
+        f"for _j, {tuple_source(inputs)} in enumerate(_u):",
+        "    _t = _j / _segments",
+        "    _t1 = (_j + 1) / _segments",
+        "    _span = _t1 - _t",
+        "    if _span < _h_floor * (_t if _t > 1.0 else -_t if _t < -1.0 else 1.0):",
+        "        return 'span', _j, _t, 0.0, 0, 0, inf",
+        "    if _j == 0:",
+        "        _h = min(_span, max(1e-06, 0.01 * _span))",
+        *(f"    {entry} = {float(value)!r}" for entry, value in zip(y[restarted:], restart)),
+    ]
+    if kept is not None:
+        lines += [
+            "    _S = () if _samples is None else _samples[_j]",
+            "    _p = 0",
+            "    _s = _S[0] if _S else inf",
+        ]
+    sampling = None if kept is None else "ascending"
+    lines += [
+        *(f"    {line}" for line in _step_lines(
+            state, body, values, counters, sampling, kept, [*record, "_accepted += 1"]
+        )),
+        "    _counts.append((_accepted, _rejected))",
+        *([] if keep_steps else ["    _states.append(_y_new)"]),
+        f"return None, {counters}",
+    ]
+    signature = (f"{name}(_u, _y, _rtol, _atol, _max_steps, _h_floor, _samples, _sampled, "
+                 "_times, _states, _counts)")
+    return function_source(signature, lines)
+
+
+def _step_lines(
+    state: Sequence[str],
+    body: Sequence[str],
+    values: Sequence[str],
+    counters: str,
+    sampling: str | None,
+    kept: Sequence[int] | None,
+    record: Sequence[str],
+) -> list[str]:
+    """The first stage from (_t, the _y entries) and the step loop towards
+    _t1, shared by :func:`loop_source` and :func:`pass_source`; every
+    return gives the status, then ``counters``.
+
+    An accepted step first writes the dense samples of the entries
+    ``kept`` that it covers: popped off _pending into _sampled[i] when
+    ``sampling`` is "pending"; appended to _sampled when it is
+    "ascending", with _s the next of the ascending times _S and _p its
+    index (inf past the last); none when it is None.  It then moves to
+    its new state and runs the ``record`` lines.
+    """
     n = len(state)
     read = set(_NAME.findall(" ".join([*body, *values])))
     y, y_new = numbered_names("_y", n), numbered_names("_n", n)
@@ -174,14 +284,39 @@ def loop_source(state: Sequence[str], body: Sequence[str], values: Sequence[str]
     squares = " + ".join(["0.0", *(f"_e{j} * _e{j}" for j in range(n))])
     # _P weighs k2 by zero.
     dense = {s: [repr(float(p)) for p in _P[s - 1]] for s in (1, 3, 4, 5, 6, 7)}
-    sample = tuple_source(
-        f"{y[j]} + _h * ({' + '.join(f'_d{s} * {k[s][j]}' for s in dense)})" for j in range(n)
-    )
-    counters = "_t, _h, _accepted, _rejected, _h_min"
+    samples: list[str] = []
+    if sampling is not None:
+        sample = tuple_source(
+            f"{y[j]} + _h * ({' + '.join(f'_d{s} * {k[s][j]}' for s in dense)})" for j in kept
+        )
+        coefficients = ["_th = (_s - _t) / _h", *(
+            f"_d{s} = _th * ({p1} + _th * ({p2} + _th * ({p3} + _th * {p4})))"
+            for s, (p1, p2, p3, p4) in dense.items()
+        )]
+    if sampling == "pending":
+        samples = [
+            "while _pending[-1][0] <= _t_new:",
+            "    _s, _i = _pending.pop()",
+            "    if _s == _t_new:",
+            "        _sampled[_i] = _y_new",
+            "        continue",
+            *(f"    {line}" for line in coefficients),
+            f"    _sampled[_i] = {sample}",
+        ]
+    elif sampling == "ascending":
+        samples = [
+            "while _s <= _t_new:",
+            "    if _s == _t_new:",
+            f"        _sampled.append({tuple_source(y_new[j] for j in kept)})",
+            "    else:",
+            *(f"        {line}" for line in coefficients),
+            f"        _sampled.append({sample})",
+            "    _p += 1",
+            "    _s = _S[_p] if _p < len(_S) else inf",
+        ]
     # min(_MAX_FACTOR, max(_MIN_FACTOR, factor)) and max(_h, _proposal) as
     # the builtins evaluate them, without their calls.
-    lines = [
-        f"{tuple_source(y)} = _y",
+    return [
         "try:",
         *(f"    {line}" for line in stage(1, "_t", y)),
         "except OverflowError:",
@@ -222,23 +357,11 @@ def loop_source(state: Sequence[str], body: Sequence[str], values: Sequence[str]
         "        continue",
         f"    _err = sqrt(_squares / {n})",
         "    if _err <= 1.0:",
-        "        while _pending[-1][0] <= _t_new:",
-        "            _s, _i = _pending.pop()",
-        "            if _s == _t_new:",
-        "                _sampled[_i] = _y_new",
-        "                continue",
-        "            _th = (_s - _t) / _h",
-        *(f"            _d{s} = _th * ({p1} + _th * ({p2} + _th * ({p3} + _th * {p4})))"
-          for s, (p1, p2, p3, p4) in dense.items()),
-        f"            _sampled[_i] = {sample}",
+        *(f"        {line}" for line in samples),
         "        _t = _t_new",
         f"        {tuple_source(y)} = _y_new",
         *(f"        {k[1][j]} = {k[7][j]}" for j in range(n)),
-        "        _times.append(_t)",
-        "        _states.append(_y_new)",
-        "        _accepted += 1",
-        "        if _stop is not None and _stop(_t, _y_new):",
-        f"            return None, {counters}",
+        *(f"        {line}" for line in record),
         f"        _f = {_MAX_FACTOR!r} if _err == 0.0 else {_SAFETY!r} * _err ** -0.2",
         f"        _h *= {_MAX_FACTOR!r} if _f >= {_MAX_FACTOR!r} "
         f"else _f if _f > {_MIN_FACTOR!r} else {_MIN_FACTOR!r}",
@@ -251,8 +374,4 @@ def loop_source(state: Sequence[str], body: Sequence[str], values: Sequence[str]
         "        _non_finite = False",
         f"        _f = {_SAFETY!r} * _err ** -0.2",
         f"        _h *= _f if _f > {_MIN_FACTOR!r} else {_MIN_FACTOR!r}",
-        f"return None, {counters}",
     ]
-    signature = ("rk45_loop(rhs, _t, _t1, _y, _h, _rtol, _atol, _max_steps, _h_floor, _stop, "
-                 "_pending, _sampled, _times, _states)")
-    return function_source(signature, lines)

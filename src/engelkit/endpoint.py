@@ -30,7 +30,8 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .charfield import CENTER, NODE, ORACLE, SADDLE, char_field, origin_kind
-from .codegen import function_source, kernel, rhs_source
+from . import flow
+from .codegen import function_source, kernel, pass_source
 from .distribution import PfaffianPair, resolve_model
 from .flow import (
     DEFAULT_ATOL,
@@ -39,11 +40,14 @@ from .flow import (
     RHO,
     Trajectory,
     adaptive_rk45,
+    check_span,
+    check_tolerances,
     integrate,
+    loop_error,
     singular_surface,
     start_point,
 )
-from .poly import VARS
+from .poly import VARS, SparsePoly
 
 SINGULAR_THRESHOLD = 1e-7
 REGULAR_THRESHOLD = 1e-4
@@ -114,23 +118,29 @@ class ControlPath:
 
 @dataclass(frozen=True)
 class _ControlSystem:
-    """Generated kernels of qdot = u1 Z + u2 W and its linearization,
-    both from :func:`_variational_source`, each with its fused loop.
+    """Generated pass kernels of qdot = u1 Z + u2 W and its linearization,
+    both from :func:`_variational_parts` and :func:`codegen.pass_source`:
+    each runs a whole control, every segment, in one call (:func:`_run_pass`).
 
-    ``control(u1, u2)`` is the rhs of q, (-u2 f, -u2 g, u1, u2).  The
-    variational state is (q, X) with X = [Phi | L] a 4x6 matrix stored
-    row-major, 28 entries: qdot = u1 Z + u2 W, Xdot = A X + [0 | B(q)].
-    A = d(u1 Z + u2 W)/dq and B = [Z | W] vary only in their x and y rows,
-    so the z and w rows of Xdot are constant.  From the restart (q, I, 0)
-    of every segment, the entries outside ``moving`` have an rhs of
-    exactly +0.0 or -0.0 and keep their restart value.
-    ``variational(u1, u2)`` is the rhs of the reduced state, the entries
-    of ``moving`` (ascending 28-state indices, q first) in that order; it
-    reads every other entry as its constant in ``_RESTART``.
+    ``control`` integrates q, whose rhs is (-u2 f, -u2 g, u1, u2), and
+    keeps every accepted step.  The variational state is (q, X) with
+    X = [Phi | L] a 4x6 matrix stored row-major, 28 entries:
+    qdot = u1 Z + u2 W, Xdot = A X + [0 | B(q)].  A = d(u1 Z + u2 W)/dq and
+    B = [Z | W] vary only in their x and y rows, so the z and w rows of
+    Xdot are constant.  From the restart (q, I, 0) of every segment, the
+    entries outside ``moving`` have an rhs of exactly +0.0 or -0.0 and
+    keep their restart value.  ``variational`` integrates the entries of
+    ``moving`` (ascending 28-state indices, q first) in that order,
+    reading every other entry as its constant in ``_RESTART``; it keeps
+    each segment's end state, and its dense samples hold only q and the
+    cells of Phi that move (:func:`_sampled_entries`), since L is never
+    read at a sample.  ``frames(states)`` lists the frames (Z, W) at each
+    q of ``states``, for :func:`_constraint_matrix`.
     """
 
-    control: Callable[[float, float], Callable]
-    variational: Callable[[float, float], Callable]
+    control: Callable
+    variational: Callable
+    frames: Callable
     moving: tuple[int, ...]
 
 
@@ -138,20 +148,41 @@ class _ControlSystem:
 _RESTART = tuple(float(row == col) for row in range(4) for col in range(6))
 
 
+def _sampled_entries(moving: Sequence[int]) -> list[int]:
+    """Positions in the reduced state of q and of the cells of Phi (columns
+    0 to 3 of X) among the ``moving`` entries."""
+    return [i for i, j in enumerate(moving) if j < 4 or (j - 4) % 6 < 4]
+
+
 @lru_cache(maxsize=64)
 def _control_system(pair: PfaffianPair) -> _ControlSystem:
     """The generated control system of the pair, built once per pair."""
-    grads = [
+    grads = _gradients(pair)
+    fixed = _fixed_entries([[v for v, _ in grad] for grad in grads])
+    moving = tuple(j for j in range(28) if j not in fixed)
+    restart = [_RESTART[j - 4] for j in moving[4:]]
+    control = pass_source(
+        "control", ("u1", "u2"), *_variational_parts(pair, ([], []), range(4)), (), None, True
+    )
+    variational = pass_source(
+        "variational", ("u1", "u2"), *_variational_parts(pair, grads, moving), restart,
+        _sampled_entries(moving), False,
+    )
+    return _ControlSystem(
+        control=kernel(control, "control"),
+        variational=kernel(variational, "variational"),
+        frames=kernel(_frames_source(pair), "frames"),
+        moving=moving,
+    )
+
+
+def _gradients(pair: PfaffianPair) -> list[list[tuple[int, SparsePoly]]]:
+    """For f and g, each (v, partial derivative in variable v) that is not
+    identically zero."""
+    return [
         [(v, d) for v, name in enumerate(VARS) if not (d := poly.diff(name)).is_zero()]
         for poly in (pair.f, pair.g)
     ]
-    fixed = _fixed_entries([[v for v, _ in grad] for grad in grads])
-    moving = tuple(j for j in range(28) if j not in fixed)
-    return _ControlSystem(
-        control=kernel(_variational_source(pair, ([], []), range(4)), "variational"),
-        variational=kernel(_variational_source(pair, grads, moving), "variational"),
-        moving=moving,
-    )
 
 
 def _fixed_entries(support: Sequence[Sequence[int]]) -> frozenset[int]:
@@ -182,17 +213,18 @@ def _fixed_entries(support: Sequence[Sequence[int]]) -> frozenset[int]:
     return frozenset(4 + 6 * r + c for (r, c), t in linear.items() if zero.issuperset(t))
 
 
-def _variational_source(pair: PfaffianPair, grads, moving: Sequence[int]) -> str:
-    """Source of ``variational(u1, u2)``, which returns the rhs of
-    :attr:`_ControlSystem.variational` on the ``moving`` entries, with its
-    fused loop (:func:`codegen.rhs_source`); with no gradient terms
-    and only q moving, it is :attr:`_ControlSystem.control`.
+def _variational_parts(
+    pair: PfaffianPair, grads, moving: Sequence[int]
+) -> tuple[list[str], list[str], list[str]]:
+    """(state, body, values) of the rhs of the ``moving`` entries of the
+    variational state, with the controls bound to ``u1`` and ``u2``; with
+    no gradient terms and only q moving, the rhs of q alone.
 
     The x and y rows of A are -u2 times the gradients of f and g; only
     the entries that are not identically zero, ``grads`` as
-    :func:`_control_system` lists them, are written out.  Column 5 of B is
-    W, whose x and y entries are -f and -g.  Every entry outside
-    ``moving`` is read as its restart constant.
+    :func:`_gradients` lists them, are written out.  Column 5 of B is W,
+    whose x and y entries are -f and -g.  Every entry outside ``moving``
+    is read as its restart constant.
     """
     names = ["x", "y", "z", "w", *(f"s{r}_{c}" for r in range(4) for c in range(6))]
     body: list[str] = []
@@ -208,37 +240,66 @@ def _variational_source(pair: PfaffianPair, grads, moving: Sequence[int]) -> str
             values.append(f"{value} - {name}v" if c == 5 else value)
     # The z and w rows of Xdot are those of [0 | B]: (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1).
     values += ["0.0", "0.0", "0.0", "0.0", "1.0", "0.0", "0.0", "0.0", "0.0", "0.0", "0.0", "1.0"]
-    inner = rhs_source([names[j] for j in moving], body, [values[j] for j in moving])
-    return function_source("variational(u1, u2)", [*inner.splitlines(), "return rhs"])
+    return [names[j] for j in moving], body, [values[j] for j in moving]
 
 
-def _segments(rhs_of, q0, ctrl: ControlPath, restart: tuple[float, ...], samples, rtol, atol):
-    """Integrate ``rhs_of(u1, u2)`` over each segment of the control, one
-    integrator call per segment, and yield each call's (times, states,
-    sampled).  Segment j starts from q0 or the q where segment j - 1
-    ended, with the entries after q at ``restart``; it reads
-    ``samples[j]`` from the dense output, and its first trial step is the
-    step segment j - 1 ended with."""
-    n = ctrl.n_segments
-    q, h = start_point(q0), None
-    for j, (u1, u2) in enumerate(ctrl.u.tolist()):
-        times, states, h, sampled = adaptive_rk45(
-            rhs_of(u1, u2), (*q, *restart), (j / n, (j + 1) / n), rtol, atol,
-            h0=h, samples=samples[j] if samples else (),
-        )
-        yield times, states, sampled
-        q = states[-1][:4]
+def _frames_source(pair: PfaffianPair) -> str:
+    """Source of ``frames(states)``: for each state q, a 4-list of
+    floats, the frames ((0.0 W^x, 0.0 W^y, 1, 0), W) at q, where
+    W = (-1.0 f, -1.0 g, 0, 1) is the control rhs at (u1, u2) = (0, 1) and
+    Z's zeros carry the signs of -0.0 f and -0.0 g."""
+    return function_source("frames(_states)", [
+        "_out = []",
+        "for x, y, z, w in _states:",
+        f"    _wx = -1.0 * ({pair.f.float_source()})",
+        f"    _wy = -1.0 * ({pair.g.float_source()})",
+        "    _out.append(((0.0 * _wx, 0.0 * _wy, 1.0, 0.0), (_wx, _wy, 0.0, 1.0)))",
+        "return _out",
+    ])
+
+
+def _run_pass(
+    pass_kernel: Callable,
+    q0,
+    ctrl: ControlPath,
+    rtol: float,
+    atol: float,
+    samples: tuple[tuple[float, ...], ...] | None,
+    times: list[float] | None,
+    states: list[tuple[float, ...]],
+) -> list[tuple[float, ...]]:
+    """Run a pass kernel of :class:`_ControlSystem` over the control from
+    q0, appending to ``times`` and ``states`` as the kernel does, and
+    return its dense samples at ``samples[j]``, the sample times of
+    segment j (None for none).
+
+    The tolerances are checked once per control; the budget
+    ``flow.MAX_STEPS`` and the floor ``flow.H_FLOOR``, read at call time,
+    apply to each segment, and a failing segment raises what
+    ``flow.adaptive_rk45`` raises on it."""
+    check_tolerances(rtol, atol)
+    max_steps, h_floor = flow.MAX_STEPS, flow.H_FLOOR
+    sampled: list = []
+    status, j, t, _, accepted, rejected, h_min = pass_kernel(
+        ctrl.u.tolist(), start_point(q0), rtol, atol, max_steps, h_floor, samples, sampled,
+        times, states, [],
+    )
+    if status == "span":
+        n = ctrl.n_segments
+        check_span((j / n, (j + 1) / n), h_floor)
+    if status is not None:
+        raise loop_error(status, t, accepted, rejected, h_min, max_steps)
+    return sampled
 
 
 def horizontal_integrate(pair: PfaffianPair, q0, ctrl: ControlPath) -> Trajectory:
-    """Integrate the control system segment by segment with the pair's
-    ``control`` kernel; endpoint = final state."""
-    control = _control_system(pair).control
-    all_times, all_states = [0.0], [start_point(q0)]
-    for times, states, _ in _segments(control, q0, ctrl, (), None, DEFAULT_RTOL, DEFAULT_ATOL):
-        all_times += times[1:]
-        all_states += states[1:]
-    return Trajectory(times=all_times, states=all_states)
+    """Integrate the control system over every segment in one call of the
+    pair's ``control`` kernel, keeping every accepted step; endpoint =
+    final state."""
+    times, states = [0.0], [start_point(q0)]
+    _run_pass(_control_system(pair).control, q0, ctrl, DEFAULT_RTOL, DEFAULT_ATOL, None,
+              times, states)
+    return Trajectory(times=times, states=states)
 
 
 @lru_cache(maxsize=64)
@@ -264,59 +325,53 @@ def _sensitivity_pass(
     rtol: float,
     atol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate (q, Phi, L) once over the control, one integrator call per
-    segment (:func:`_segments`), reading ``samples[j]``, the sample times
-    of segment j, from the dense output.
+    """Integrate (q, Phi, L) once over the control, every segment in one
+    call of the ``variational`` kernel (:func:`_run_pass`), reading
+    ``samples[j]``, the sample times of segment j, from the dense output.
 
     Phi (the state-transition matrix) and L (the response to the segment's
     two control entries) restart at (I, 0) at every segment boundary; the
     Jacobian chains them backwards over the later segments.  Returns the
     endpoint, the 4 x 2n Jacobian, and at each sample the state and the
-    cumulative transition Phi(t) = Phi_loc(t) Phi(boundary).  The segments
-    run on float tuples of the entries that move (:class:`_ControlSystem`);
-    numpy fills in [Phi | L] at the segment ends and the samples once,
-    after the last segment.
+    cumulative transition Phi(t) = Phi_loc(t) Phi(boundary).  The kernel
+    runs on float tuples of the entries that move (:class:`_ControlSystem`);
+    numpy fills in [Phi | L] at the segment ends and Phi at the samples
+    once, after the last segment.
     """
     n = ctrl.n_segments
-    cells = [j - 4 for j in sys.moving[4:]]
-    restart = tuple(_RESTART[i] for i in cells)
     ends: list[tuple[float, ...]] = []
-    sampled: list[tuple[float, ...]] = []
-    segment: list[int] = []
-    segments = _segments(sys.variational, q0, ctrl, restart, samples, rtol, atol)
-    for j, (_, states, at_samples) in enumerate(segments):
-        ends.append(states[-1])
-        sampled += at_samples
-        segment += [j] * len(at_samples)
+    sampled = _run_pass(sys.variational, q0, ctrl, rtol, atol, samples, None, ends)
 
-    # [Phi | L] at the end of each segment and at each sample, and
+    # [Phi | L] at the end of each segment and Phi at each sample, and
     # Phi(boundary j) and the product of the later transitions, chained
-    # one matmul at a time.
-    reduced = np.array(ends + sampled)
-    blocks = np.tile(_RESTART, (len(reduced), 1))
-    blocks[:, cells] = reduced[:, 4:]
+    # one matmul at a time, each written in place.
+    blocks = np.tile(_RESTART, (n, 1))
+    blocks[:, [j - 4 for j in sys.moving[4:]]] = np.array(ends)[:, 4:]
     blocks = blocks.reshape(-1, 4, 6)
-    transitions = blocks[:n, :, :4]
+    transitions = blocks[:, :, :4]
     prefix = np.empty((n, 4, 4))
     suffix = np.empty((n, 4, 4))
     prefix[0] = suffix[-1] = np.eye(4)
     for j in range(1, n):
-        prefix[j] = transitions[j - 1] @ prefix[j - 1]
-        suffix[-1 - j] = suffix[-j] @ transitions[-j]
-    jac = (suffix @ blocks[:n, :, 4:]).transpose(1, 0, 2).reshape(4, 2 * n)
-    phis = blocks[n:, :, :4] @ prefix[segment]
-    return np.array(ends[-1][:4]), jac, reduced[n:, :4], phis
+        np.matmul(transitions[j - 1], prefix[j - 1], out=prefix[j])
+        np.matmul(suffix[-j], transitions[-j], out=suffix[-1 - j])
+    jac = (suffix @ blocks[:, :, 4:]).transpose(1, 0, 2).reshape(4, 2 * n)
+    kept = [sys.moving[i] for i in _sampled_entries(sys.moving)]
+    at_samples = np.array(sampled, dtype=float).reshape(-1, len(kept))
+    local = np.tile(np.eye(4).ravel(), (len(at_samples), 1))
+    local[:, [4 * ((j - 4) // 6) + (j - 4) % 6 for j in kept[4:]]] = at_samples[:, 4:]
+    segment = [j for j, times in enumerate(samples or ()) for _ in times]
+    phis = local.reshape(-1, 4, 4) @ prefix[segment]
+    return np.array(ends[-1][:4]), jac, at_samples[:, :4], phis
 
 
 def _constraint_matrix(sys: _ControlSystem, states: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Rows (h1, h2) = (<lambda, Z>, <lambda, W>) at each sample, as linear
     functions of the initial covector.  The covector transport is
-    Phi(t)^{-T}, so the two rows at t are solve(Phi(t), [Z | W])^T.  W is
-    ``control(0.0, 1.0)``, which evaluates f and g once per sample, and
-    Z = (0.0 W^x, 0.0 W^y, 1, 0) has the signed zeros of -0.0 f, -0.0 g."""
-    w_at = sys.control(0.0, 1.0)
-    ws = [w_at(0.0, q) for q in states.tolist()]
-    frames = np.array([((0.0 * w[0], 0.0 * w[1], 1.0, 0.0), w) for w in ws])
+    Phi(t)^{-T}, so the two rows at t are solve(Phi(t), [Z | W])^T; the
+    frames come from one call of ``frames``, which evaluates f and g once
+    per sample."""
+    frames = np.array(sys.frames(states.tolist()))
     return np.linalg.solve(phis, frames.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(-1, 4)
 
 

@@ -13,13 +13,17 @@ that call it.  It calls no numpy: it returns its accepted states and dense
 samples as lists of float tuples, and each caller converts them once where
 it needs arrays.  It integrates the characteristic flows here
 (:func:`singular_surface` calls it directly, with one compiled rhs per
-grid) and, in :mod:`engelkit.endpoint`, the control system and its
-variational pass (one segment loop serves both) and the characteristic
-controls.  The error norm is the RMS over every entry of the state, so a
-caller integrates only the entries that move.  Generation happens on first
-use (about 2 ms for a field, 7 ms for a pair's control system), not at
-import.  Monitor channels are polynomial quantities sampled along the
-trajectory.  Everything is deterministic for fixed inputs.
+grid) and, in :mod:`engelkit.endpoint`, the characteristic controls.
+The control system and its variational pass do not call it: their
+kernels (:func:`codegen.pass_source`) run the same loop over every
+segment of a control in one call, with its checks
+(:func:`check_tolerances`, :func:`check_span`) and its failures
+(:func:`loop_error`).  The error norm is the RMS over every entry of the
+state, so a caller integrates only the entries that move.  Generation
+happens on first use (about 2 ms for a field, 7 ms for a pair's control
+system), not at import.  Monitor channels are polynomial quantities
+sampled along the trajectory.  Everything is deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -118,17 +122,11 @@ def adaptive_rk45(
         raise ValueError(f"t_span must be finite, got {t_span!r}")
     if t1 <= t0:
         raise ValueError("t_span must be increasing; reverse the field instead")
-    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
-        raise ValueError(f"rtol and atol must be positive and finite, got rtol={rtol!r}, "
-                         f"atol={atol!r}")
+    check_tolerances(rtol, atol)
     if h0 is not None and not h0 > 0.0:
         raise ValueError(f"h0 must be positive, got h0={h0!r}")
+    check_span(t_span, h_floor)
     span = t1 - t0
-    if span < h_floor * max(1.0, abs(t0)):
-        raise ValueError(
-            f"t_span {t_span!r} is shorter than the step floor H_FLOOR={h_floor!r} "
-            "relative to max(1, |t0|)"
-        )
     times_at = list(map(float, samples))
     pending = [(math.inf, -1), *sorted(zip(times_at, range(len(times_at))), reverse=True)]
     # The sorted ends bound every sample; a NaN, which sorts anywhere,
@@ -147,19 +145,45 @@ def adaptive_rk45(
         rhs, t0, t1, y, h, rtol, atol, max_steps, h_floor, stop_when, pending, sampled, times,
         states,
     )
+    if status is not None:
+        raise loop_error(status, t, accepted, rejected, h_min, max_steps)
+    return times, states, h, sampled
+
+
+def check_tolerances(rtol: float, atol: float) -> None:
+    """ValueError unless rtol and atol are positive and finite."""
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise ValueError(f"rtol and atol must be positive and finite, got rtol={rtol!r}, "
+                         f"atol={atol!r}")
+
+
+def check_span(t_span: tuple[float, float], h_floor: float) -> None:
+    """ValueError when t_span is shorter than the step floor ``h_floor``
+    relative to max(1, |t0|)."""
+    t0, t1 = t_span
+    if t1 - t0 < h_floor * max(1.0, abs(t0)):
+        raise ValueError(
+            f"t_span {t_span!r} is shorter than the step floor H_FLOOR={h_floor!r} "
+            "relative to max(1, |t0|)"
+        )
+
+
+def loop_error(
+    status: str, t: float, accepted: int, rejected: int, h_min: float, max_steps: int
+) -> IntegrationError:
+    """The error of a generated loop that returned ``status`` ("budget",
+    "non-finite" or "underflow") at time t, with its counters."""
     if status == "budget":
-        raise IntegrationError(
+        return IntegrationError(
             f"step budget of MAX_STEPS={max_steps} steps exhausted: {accepted} "
             f"accepted, {rejected} rejected, smallest step {h_min!r}",
             t,
         )
     if status == "non-finite":
-        raise NonFiniteStateError(
+        return NonFiniteStateError(
             "step size underflow while rejecting non-finite trial states", t
         )
-    if status == "underflow":
-        raise StepSizeUnderflowError("step size underflow", t)
-    return times, states, h, sampled
+    return StepSizeUnderflowError("step size underflow", t)
 
 
 @dataclass

@@ -5,6 +5,8 @@ so an integrator that a fault has slowed fails the test with the budget's
 IntegrationError within seconds instead of running for minutes.
 """
 
+import dataclasses
+
 import pytest
 
 from engelkit import endpoint, flow
@@ -23,9 +25,11 @@ def step_budget(monkeypatch):
 
 @pytest.fixture
 def step_counts(monkeypatch):
-    """Accepted and rejected trial steps of each integrator call made by flow
-    and endpoint, one [accepted, rejected] pair per call in call order, as
-    the generated loop counts them.
+    """Accepted and rejected trial steps, as the generated loops count them:
+    one [accepted, rejected] pair per ``flow.adaptive_rk45`` call and per
+    segment of an endpoint pass (``horizontal_integrate`` and the
+    variational pass), in call order.  A pass's pairs are the per-segment
+    counters its kernel collects, and a failing segment's pair follows them.
 
     A step counts as accepted when its error norm is at most 1, the step
     that meets a ``stop_when`` included."""
@@ -47,6 +51,25 @@ def step_counts(monkeypatch):
         counted.rk45_loop = rk45_loop
         return integrate(counted, y0, *args, **kwargs)
 
+    def counted_pass(pass_kernel):
+        def run(*args):
+            result = pass_kernel(*args)
+            status, _, _, _, accepted, rejected, _ = result
+            calls.extend(map(list, args[-1]))  # the kernel's _counts
+            if status not in (None, "span"):
+                calls.append([accepted, rejected])
+            return result
+
+        return run
+
+    control_system = endpoint._control_system
+
+    def counted_system(pair):
+        sys = control_system(pair)
+        return dataclasses.replace(
+            sys, control=counted_pass(sys.control), variational=counted_pass(sys.variational)
+        )
+
     monkeypatch.setattr(flow, "adaptive_rk45", counted_rk45)
-    monkeypatch.setattr(endpoint, "adaptive_rk45", counted_rk45)
+    monkeypatch.setattr(endpoint, "_control_system", counted_system)
     return calls

@@ -81,6 +81,27 @@ FAULTS = {
         "is not None and kind.skew and kind.sign < 0:",
         "is not None and kind.sign < 0:",
     ),
+    # X = [Phi | L] restarted at (I, 0) in the first segment only: later
+    # segments carry on from the X the segment before ended with.
+    "no-segment-restart": (
+        "src/engelkit/codegen.py",
+        'f"    {entry} = {float(value)!r}" for entry',
+        'f"    {entry} = {float(value)!r} if _j == 0 else {entry}" for entry',
+    ),
+    # Every segment's first trial step from the default h0 of a fresh
+    # integration, not the step the segment before ended with.
+    "default-h0-per-segment": (
+        "src/engelkit/codegen.py",
+        '"    if _j == 0:",',
+        '"    if True:",',
+    ),
+    # The dense samples hold the cells of L (columns 4 and 5 of X) in place
+    # of those of Phi.
+    "samples-hold-l": (
+        "src/engelkit/endpoint.py",
+        "if j < 4 or (j - 4) % 6 < 4]",
+        "if j < 4 or (j - 4) % 6 >= 4]",
+    ),
     # A surface sample converged without the quadrature tail bound.
     "no-tail-bound": (
         "src/engelkit/flow.py",

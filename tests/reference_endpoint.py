@@ -1,15 +1,20 @@
-"""Reference segment-by-segment variational pass for the tests.
+"""Reference per-segment variational pass for the tests.
 
 This is the pass ``engelkit.endpoint`` ran before it stacked a whole pass
-in numpy at once: per segment it converts the integrator's states to
-arrays, fills in the 4x6 block [Phi | L] at the segment end and at the
-samples around the entries that moved, multiplies the samples'
-transitions by the running Phi, and chains the Jacobian blocks backwards
-after the last segment.  The constraint matrix builds the frames from
-the reference evaluators of f and g, and the covector test takes the
-full SVD.  ``bryant_hsu_test``, ``endpoint_jacobian`` and
-``adjoint_transport`` here return what the engelkit functions of the same
-names return, from that pass.
+in numpy at once and before its kernels ran a whole control in one call:
+one ``flow.adaptive_rk45`` call per segment, on the per-segment rhs
+:func:`variational` (or :func:`control`) with its fused loop, generated
+from the same (state, body, values) as the endpoint's pass kernels and
+carrying each segment's last step into the next.  Per segment it
+converts the integrator's states to arrays, fills in the 4x6 block
+[Phi | L] at the segment end and at the samples around the entries that
+moved, multiplies the samples' transitions by the running Phi, and
+chains the Jacobian blocks backwards after the last segment.  The
+constraint matrix builds the frames from the reference evaluators of f
+and g, and the covector test takes the full SVD.  ``bryant_hsu_test``,
+``endpoint_jacobian``, ``adjoint_transport`` and ``horizontal_integrate``
+here return what the engelkit functions of the same names return, from
+that route.
 
 With ``full=True`` they run the pass on all 28 entries of (q, Phi, L)
 instead: the rhs is :func:`variational_rhs`, a loop over all eight x and y
@@ -21,9 +26,12 @@ catalog) is the result the reduced pass's bit for bit.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from engelkit import flow
+from engelkit.codegen import function_source, kernel, rhs_source
 from engelkit.endpoint import (
     SINGULAR,
     AdjointRecord,
@@ -32,13 +40,43 @@ from engelkit.endpoint import (
     _RESTART,
     _control_system,
     _default_samples,
+    _gradients,
+    _variational_parts,
     classify_statistic,
     singular_score,
 )
-from engelkit.flow import DEFAULT_ATOL, DEFAULT_RTOL, start_point
+from engelkit.flow import DEFAULT_ATOL, DEFAULT_RTOL, Trajectory, start_point
 from engelkit.poly import VARS
 from reference_poly import reference_compile
 from reference_rk45 import reference_tuple_rk45
+
+
+def _segment_source(pair, grads, moving):
+    """Source of ``variational(u1, u2)``, which returns the rhs of the
+    ``moving`` entries at the controls (u1, u2) with its fused loop."""
+    inner = rhs_source(*_variational_parts(pair, grads, moving))
+    return function_source("variational(u1, u2)", [*inner.splitlines(), "return rhs"])
+
+
+@lru_cache(maxsize=64)
+def _segment_kernels(pair):
+    return (
+        kernel(_segment_source(pair, ([], []), range(4)), "variational"),
+        kernel(_segment_source(pair, _gradients(pair), _control_system(pair).moving),
+               "variational"),
+    )
+
+
+def control(pair, u1, u2):
+    """The per-segment rhs of q, (-u2 f, -u2 g, u1, u2), with its fused loop."""
+    return _segment_kernels(pair)[0](u1, u2)
+
+
+def variational(pair, u1, u2):
+    """The per-segment rhs of the entries of the variational state that
+    move, ``_control_system(pair).moving`` in that order, with its fused
+    loop."""
+    return _segment_kernels(pair)[1](u1, u2)
 
 
 def variational_rhs(pair, u1, u2):
@@ -88,7 +126,7 @@ def sensitivity_pass(pair, q0, ctrl, samples, rtol, atol, full=False):
     transitions, local_cols, qs, phis = [], [], [], []
     h_carry = None
     for j, (u1, u2) in enumerate(ctrl.u.tolist()):
-        rhs = variational_rhs(pair, u1, u2) if full else sys.variational(u1, u2)
+        rhs = variational_rhs(pair, u1, u2) if full else variational(pair, u1, u2)
         _, states, h_carry, sampled = _rk45_arrays(
             rhs, (*q, *(_RESTART[i] for i in cells)), (j / n, (j + 1) / n), rtol, atol, full,
             h0=h_carry, samples=per_segment[j],
@@ -107,6 +145,22 @@ def sensitivity_pass(pair, q0, ctrl, samples, rtol, atol, full=False):
         jac[:, 2 * j : 2 * j + 2] = suffix @ local_cols[j]
         suffix = suffix @ transitions[j]
     return q, jac, np.concatenate(qs), np.concatenate(phis)
+
+
+def horizontal_integrate(pair, q0, ctrl):
+    """The control system on one ``flow.adaptive_rk45`` call per segment,
+    each from the q where the last ended and trying its last step first."""
+    n = ctrl.n_segments
+    q, h = start_point(q0), None
+    all_times, all_states = [0.0], [q]
+    for j, (u1, u2) in enumerate(ctrl.u.tolist()):
+        times, states, h, _ = flow.adaptive_rk45(
+            control(pair, u1, u2), q, (j / n, (j + 1) / n), DEFAULT_RTOL, DEFAULT_ATOL, h0=h
+        )
+        all_times += times[1:]
+        all_states += states[1:]
+        q = states[-1]
+    return Trajectory(times=all_times, states=all_states)
 
 
 def constraint_matrix(pair, states, phis):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from engelkit import endpoint
+from engelkit import endpoint, flow
 from engelkit.acceptance import fd_jacobian
 from engelkit.charfield import ORACLE, char_field, coefficients, origin_kind
 from engelkit.distribution import CATALOG, PfaffianPair
@@ -235,7 +235,7 @@ def test_generated_variational_rhs_matches_the_full_loop():
             u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
             s = np.array((0.0, 0.0, 0.0, 0.0, *_RESTART))
             s[moving] = rng.uniform(-2.0, 2.0, len(moving))
-            got = sys.variational(u1, u2)(0.0, tuple(s[moving].tolist()))
+            got = reference_endpoint.variational(pair, u1, u2)(0.0, tuple(s[moving].tolist()))
             want = reference_endpoint.variational_rhs(pair, u1, u2)(0.0, tuple(s.tolist()))
             assert got == tuple(want[j] for j in moving)
 
@@ -534,8 +534,10 @@ def _xy_pairs(seed, count):
     return pairs
 
 
-def _reference_pass(monkeypatch):
-    """Run the endpoint pass on the unfolded tuple loop."""
+def _unfolded_reference(monkeypatch):
+    """Run the per-segment reference route (``reference_endpoint``, which
+    calls ``flow.adaptive_rk45`` once per segment) on the unfolded tuple
+    loop."""
 
     def unfolded(rhs, y0, t_span, rtol, atol, h0=None, stop_when=None, samples=()):
         times, states, h, sampled = reference_tuple_rk45(
@@ -543,7 +545,7 @@ def _reference_pass(monkeypatch):
         )
         return times, list(map(tuple, states.tolist())), h, list(map(tuple, sampled.tolist()))
 
-    monkeypatch.setattr(endpoint, "adaptive_rk45", unfolded)
+    monkeypatch.setattr(flow, "adaptive_rk45", unfolded)
 
 
 def _fixed(sys) -> list[int]:
@@ -610,9 +612,9 @@ def _reduced_start(sys, q):
 
 
 def test_folded_step_is_bit_identical_to_the_tuple_loop():
-    # One call per control segment, as the pass makes it: the folded step
-    # and dense output give the tuple loop's times, states, carried step and
-    # samples bit for bit.
+    # One call per control segment, as the per-segment reference route
+    # makes it: the folded step and dense output give the tuple loop's
+    # times, states, carried step and samples bit for bit.
     rng = np.random.default_rng(66)
     for pair in [*CATALOG.values(), *_xy_pairs(67, 6)]:
         sys = _control_system(pair)
@@ -622,7 +624,7 @@ def test_folded_step_is_bit_identical_to_the_tuple_loop():
             t_span = (3 / n, 4 / n)
             for h0 in (None, 0.3 / n):
                 args = (y0, t_span, 1e-10, 1e-12, h0, None, rng.uniform(*t_span, 3))
-                rhs = sys.variational(u1, u2)
+                rhs = reference_endpoint.variational(pair, u1, u2)
                 got = adaptive_rk45(rhs, *args)
                 want = reference_tuple_rk45(rhs, *args)
                 assert all(_bits(a) == _bits(b) for a, b in zip(got, want)), (pair, n)
@@ -630,7 +632,8 @@ def test_folded_step_is_bit_identical_to_the_tuple_loop():
 
 def test_folded_pass_is_bit_identical_to_the_unfolded_pass(monkeypatch):
     # The whole variational pass on 1- to 64-segment controls from random
-    # base points, on the catalog and on pairs with x and y terms.
+    # base points, on the catalog and on pairs with x and y terms, against
+    # the per-segment route on the unfolded tuple loop.
     rng = np.random.default_rng(68)
     cases = []
     for pair in [*CATALOG.values(), *_xy_pairs(69, 4)]:
@@ -638,18 +641,18 @@ def test_folded_pass_is_bit_identical_to_the_unfolded_pass(monkeypatch):
             q0 = tuple(rng.uniform(-0.3, 0.3, 4).tolist())
             cases.append((pair, q0, ControlPath(rng.uniform(-1.0, 1.0, (n, 2)))))
 
-    def passes():
+    def passes(run):
         return [
-            [_bits(a) for a in _sensitivity_pass(
-                _control_system(pair), q0, ctrl, _default_samples(ctrl.n_segments),
-                1e-10, 1e-12,
-            )]
+            [_bits(a) for a in run(pair, q0, ctrl, _default_samples(ctrl.n_segments), 1e-10, 1e-12)]
             for pair, q0, ctrl in cases
         ]
 
-    folded = passes()
-    _reference_pass(monkeypatch)
-    assert passes() == folded
+    def folded(pair, *args):
+        return _sensitivity_pass(_control_system(pair), *args)
+
+    got = passes(folded)
+    _unfolded_reference(monkeypatch)
+    assert passes(reference_endpoint.sensitivity_pass) == got
 
 
 def _public_outputs(module, pair, q0, ctrl, **kwargs):
@@ -722,33 +725,92 @@ def test_reduced_pass_stays_near_the_full_pass_on_pairs_with_x_and_y_terms():
     assert failed == 2
 
 
+def _errors(*runs):
+    """The IntegrationError each run raises: class, message and t_reached."""
+    errors = []
+    for run in runs:
+        with pytest.raises(IntegrationError) as err:
+            run()
+        errors.append((type(err.value), str(err.value), err.value.t_reached))
+    return errors
+
+
 @pytest.mark.parametrize(
-    "f,q0",
+    "f,q0,ctrl",
     [
         # x' = -u2 x^4 overflows in a stage from 1e60 and blows up at t = 1/3 from -1
-        (SparsePoly({(4, 0, 0, 0): 1}), (1e60, 0.0, 0.0, 0.0)),
-        (SparsePoly({(4, 0, 0, 0): 1}), (-1.0, 0.0, 0.0, 0.0)),
+        (SparsePoly({(4, 0, 0, 0): 1}), (1e60, 0.0, 0.0, 0.0), ControlPath.constant(0, 1, 2)),
+        (SparsePoly({(4, 0, 0, 0): 1}), (-1.0, 0.0, 0.0, 0.0), ControlPath.constant(0, 1, 2)),
         # f stays finite at z = 34.6 but its z-derivative is inf: in the
         # full pass the left-out x-row entries of Phi read inf * 0.0 = nan,
         # in the reduced pass the moving one in column 2 reads inf * 1.0
-        (SparsePoly({(0, 0, 200, 0): 1}), (0.0, 0.0, 34.6, 0.0)),
+        (SparsePoly({(0, 0, 200, 0): 1}), (0.0, 0.0, 34.6, 0.0), ControlPath.constant(0, 1, 2)),
+        # from x = -1, x' = -u2 x^4 blows up where the integral of u2
+        # reaches 1/3: 0.05 after two segments of u2 = 0.1, then at
+        # t = 0.571 in segment 2 under u2 = 4
+        (SparsePoly({(4, 0, 0, 0): 1}), (-1.0, 0.0, 0.0, 0.0),
+         ControlPath(np.array([[0.0, 0.1], [0.0, 0.1], [0.0, 4.0], [0.0, 4.0]]))),
     ],
-    ids=["overflow", "blow-up", "nan-in-a-fixed-entry"],
+    ids=["overflow", "blow-up", "nan-in-a-fixed-entry", "blow-up-in-segment-2"],
 )
-def test_non_finite_pass_fails_like_the_unfolded_pass(f, q0, monkeypatch):
-    # The same error as the tuple loop on the same entries, message and
-    # all, and the same class as the full 28-state pass.
+def test_non_finite_pass_fails_like_the_unfolded_pass(f, q0, ctrl, monkeypatch):
+    # The class, message and t_reached of the per-segment reference route,
+    # on the generated loop and on the unfolded tuple loop, and the class
+    # of the full 28-state pass.
     pair = PfaffianPair(f, SparsePoly.zero())
-    ctrl = ControlPath.constant(0.0, 1.0, 2)
-    with pytest.raises(IntegrationError) as got:
-        bryant_hsu_test(pair, q0, ctrl)
-    with pytest.raises(IntegrationError) as full:
-        reference_endpoint.bryant_hsu_test(pair, q0, ctrl, full=True)
-    _reference_pass(monkeypatch)
-    with pytest.raises(IntegrationError) as want:
-        bryant_hsu_test(pair, q0, ctrl)
-    assert type(got.value) is type(want.value) is type(full.value)
-    assert str(got.value) == str(want.value)
+    got, want, full = _errors(
+        lambda: bryant_hsu_test(pair, q0, ctrl),
+        lambda: reference_endpoint.bryant_hsu_test(pair, q0, ctrl),
+        lambda: reference_endpoint.bryant_hsu_test(pair, q0, ctrl, full=True),
+    )
+    _unfolded_reference(monkeypatch)
+    (unfolded,) = _errors(lambda: reference_endpoint.bryant_hsu_test(pair, q0, ctrl))
+    assert got == want == unfolded
+    assert got[0] is full[0]
+
+
+def test_a_budget_spent_in_a_later_segment_fails_like_the_per_segment_pass(monkeypatch):
+    # MAX_STEPS, read when the pass starts, bounds each segment.  On
+    # x' = -u2 x^2 from x = 1, the variational pass takes 6 steps in
+    # segment 0 and 34 plus 3 rejected in segment 1, the control kernel 4
+    # and 20 plus 2: under a budget of 10 both run out in segment 1.  The
+    # class, the message with segment 1's counts and the t reached are
+    # those of the per-segment route.
+    pair = PfaffianPair(SparsePoly({(2, 0, 0, 0): 1}), SparsePoly.zero())
+    q0 = (1.0, 0.0, 0.0, 0.0)
+    ctrl = ControlPath(np.array([[0.0, 0.1], [0.0, 2.0], [0.0, 0.1]]))
+    monkeypatch.setattr(flow, "MAX_STEPS", 10)
+    for run, reference in ((bryant_hsu_test, reference_endpoint.bryant_hsu_test),
+                           (horizontal_integrate, reference_endpoint.horizontal_integrate)):
+        got, want = _errors(lambda: run(pair, q0, ctrl), lambda: reference(pair, q0, ctrl))
+        assert got == want
+        assert got[0] is IntegrationError and "MAX_STEPS=10 steps exhausted" in got[1]
+        assert 1 / 3 < got[2] < 2 / 3
+
+
+def test_a_segment_shorter_than_the_floor_is_the_per_segment_value_error(monkeypatch):
+    # H_FLOOR, read when the pass starts, applies to each segment's span.
+    monkeypatch.setattr(flow, "H_FLOOR", 0.3)
+    ctrl = ControlPath.constant(0.3, -0.2, 4)
+    messages = []
+    for run in (bryant_hsu_test, reference_endpoint.bryant_hsu_test,
+                horizontal_integrate, reference_endpoint.horizontal_integrate):
+        with pytest.raises(ValueError) as err:
+            run(CATALOG["d224"], ORIGIN, ctrl)
+        messages.append(str(err.value))
+    assert messages == [
+        "t_span (0.0, 0.25) is shorter than the step floor H_FLOOR=0.3 relative to max(1, |t0|)"
+    ] * 4
+
+
+def test_bad_tolerances_are_the_per_segment_value_error():
+    ctrl = ControlPath.constant(0.3, -0.2, 4)
+    messages = []
+    for run in (bryant_hsu_test, reference_endpoint.bryant_hsu_test):
+        with pytest.raises(ValueError) as err:
+            run(CATALOG["d224"], ORIGIN, ctrl, rtol=0.0)
+        messages.append(str(err.value))
+    assert messages == ["rtol and atol must be positive and finite, got rtol=0.0, atol=1e-12"] * 2
 
 
 def test_default_samples_are_split_as_exact_fractions():
@@ -792,10 +854,21 @@ def _record_bits(record) -> list[bytes]:
     return [_bits(v) for v in values if not isinstance(v, (str, type(None)))]
 
 
+def test_control_pass_keeps_the_steps_of_the_per_segment_route():
+    # horizontal_integrate's one kernel call per control against one
+    # adaptive_rk45 call per segment: every time and state, bit for bit.
+    for pair, q0, ctrl in _stacked_pass_cases():
+        got = horizontal_integrate(pair, q0, ctrl)
+        want = reference_endpoint.horizontal_integrate(pair, q0, ctrl)
+        assert _bits(got.times) == _bits(want.times), (pair, q0, ctrl.n_segments)
+        assert _bits(got.states) == _bits(want.states), (pair, q0, ctrl.n_segments)
+
+
 def test_stacked_pass_is_bit_identical_to_the_per_segment_pass():
-    # The pass that stacks the segments once, the single frame evaluation
-    # per sample and the thin SVD against the per-segment pass they replace:
-    # every output of the three public functions is equal byte for byte.
+    # The kernel that runs every segment in one call, the pass that stacks
+    # the segments once, the frame evaluation in one call and the thin SVD
+    # against the per-segment route they replace: every output of the
+    # three public functions is equal byte for byte.
     for pair, q0, ctrl in _stacked_pass_cases():
         got = bryant_hsu_test(pair, q0, ctrl)
         want = reference_endpoint.bryant_hsu_test(pair, q0, ctrl)
@@ -970,7 +1043,6 @@ def test_no_integration_takes_the_call_form_step(monkeypatch):
     # Every rhs the library hands the integrator is generated with its own
     # fused loop; flow._rk45_loop, the call-form loop for any other rhs, is
     # built only when one without it arrives.
-    from engelkit import flow
     from engelkit.charfield import char_field
     from engelkit.flow import integrate, singular_surface
 
@@ -1017,13 +1089,14 @@ def test_repeated_runs_generate_no_kernel(monkeypatch):
     run()
     misses = codegen.kernel.cache_info().misses
     generated = []
-    build = codegen.loop_source
+    for module, name in ((codegen, "loop_source"), (endpoint, "pass_source")):
+        build = getattr(module, name)
 
-    def recording(*args):
-        generated.append(args[0])
-        return build(*args)
+        def recording(*args, build=build):
+            generated.append(args[0])
+            return build(*args)
 
-    monkeypatch.setattr(codegen, "loop_source", recording)
+        monkeypatch.setattr(module, name, recording)
     run()
     run()
     assert codegen.kernel.cache_info().misses == misses and generated == []

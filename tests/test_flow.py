@@ -27,6 +27,7 @@ from engelkit.flow import (
 from engelkit.acceptance import closed_form, lyapunov_report
 from engelkit.endpoint import _RESTART, _control_system
 from engelkit.poly import Point4, SparsePoly, random_poly
+import reference_endpoint
 from reference_rk45 import reference_rk45, reference_tuple_rk45, tuple_stages
 from reference_surface import OUTWARD, exact_offsets, star_node
 
@@ -256,7 +257,7 @@ def test_variational_pass_takes_the_steps_of_the_reference(pair):
         u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
         y0 = _variational_start(sys, rng.uniform(-0.5, 0.5, 4).tolist())
         samples = rng.uniform(0.25, 1.0, 6)
-        rhs = sys.variational(u1, u2)
+        rhs = reference_endpoint.variational(pair, u1, u2)
         args = ((0.25, 1.0), 1e-10, 1e-12, 0.01, None, samples)
         times, states, _, sampled = adaptive_rk45(rhs, y0, *args)
         ref_times, ref_states, _, ref_sampled = reference_rk45(rhs, np.array(y0), *args)
@@ -332,7 +333,8 @@ def _unrolled_cases():
         u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
         y0 = _variational_start(sys, rng.uniform(-0.5, 0.5, 4).tolist())
         cases.append(pytest.param(
-            sys.variational(u1, u2), y0, (0.25, 1.0), None, id=f"n28-{name}",
+            reference_endpoint.variational(pair, u1, u2), y0, (0.25, 1.0), None,
+            id=f"n28-{name}",
         ))
     return cases
 
@@ -419,16 +421,16 @@ def _raises_if_called(t, q):
 def test_a_fused_loop_never_calls_its_rhs_argument(name):
     # All seven stages of a generated field's loop, the first included, run
     # its body inline: handed an rhs that raises if called, each catalog
-    # field's loop and each of its control system's loops returns what it
-    # returns when handed the rhs itself, samples and all.
+    # field's loop and each per-segment loop of its control system returns
+    # what it returns when handed the rhs itself, samples and all.
     sys = _control_system(CATALOG[name])
     rng = np.random.default_rng(59)
     u1, u2 = rng.uniform(-1.0, 1.0, 2).tolist()
     q = rng.uniform(-0.5, 0.5, 4).tolist()
     cases = [
         (char_field(CATALOG[name], ORACLE).compile_rhs(), tuple(q), 3.0),
-        (sys.control(u1, u2), tuple(q), 1.0),
-        (sys.variational(u1, u2), _variational_start(sys, q), 1.0),
+        (reference_endpoint.control(CATALOG[name], u1, u2), tuple(q), 1.0),
+        (reference_endpoint.variational(CATALOG[name], u1, u2), _variational_start(sys, q), 1.0),
     ]
     for rhs, y0, t1 in cases:
         args = (0.0, t1, y0, 0.01, flow.MAX_STEPS, flow.H_FLOOR, (0.1, 0.35, t1))
@@ -456,7 +458,8 @@ def test_an_opaque_rhs_is_called_once_and_then_six_times_per_trial_step(step_cou
     cases = [
         (char_field(CATALOG["d224"], ORACLE).compile_rhs(), (0.0, 0.0, 0.01, 0.02),
          (0.0, DEFAULT_T_MAX), flow._cut_test()(DEFAULT_EPS_CUT)),
-        (sys.variational(0.6, -0.8), _variational_start(sys, [0.1, -0.2, 0.3, 0.4]),
+        (reference_endpoint.variational(CATALOG["d2334a"], 0.6, -0.8),
+         _variational_start(sys, [0.1, -0.2, 0.3, 0.4]),
          (0.25, 1.0), None),
     ]
     for rhs, y0, t_span, stop_when in cases:
@@ -471,16 +474,20 @@ def test_an_opaque_rhs_is_called_once_and_then_six_times_per_trial_step(step_cou
 @pytest.mark.parametrize("name", CATALOG)
 def test_fused_stages_form_only_the_entries_the_field_reads(name):
     # z and w of the characteristic flow (z alone for engel_std); z, w and
-    # the entries of L that the x and y rows read of the variational state
-    def formed(rhs, names):
-        return [v for v in names if v in rhs.rk45_loop.__code__.co_varnames]
+    # the entries of L that the x and y rows read of the variational state,
+    # in the per-segment loop and in the pass kernels that run every segment
+    def formed(loop, names):
+        return [v for v in names if v in loop.__code__.co_varnames]
 
     zw = ["z"] if name == "engel_std" else ["z", "w"]
     rhs = char_field(CATALOG[name], ORACLE).compile_rhs()
-    assert formed(rhs, ["x", "y", "z", "w"]) == zw
+    assert formed(rhs.rk45_loop, ["x", "y", "z", "w"]) == zw
     names = ["x", "y", "z", "w", *(f"s{r}_{c}" for r in range(4) for c in range(6))]
-    rhs = _control_system(CATALOG[name]).variational(0.5, -0.5)
-    assert formed(rhs, names) == zw + ["s2_4", "s3_5"][:len(zw)]
+    sys = _control_system(CATALOG[name])
+    for loop in (reference_endpoint.variational(CATALOG[name], 0.5, -0.5).rk45_loop,
+                 sys.variational):
+        assert formed(loop, names) == zw + ["s2_4", "s3_5"][:len(zw)]
+    assert formed(sys.control, names) == zw
 
 
 # x' = x^4 overflows in a stage from 1e60 (Python's ** raises OverflowError)
@@ -505,9 +512,9 @@ def _failing_cases():
         pytest.param(QUARTIC.compile_rhs(), (1.0, 0.0, 0.0, 0.0), (0.0, 1.0), 20_000, id="1.0"),
         pytest.param(PRODUCT.compile_rhs(), (1.0, 1e3, 0.0, 0.0), (0.0, 1.0), 20_000,
                      id="product"),
-        pytest.param(sys.variational(0.0, -1.0), start, (0.0, 2.0), 20_000,
+        pytest.param(reference_endpoint.variational(BLOWS_UP, 0.0, -1.0), start, (0.0, 2.0), 20_000,
                      id="variational-blow-up"),
-        pytest.param(sys.variational(0.3, -0.2), start, (0.0, 1.0), 5,
+        pytest.param(reference_endpoint.variational(BLOWS_UP, 0.3, -0.2), start, (0.0, 1.0), 5,
                      id="variational-budget"),
     ]
 

@@ -2,8 +2,11 @@
 module attribute name.  Installing it here makes a renamed or removed hook
 fail the test suite instead of breaking ``bench/run.py --trace 1``."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 from engelkit import charfield, cli, distribution, endpoint, flow, poly
 from engelkit.distribution import CATALOG
@@ -39,17 +42,25 @@ def test_tracer_installs_on_every_hook_and_unpatches():
     before = _namespaces()
     tracer = tracing.Tracer()
     tracer.install(MODULES)
+    args = (CATALOG["d224"], Point4.origin(), ControlPath.constant(0.3, 0.8, 2))
+    untraced = cli.bryant_hsu_test(*args)
     try:
         tracer.start_ops()
-        # one surface flow, through integrate, and a two-segment detector pass
+        # one surface flow, through adaptive_rk45, and a two-segment
+        # detector pass, whose kernel runs both segments without it
         flow.singular_surface(CATALOG["d224"], [(0.1, 0.1)])
-        cli.bryant_hsu_test(CATALOG["d224"], Point4.origin(), ControlPath.constant(0.3, 0.8, 2))
+        traced = cli.bryant_hsu_test(*args)
         metrics = tracer.metrics(2, 0.0)
     finally:
         tracer.unpatch()
     assert _namespaces() == before
     assert set(metrics) == set(tracing.PER_LAYER)
-    assert metrics["flow.rk45_calls_per_op"] == 1.5
+    assert metrics["flow.rk45_calls_per_op"] == 0.5
+    # a traced detector runs the code an untraced one runs: every field of
+    # its verdict is equal byte for byte
+    for f in dataclasses.fields(traced):
+        got, want = getattr(traced, f.name), getattr(untraced, f.name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
     assert metrics["flow.accepted_steps_per_op"] > 0
     # first-same-as-last: six rhs calls per step, plus one per call
     assert 6.0 < metrics["flow.rhs_evals_per_step"] < 7.0
